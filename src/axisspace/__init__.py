@@ -67,7 +67,6 @@ from .invariant import (
 from .iso import PartialIso, back_and_forth_step, extend_to_hat, fragment_isomorphism_game
 from .formula import Formula, Term, eval_qf, parse_formula, print_formula
 from .qe import (
-    GENERIC,
     WitnessTemplate,
     decide_sentence,
     eliminate_all,

@@ -22,7 +22,7 @@ import itertools
 
 from .errors import FieldNotFinite
 from .fields import FieldCtx
-from .model import Model, ModelElement, rich_model, weight
+from .model import combine, rich_model, weight
 
 
 def construct_counterexample(p: int):
@@ -36,18 +36,11 @@ def construct_counterexample(p: int):
     m_prime = [model.e(i, 1) for i in range(p)]
     fresh = model.e(p, 0)
 
-    a0 = _sum(model, m)
-    a1 = _sum(model, m_prime)
+    a0 = combine(field, [1] * p, m)
+    a1 = combine(field, [1] * p, m_prime)
     b0 = a0
-    b1 = fresh + _sum(model, [m[i].scale(i) for i in range(1, p)])
+    b1 = fresh + combine(field, range(p), m)  # l_i = i; m_0 gets coefficient 0
     return (a0, a1), (b0, b1), model
-
-
-def _sum(model: Model, elements) -> ModelElement:
-    out = model.zero()
-    for el in elements:
-        out = out + el
-    return out
 
 
 def brute_qf_equiv(a, b) -> bool:
@@ -59,8 +52,8 @@ def brute_qf_equiv(a, b) -> bool:
     if field.is_infinite:
         raise FieldNotFinite("exhaustive comparison needs a finite field")
     for lam, mu in itertools.product(field.elements(), repeat=2):
-        ea = a[0].scale(lam) + a[1].scale(mu)
-        eb = b[0].scale(lam) + b[1].scale(mu)
+        ea = combine(field, (lam, mu), a)
+        eb = combine(field, (lam, mu), b)
         if ea.is_zero() != eb.is_zero():
             return False
         if weight(ea) != weight(eb):
@@ -73,5 +66,5 @@ def combination_weight_table(pair):
     field = pair[0].field
     rows = []
     for lam, mu in itertools.product(field.elements(), repeat=2):
-        rows.append((lam, mu, weight(pair[0].scale(lam) + pair[1].scale(mu))))
+        rows.append((lam, mu, weight(combine(field, (lam, mu), pair))))
     return rows

@@ -158,8 +158,6 @@ class Forall:
 
 Formula = Union[Eq, Xn, Not, And, Or, Exists, Forall]
 
-TRUE_ATOM = None  # placeholder comment anchor; truth is Eq(0,0), falsity its negation
-
 
 def true_formula(field: FieldCtx) -> Formula:
     return Eq(Term.zero(field), Term.zero(field))

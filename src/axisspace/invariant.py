@@ -12,6 +12,12 @@ when their invariants coincide: the multiset determines every weight
 w(f_a(c)) on v_f, and conversely the weights of subspace images recover each
 kernel multiplicity through inclusion-exclusion, which
 :func:`g_via_inclusion_exclusion` makes executable.
+
+This module owns the three computations the rest of the library builds on:
+v_f together with the free-part reduction of an element against generators
+(:func:`free_reduction`), and the per-axis projection kernels
+(:func:`axis_kernels`).  ``iso`` and ``typespace`` call them rather than
+recomputing either.
 """
 
 from __future__ import annotations
@@ -28,10 +34,11 @@ from .linalg import (
     intersect,
     kernel,
     member,
+    solve,
     subspace_from_generators,
     subspace_sum,
 )
-from .model import ModelElement, SubspaceHandle
+from .model import ModelElement, SubspaceHandle, combine
 
 
 @dataclass(frozen=True)
@@ -56,11 +63,7 @@ class LinearMapFa:
 def apply_fa(m: LinearMapFa, coeffs: Sequence[Scalar]) -> ModelElement:
     if len(coeffs) != m.arity:
         raise ArityMismatch(f"coefficient vector of length {len(coeffs)} for arity {m.arity}")
-    field = m.field
-    out = ModelElement.zero(field)
-    for c, a in zip(coeffs, m.tuple_):
-        out = out + a.scale(field.of(c))
-    return out
+    return combine(m.field, coeffs, m.tuple_)
 
 
 @dataclass(frozen=True)
@@ -86,50 +89,58 @@ class QfInvariant:
         return f"arity={self.arity} v_f={rows(self.v_f)} kernels={ker}"
 
 
-def _axis_blocks(tuple_: Sequence[ModelElement], field: FieldCtx):
-    """Per-axis coordinate matrices of the tuple: axis -> rows over K^arity."""
-    axes = sorted({axis for el in tuple_ for axis in {a for (a, _), _ in el.axis_part}})
-    blocks = {}
-    for axis in axes:
-        coords = sorted({c for el in tuple_ for c in el.coords_on_axis(axis)})
-        rows = []
-        for coord in coords:
-            rows.append(tuple(el.coords_on_axis(axis).get(coord, field.zero) for el in tuple_))
-        blocks[axis] = rows
-    return blocks
+def free_reduction(a: ModelElement, gens: Sequence[ModelElement]):
+    """Reduce ``a`` against ``gens`` to the axis span.
+
+    Returns (coeffs, v_f).  ``coeffs`` is the canonical solution (zero off
+    the pivot generators) of free(a) = sum_i coeffs_i free(gens_i), so that
+    ``a - combine(field, coeffs, gens)`` lies in the axis span; it is None
+    when the free part of ``a`` leaves the span of the free parts of
+    ``gens``.  ``v_f`` is the membership subspace of ``gens``: the
+    coefficient vectors whose combination has no free part.
+    """
+    gens = tuple(gens)
+    field = a.field
+    coords = sorted({c for el in gens + (a,) for c, _ in el.free_part})
+
+    def free_vector(el: ModelElement):
+        free = el.free_dict()
+        return tuple(free.get(c, field.zero) for c in coords)
+
+    vectors = [free_vector(g) for g in gens]
+    rows = [tuple(v[i] for v in vectors) for i in range(len(coords))]
+    return solve(field, vectors, free_vector(a)), kernel(field, rows, len(gens))
 
 
-def _free_rows(tuple_: Sequence[ModelElement], field: FieldCtx):
-    coords = sorted({c for el in tuple_ for c in el.free_dict()})
-    return [tuple(el.free_dict().get(coord, field.zero) for el in tuple_) for coord in coords]
+def axis_kernels(tuple_: Sequence[ModelElement]) -> dict:
+    """axis -> kernel of the tuple map followed by the projection onto that
+    axis, for every axis the tuple meets, in axis order."""
+    tuple_ = tuple(tuple_)
+    if not tuple_:
+        return {}
+    field = tuple_[0].field
+    out = {}
+    for axis in sorted({axis for el in tuple_ for axis in el.axes()}):
+        parts = [el.coords_on_axis(axis) for el in tuple_]
+        coords = sorted({c for part in parts for c in part})
+        rows = [tuple(part.get(c, field.zero) for part in parts) for c in coords]
+        out[axis] = kernel(field, rows, len(tuple_))
+    return out
 
 
 def qf_invariant_mixed(tuple_: Sequence[ModelElement]) -> QfInvariant:
     """Invariant of an arbitrary tuple; elements may carry free parts.
 
-    v_f is the kernel of the free-coordinate matrix; each axis kernel is
-    intersected with v_f and kept only when the axis actually meets the image
-    of v_f.
+    Each axis kernel is intersected with v_f and kept only when the axis
+    actually meets the image of v_f.  The empty tuple gets the arity-0
+    invariant over the rationals.
     """
     tuple_ = tuple(tuple_)
-    if not tuple_:
-        return QfInvariant(0, full_space_of(tuple_, 0), ())
-    field = tuple_[0].field
-    k = len(tuple_)
-    v_f = kernel(field, _free_rows(tuple_, field), k)
-    kernels = []
-    for axis, rows in _axis_blocks(tuple_, field).items():
-        ker_axis = intersect(kernel(field, rows, k), v_f)
-        if ker_axis != v_f:  # the axis meets the image of v_f
-            kernels.append(ker_axis)
-    return QfInvariant(k, v_f, tuple(sorted(kernels, key=lambda s: s.key())))
-
-
-def full_space_of(tuple_, arity):
-    from .fields import FieldCtx
-
     field = tuple_[0].field if tuple_ else FieldCtx.rationals()
-    return full_space(field, arity)
+    _, v_f = free_reduction(ModelElement.zero(field), tuple_)
+    kernels = [intersect(ker, v_f) for ker in axis_kernels(tuple_).values()]
+    kernels = [ker for ker in kernels if ker != v_f]  # axes meeting the image of v_f
+    return QfInvariant(len(tuple_), v_f, tuple(sorted(kernels, key=lambda s: s.key())))
 
 
 def qf_invariant(tuple_: Sequence[ModelElement]) -> QfInvariant:
@@ -221,19 +232,12 @@ def _vector_outside(W: Subspace, V: Subspace):
 
 
 def kernel_candidates(tuple_: Sequence[ModelElement]) -> list:
-    """The per-axis block kernels of the tuple's coordinate matrix: the only
-    subspaces realizable as an axis-projection kernel."""
-    tuple_ = tuple(tuple_)
-    field = tuple_[0].field
-    k = len(tuple_)
-    out = []
-    seen = set()
-    for _, rows in _axis_blocks(tuple_, field).items():
-        ker_axis = kernel(field, rows, k)
-        if ker_axis.key() not in seen:
-            seen.add(ker_axis.key())
-            out.append(ker_axis)
-    return out
+    """The distinct per-axis projection kernels of the tuple, in axis order:
+    the only subspaces realizable as an axis-projection kernel."""
+    out = {}
+    for ker in axis_kernels(tuple_).values():
+        out.setdefault(ker.key(), ker)
+    return list(out.values())
 
 
 def weights_oracle_via_witness(tuple_: Sequence[ModelElement]) -> Callable[[Subspace], int]:
@@ -246,9 +250,7 @@ def weights_oracle_via_witness(tuple_: Sequence[ModelElement]) -> Callable[[Subs
     """
     from .model import weight, witness_star
 
-    tuple_ = tuple(tuple_)
-    fa = LinearMapFa(tuple_)
-    field = tuple_[0].field
+    fa = LinearMapFa(tuple(tuple_))
 
     def weights(U: Subspace) -> int:
         gens = [apply_fa(fa, row) for row in U.basis]

@@ -14,6 +14,11 @@ element, fabricating the witness on the other side out of three kinds of
 material: the hull image where the element is already determined, fresh
 coordinates on matched axes for components that lean on a known axis without
 lying in the hull, and entirely fresh axes or free coordinates for the rest.
+
+The per-axis projection kernels, the membership subspace v_f and the
+free-part reduction used here are computed by :mod:`axisspace.invariant`
+(:func:`~axisspace.invariant.axis_kernels`,
+:func:`~axisspace.invariant.free_reduction`).
 """
 
 from __future__ import annotations
@@ -23,11 +28,12 @@ from typing import Sequence
 
 from .errors import FragmentExhausted, NotInF, NotQfEquivalent, TargetNotRich
 from .fields import FieldCtx
-from .invariant import qf_invariant_mixed
+from .invariant import axis_kernels, free_reduction
 from .model import (
     Model,
     ModelElement,
     SubspaceHandle,
+    combine,
     proj_axis,
     span_membership,
     tuple_kernel,
@@ -63,10 +69,7 @@ class PartialIso:
         coeffs = span_membership(a, self.domain_handle())
         if coeffs is None:
             raise KeyError(f"element outside the domain span: {a}")
-        out = ModelElement.zero(self.field)
-        for c, g in zip(coeffs, self.image_generators):
-            out = out + g.scale(c)
-        return out
+        return combine(self.field, coeffs, self.image_generators)
 
     def extended(self, a: ModelElement, b: ModelElement) -> "PartialIso":
         return PartialIso(
@@ -100,43 +103,32 @@ class PartialIso:
 # ---------------------------------------------------------------------------
 
 
-def _axis_kernels(tuple_: Sequence[ModelElement], field: FieldCtx) -> dict:
-    """axis -> kernel of the axis projection composed with the tuple map."""
-    out = {}
-    axes = sorted({axis for el in tuple_ for axis in el.axes()})
-    for axis in axes:
-        out[axis] = tuple_kernel([proj_axis(el, axis) for el in tuple_], field)
-    return out
-
-
 def extend_to_hat(a: Sequence[ModelElement], b: Sequence[ModelElement]) -> PartialIso:
     """Extend a_i -> b_i to an isomorphism of the hulls of the spans.
 
     Both tuples must lie in the axis span and have equal invariants;
-    otherwise NotQfEquivalent is raised.  The axis bijection is canonical:
-    axes are grouped by their projection kernel and matched in axis-index
-    order inside each group.
+    otherwise NotQfEquivalent is raised.  In the axis span the invariant is
+    the arity and the field together with the multiset of per-axis
+    projection kernels, so those are what is compared.  The axis bijection is canonical: axes are
+    grouped by their projection kernel and matched in axis-index order
+    inside each group.
     """
     a, b = tuple(a), tuple(b)
     for el in a + b:
         if not el.in_F():
             raise NotInF(f"hull extension needs tuples in the axis span, got {el}")
-    if qf_invariant_mixed(a) != qf_invariant_mixed(b):
-        raise NotQfEquivalent("tuples have different quantifier-free invariants")
-    field = a[0].field if a else b[0].field if b else None
-    if field is None:
-        return PartialIso.empty(FieldCtx.rationals())
-
-    kernels_a = _axis_kernels(a, field)
-    kernels_b = _axis_kernels(b, field)
+    if len(a) != len(b) or (a and a[0].field != b[0].field):
+        raise NotQfEquivalent("tuples of different arities or over different fields")
     groups_a: dict = {}
-    for axis, ker in kernels_a.items():
-        groups_a.setdefault(ker.key(), []).append(axis)
     groups_b: dict = {}
-    for axis, ker in kernels_b.items():
-        groups_b.setdefault(ker.key(), []).append(axis)
+    for groups, t in ((groups_a, a), (groups_b, b)):
+        for axis, ker in axis_kernels(t).items():
+            groups.setdefault(ker.key(), []).append(axis)
     if set(groups_a) != set(groups_b) or any(len(groups_a[k]) != len(groups_b[k]) for k in groups_a):
         raise NotQfEquivalent("projection-kernel multisets do not match")
+    if not a:
+        return PartialIso.empty(FieldCtx.rationals())
+    field = a[0].field
 
     sigma = {}
     for key in groups_a:
@@ -161,10 +153,6 @@ def extend_to_hat(a: Sequence[ModelElement], b: Sequence[ModelElement]) -> Parti
 # ---------------------------------------------------------------------------
 
 
-def _free_shadow(el: ModelElement) -> ModelElement:
-    return ModelElement(el.field, (), el.free_part)
-
-
 def back_and_forth_step(f: PartialIso, a: ModelElement, source: Model, target: Model):
     """Extend ``f`` so that its domain span contains ``a``.
 
@@ -186,22 +174,18 @@ def _step(f: PartialIso, a: ModelElement, source: Model, target: Model):
 
     # case (i): the element brings a new free direction; any fresh free
     # coordinate on the other side matches it.
-    free_coeffs = span_membership(_free_shadow(a), SubspaceHandle(tuple(_free_shadow(d) for d in D)))
+    free_coeffs, vf = free_reduction(a, D)
     if free_coeffs is None:
         b = target.fe(target.fresh_free_coord(E))
         return f.extended(a, b), b
 
     # otherwise reduce to an element of the axis span
-    correction = ModelElement.zero(field)
-    for c, d in zip(free_coeffs, D):
-        correction = correction + d.scale(c)
-    a_f = a - correction  # in F(M)
+    a_f = a - combine(field, free_coeffs, D)  # in F(M)
     assert a_f.in_F()
 
     # hull of the axis-span part of the domain
-    vf = _vf_basis(D, field)
-    u = [_combine(D, coeffs, field) for coeffs in vf]
-    u_img = [_combine(E, coeffs, field) for coeffs in vf]
+    u = [combine(field, coeffs, D) for coeffs in vf.basis]
+    u_img = [combine(field, coeffs, E) for coeffs in vf.basis]
     hat = extend_to_hat(u, u_img)
     combined = PartialIso(
         field,
@@ -226,7 +210,7 @@ def _step(f: PartialIso, a: ModelElement, source: Model, target: Model):
             dom_projs, img_projs = hull_axis[axis]
             coeffs = span_membership(m_comp, SubspaceHandle(tuple(dom_projs)))
             if coeffs is not None:
-                n_comp = _combine(img_projs, coeffs, field)
+                n_comp = combine(field, coeffs, img_projs)
             else:
                 # on a known axis but outside the hull: fresh coordinate there
                 n_comp = target.e(sigma[axis], target.fresh_coord(sigma[axis], used_img))
@@ -239,19 +223,6 @@ def _step(f: PartialIso, a: ModelElement, source: Model, target: Model):
     extended = combined.extended(a_f, b_f)
     b = extended.apply(a)
     return extended.extended(a, b).reduced(), b
-
-
-def _vf_basis(D: Sequence[ModelElement], field: FieldCtx):
-    """Basis of {c : the free parts of the combination cancel}."""
-    ker = tuple_kernel([_free_shadow(d) for d in D], field)
-    return list(ker.basis)
-
-
-def _combine(els: Sequence[ModelElement], coeffs, field: FieldCtx) -> ModelElement:
-    out = ModelElement.zero(field)
-    for c, el in zip(coeffs, els):
-        out = out + el.scale(c)
-    return out
 
 
 # ---------------------------------------------------------------------------

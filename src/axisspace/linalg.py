@@ -29,11 +29,6 @@ def vec_add(field: FieldCtx, a: Vector, b: Vector) -> Vector:
         raise DimensionMismatch(f"vector lengths {len(a)} vs {len(b)}")
     return tuple(field.add(x, y) for x, y in zip(a, b))
 
-def vec_sub(field: FieldCtx, a: Vector, b: Vector) -> Vector:
-    if len(a) != len(b):
-        raise DimensionMismatch(f"vector lengths {len(a)} vs {len(b)}")
-    return tuple(field.sub(x, y) for x, y in zip(a, b))
-
 
 def vec_scale(field: FieldCtx, c: Scalar, a: Vector) -> Vector:
     return tuple(field.mul(c, x) for x in a)
@@ -213,8 +208,3 @@ def solve(field: FieldCtx, rows: Sequence[Vector], rhs: Vector) -> Vector | None
             return None
         sol[pc] = row[n]
     return tuple(sol)
-
-
-def coords_in_basis(field: FieldCtx, basis: Sequence[Vector], v: Vector) -> Vector | None:
-    """Coordinates of v in the given (independent) basis, or None if outside."""
-    return solve(field, basis, v)

@@ -26,9 +26,9 @@ from .errors import (
 from .fields import FieldCtx, check_same_field
 from .linalg import (
     Subspace,
-    coords_in_basis,
     kernel,
     rref,
+    solve,
 )
 
 
@@ -231,6 +231,29 @@ class ModelElement:
 
     def __repr__(self) -> str:
         return f"<{self} over {self.field}>"
+
+
+def combine(field: FieldCtx, coeffs: Iterable, elements: Iterable[ModelElement]) -> ModelElement:
+    """The linear combination sum_i coeffs[i] * elements[i] over ``field``.
+
+    Every layer that forms a scaled sum of model elements calls this; the
+    sum is accumulated coordinate by coordinate and normalized once.
+    """
+    axis_part: dict = {}
+    free_part: dict = {}
+    for c, el in zip(coeffs, elements):
+        check_same_field(field, el.field)
+        c = field.of(c)
+        if field.is_zero(c):
+            continue
+        for part, acc in ((el.axis_part, axis_part), (el.free_part, free_part)):
+            for k, v in part:
+                acc[k] = field.add(acc.get(k, field.zero), field.mul(c, v))
+    return ModelElement(
+        field,
+        tuple(sorted((k, v) for k, v in axis_part.items() if not field.is_zero(v))),
+        tuple(sorted((k, v) for k, v in free_part.items() if not field.is_zero(v))),
+    )
 
 
 class Model:
@@ -458,7 +481,7 @@ class SubspaceHandle:
     @property
     def field(self) -> FieldCtx:
         if not self.generators:
-            raise ValueError("empty handle has no field; use SubspaceHandle.empty(field) helpers")
+            raise ValueError("empty handle has no field")
         return self.generators[0].field
 
     def nonzero_generators(self) -> list:
@@ -497,11 +520,7 @@ def span_membership(a: ModelElement, handle: SubspaceHandle) -> tuple:
         return () if a.is_zero() else None
     field = gens[0].field
     vectors, table = to_coordinate_vectors(field, gens + [a])
-    return coords_in_basis(field, vectors[:-1], vectors[-1])
-
-
-def in_span(a: ModelElement, handle: SubspaceHandle) -> bool:
-    return span_membership(a, handle) is not None
+    return solve(field, vectors[:-1], vectors[-1])
 
 
 def tuple_kernel(elements: Sequence[ModelElement], field: FieldCtx) -> Subspace:
@@ -612,11 +631,8 @@ def witness_star(handle: SubspaceHandle) -> ModelElement:
         return acc
 
     # finite field: exhaust the span (projectively, leading coefficient 1)
-    found_best = None
     for coeffs in _iter_coeff_vectors(field, len(basis)):
-        el = ModelElement.zero(field)
-        for c, b in zip(coeffs, basis):
-            el = el + b.scale(c)
+        el = combine(field, coeffs, basis)
         if set(el.axes()) == target_axes:
             return el
     raise NoGenericWitness(

@@ -26,6 +26,7 @@ level calculus loses its generic-scalar arguments.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -56,24 +57,6 @@ from .formula import (
     true_formula,
 )
 from .model import Model, ModelElement
-
-
-class _Generic:
-    """Marker for a coefficient that must avoid every critical value; it is
-    realized with fresh coordinates, never with a sampled number."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "GENERIC"
-
-
-GENERIC = _Generic()
 
 
 @dataclass(frozen=True)
@@ -233,7 +216,6 @@ def witness_search(phi: Formula, var: str, env: Mapping, model: Model):
         raise NotQuantifierFree("witness search needs a quantifier-free matrix")
     if not model.is_rich:
         raise TargetNotRich("witness search requires a rich model")
-    field = model.field
     for disjunct in _dnf_literals(phi):
         found = _search_disjunct(disjunct, phi, var, env, model)
         if found is not None:
@@ -427,22 +409,8 @@ def _eliminate_disjunct(disjunct, var: str, field: FieldCtx) -> Formula:
             rest = [substitute(f, var, t) for f in _relit(x_lits, var, field)]
             return _big_and(field, params + rest)
 
-    terms: list = []
-    for pol, kind, n, t in x_lits:
-        if t not in terms:
-            terms.append(t)
-
-    pos_xn: dict = {}
-    neg_xn: dict = {}
-    dis_eq: set = set()
-    for pol, kind, n, t in x_lits:
-        i = terms.index(t)
-        if kind == "eq":
-            dis_eq.add(i)
-        elif pol:
-            pos_xn[i] = min(pos_xn.get(i, n), n)
-        else:
-            neg_xn[i] = max(neg_xn.get(i, n), n)
+    terms = list(dict.fromkeys(t for _, _, _, t in x_lits))
+    _, dis_eq, pos_xn, neg_xn = _bucket((pol, kind, n, terms.index(t)) for pol, kind, n, t in x_lits)
 
     # no positive literal: a fresh free coordinate defeats every negative one
     if not pos_xn:
@@ -471,6 +439,22 @@ def _eliminate_disjunct(disjunct, var: str, field: FieldCtx) -> Formula:
 
     cond = _fallback_condition(diffs, anchor, others, boxes, cap, field)
     return _big_and(field, params + [cond])
+
+
+def _bucket(lits):
+    """Group literals (polarity, kind, n, key) by key: the keys of positive
+    and of negated equations, and per key the tightest positive sumset
+    bound (the min) and the tightest negated one (the max)."""
+    pos_eq, dis_eq = set(), set()
+    pos_xn, neg_xn = {}, {}
+    for pol, kind, n, key in lits:
+        if kind == "eq":
+            (pos_eq if pol else dis_eq).add(key)
+        elif pol:
+            pos_xn[key] = min(pos_xn.get(key, n), n)
+        else:
+            neg_xn[key] = max(neg_xn.get(key, n), n)
+    return pos_eq, dis_eq, pos_xn, neg_xn
 
 
 def _relit(x_lits, var, field):
@@ -660,7 +644,7 @@ def _two_direction_condition(diffs, anchor, others, boxes, cap, field) -> Formul
 
     branches = []
     for k in range(len(unbounded) + 1):
-        for S in _subsets(unbounded, k):
+        for S in itertools.combinations(unbounded, k):
             assertions = []
             for i in S:
                 if thr[i] > 0:
@@ -684,12 +668,6 @@ def _two_direction_condition(diffs, anchor, others, boxes, cap, field) -> Formul
                 )
             branches.append(_big_and(field, assertions + [cond]))
     return _big_or(field, branches)
-
-
-def _subsets(items, k):
-    from itertools import combinations
-
-    return combinations(items, k)
 
 
 def _pair_profiles_condition(u, v, boxes3, ranges, cap, field) -> Formula:
@@ -829,21 +807,10 @@ def simplify(phi: Formula) -> Formula:
 
 
 def _simplify_disjunct(lits, field):
-    pos_eq, dis_eq = set(), set()
-    pos_xn, neg_xn = {}, {}
-    for pol, kind, n, term in lits:
-        if term.is_zero():
-            # X^n(0) and 0 = 0 are true; their negations kill the disjunct
-            if not pol:
-                return None
-            continue
-        key = term
-        if kind == "eq":
-            (pos_eq if pol else dis_eq).add(key)
-        elif pol:
-            pos_xn[key] = min(pos_xn.get(key, n), n)
-        else:
-            neg_xn[key] = max(neg_xn.get(key, n), n)
+    # X^n(0) and 0 = 0 are true; their negations kill the disjunct
+    if any(term.is_zero() and not pol for pol, _, _, term in lits):
+        return None
+    pos_eq, dis_eq, pos_xn, neg_xn = _bucket(lit for lit in lits if not lit[3].is_zero())
     for t in pos_eq:
         if t in dis_eq:
             return None

@@ -6,6 +6,10 @@ axis span); and those with x - m landing in some sumset X^n, classified by
 the minimal such n together with a canonical translate m.  Two non-realized
 elements with the same descriptor and fresh supports are conjugate over the
 fragment, which :func:`conjugacy_witness` demonstrates explicitly.
+
+The reduction of an element to the axis span and the membership subspace
+v_f of the fragment generators come from
+:func:`axisspace.invariant.free_reduction`.
 """
 
 from __future__ import annotations
@@ -15,18 +19,18 @@ from dataclasses import dataclass
 
 from .errors import NotSameType
 from .fields import FieldCtx
-from .invariant import qf_equiv
+from .invariant import free_reduction, qf_equiv
 from .iso import PartialIso
+from .linalg import solve
 from .model import (
     ModelElement,
     SubspaceHandle,
+    combine,
     proj_axis,
     span_membership,
     to_coordinate_vectors,
-    tuple_kernel,
     weight,
 )
-from .linalg import coords_in_basis
 
 
 @dataclass(frozen=True)
@@ -59,10 +63,6 @@ class SumType:
 TypeDescriptor = object  # Realized | GenericFree | SumType
 
 
-def _free_shadow(el: ModelElement) -> ModelElement:
-    return ModelElement(el.field, (), el.free_part)
-
-
 def classify(a: ModelElement, fragment: SubspaceHandle) -> TypeDescriptor:
     """Type of ``a`` over the span of the fragment generators.
 
@@ -75,24 +75,14 @@ def classify(a: ModelElement, fragment: SubspaceHandle) -> TypeDescriptor:
     gens = list(fragment.generators)
     if span_membership(a, fragment) is not None:
         return Realized(a)
-    free_coeffs = span_membership(
-        _free_shadow(a), SubspaceHandle(tuple(_free_shadow(g) for g in gens))
-    )
+    free_coeffs, vf = free_reduction(a, gens)
     if free_coeffs is None:
         return GenericFree()
-    m0 = ModelElement.zero(field)
-    for c, g in zip(free_coeffs, gens):
-        m0 = m0 + g.scale(c)
+    m0 = combine(field, free_coeffs, gens)
     c0 = a - m0  # in the axis span
     assert c0.in_F()
     # translates keeping a - m in the axis span: m0 + (fragment axis-span part)
-    vf = tuple_kernel([_free_shadow(g) for g in gens], field)
-    f_basis = []
-    for row in vf.basis:
-        el = ModelElement.zero(field)
-        for c, g in zip(row, gens):
-            el = el + g.scale(c)
-        f_basis.append(el)
+    f_basis = [combine(field, row, gens) for row in vf.basis]
     n, v = _min_weight_in_coset(c0, f_basis, field)
     return SumType(n, m0 + v)
 
@@ -124,15 +114,10 @@ def _solve_axis_match(c0: ModelElement, f_basis: list, match_axes: list, field: 
         shadows.append(ModelElement(field, tuple(sorted(parts.items())), ()))
     vectors, _ = to_coordinate_vectors(field, shadows)
     target, basis_rows = vectors[0], vectors[1:]
-    coeffs = coords_in_basis(field, basis_rows, target) if basis_rows else (None if any(
-        not field.is_zero(x) for x in target
-    ) else ())
+    coeffs = solve(field, basis_rows, target)
     if coeffs is None:
         return None
-    v = ModelElement.zero(field)
-    for c, b in zip(coeffs, f_basis):
-        v = v + b.scale(c)
-    return v
+    return combine(field, coeffs, f_basis)
 
 
 def conjugacy_witness(a: ModelElement, b: ModelElement, fragment: SubspaceHandle) -> PartialIso:

@@ -213,6 +213,13 @@ def test_g_ie_on_worked_example(M):
     assert not g_via_inclusion_exclusion(weights, V, 2, cands)
 
 
+def test_empty_tuple_has_no_candidates_and_zero_weights():
+    """The arity-0 tuple: no axis is met, and its only subspace has weight 0."""
+    assert qf_invariant(()).arity == 0
+    assert kernel_candidates(()) == []
+    assert weights_oracle_via_witness(())(zero_space(Q, 0)) == 0
+
+
 def test_g_ie_agrees_with_g_of_on_random_tuples(M):
     rng = random.Random(97)
     for _ in range(120):

@@ -67,6 +67,21 @@ def test_extend_to_hat_rejects_inequivalent(M):
         extend_to_hat((M.e(0, 0),), (M.e(0, 0) + M.e(1, 0),))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda M: ((), (M.zero(),)),
+        lambda M: ((M.e(0, 0),), (M.e(0, 0), M.e(1, 0))),
+        lambda M: ((M.e(0, 0),), (rich_model(GF2).e(0, 0),)),
+    ],
+    ids=["empty-vs-zero", "one-vs-two", "q-vs-gf2"],
+)
+def test_extend_to_hat_rejects_arity_or_field_mismatch(M, make):
+    a, b = make(M)
+    with pytest.raises(NotQfEquivalent):
+        extend_to_hat(a, b)
+
+
 def test_counterexample_pair_is_rejected():
     N = rich_model(GF2)
     a = (N.e(0, 0) + N.e(1, 0), N.e(0, 1) + N.e(1, 1))
