@@ -17,7 +17,7 @@ it prints reproduces the tree exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -31,13 +31,27 @@ from .model import ModelElement, in_Xn
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     """Normalized linear combination of variables and named constants."""
 
     field: FieldCtx
     vars: tuple  # sorted (name, scalar) pairs, scalars nonzero
     consts: tuple  # sorted (name, scalar) pairs, scalars nonzero
+    # hash of (field, vars, consts), computed on first use: hashing the
+    # scalars is the cost of every dict and set keyed by terms or literals
+    _hash: int | None = dataclass_field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.field, self.vars, self.consts))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        # string hashes differ between processes: a copy rehashes
+        return (Term, (self.field, self.vars, self.consts))
 
     @staticmethod
     def make(field: FieldCtx, vars: Mapping = (), consts: Mapping = ()) -> "Term":
@@ -111,13 +125,13 @@ class Term:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Eq:
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Xn:
     n: int
     term: Term
@@ -127,30 +141,30 @@ class Xn:
             raise ValueError("sumset index must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not:
     child: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     lhs: "Formula"
     rhs: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     lhs: "Formula"
     rhs: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exists:
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forall:
     var: str
     body: "Formula"

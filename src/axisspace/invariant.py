@@ -54,6 +54,8 @@ class LinearMapFa:
 
     @property
     def field(self) -> FieldCtx:
+        if not self.tuple_:
+            raise ArityMismatch("the empty map LinearMapFa(()) has no field to take its value in")
         return self.tuple_[0].field
 
     def __call__(self, coeffs: Sequence[Scalar]) -> ModelElement:

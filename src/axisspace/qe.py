@@ -27,6 +27,7 @@ level calculus loses its generic-scalar arguments.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -146,11 +147,8 @@ def _dnf_literals(phi: Formula) -> list:
         if isinstance(psi, Or):
             return atoms(psi.lhs) + atoms(psi.rhs)
         if isinstance(psi, And):
-            out = []
-            for left in atoms(psi.lhs):
-                for right in atoms(psi.rhs):
-                    out.append(left + right)
-            return out
+            lefts, rights = atoms(psi.lhs), atoms(psi.rhs)
+            return [left + right for left in lefts for right in rights]
         raise NotQuantifierFree(print_formula(psi))
 
     disjuncts = []
@@ -584,7 +582,6 @@ _TYPE_OPTIONS = {
 }
 
 
-@lru_cache(maxsize=200000)
 def _counts_feasible(counts: tuple, lowers: tuple, uppers: tuple, r_max: int) -> bool:
     """Axis-by-axis reachability of a weight triple inside the boxes."""
     clip = tuple((u if u is not None else l) + 1 for l, u in zip(lowers, uppers))
@@ -789,21 +786,54 @@ def _union_at_least(s: Term, sigma: Term, bound: int, cap: int, field) -> Formul
 
 def simplify(phi: Formula) -> Formula:
     """Disjunctive normal form with constant folding, per-term literal
-    strengthening, and syntactic deduplication."""
+    strengthening, and syntactic deduplication.
+
+    Disjuncts are deduplicated through a dict keyed by their literal tuple,
+    keeping first-seen order.  A disjunct whose literal set strictly
+    contains another disjunct's is dropped (see :func:`_minimal_rows`).
+    The output holds one node per distinct literal (its atom, or a ``Not``
+    over an atom of its own), shared by every disjunct that contains it.
+    """
     field = _formula_field(phi)
-    disjuncts = []
+    disjuncts = {}
     for raw in _dnf_literals(phi):
         lits = _simplify_disjunct(raw, field)
         if lits is None:
             continue  # contradiction
-        if lits == []:
+        if not lits:
             return true_formula(field)
-        if lits not in disjuncts:
-            disjuncts.append(lits)
-    disjuncts = [d for d in disjuncts if not _subsumed(d, disjuncts)]
+        disjuncts[tuple(lits)] = None
     if not disjuncts:
         return false_formula(field)
-    return _big_or(field, [_big_and(field, [_literal_formula(l) for l in d]) for d in disjuncts])
+    ids = {}
+    rows = [[ids.setdefault(lit, len(ids)) for lit in d] for d in disjuncts]
+    nodes = [_literal_formula(lit) for lit in ids]
+    # every literal term is nonzero, so no part is a constant and the
+    # folding of _big_and/_big_or has nothing to do
+    return _balanced(Or, [
+        _balanced(And, [nodes[i] for i in row])
+        for row, minimal in zip(rows, _minimal_rows(rows))
+        if minimal
+    ])
+
+
+def _minimal_rows(rows):
+    """For distinct rows of distinct literal ids, whether each row strictly
+    contains no other row.
+
+    Each row becomes the bitmask of its ids and is filed under its rarest
+    id.  A row can contain only rows filed under one of its own ids, so it
+    is compared with those alone rather than with every row.
+    """
+    masks = [sum(1 << i for i in row) for row in rows]
+    count = Counter(i for row in rows for i in row)
+    filed = {}
+    for row, mask in zip(rows, masks):
+        filed.setdefault(min(row, key=count.__getitem__), []).append(mask)
+    return [
+        not any(other != mask and other & mask == other for i in row for other in filed.get(i, ()))
+        for row, mask in zip(rows, masks)
+    ]
 
 
 def _simplify_disjunct(lits, field):
@@ -837,16 +867,6 @@ def _simplify_disjunct(lits, field):
     for t in sorted(neg_xn, key=str):
         out.append((False, "xn", neg_xn[t], t))
     return out
-
-
-def _subsumed(d, all_disjuncts):
-    ds = set(d)
-    for other in all_disjuncts:
-        if other is d:
-            continue
-        if set(other) < ds:
-            return True
-    return False
 
 
 def eliminate_all(phi: Formula) -> Formula:

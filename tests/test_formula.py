@@ -1,6 +1,10 @@
 """Formula syntax: parsing, printing, quantifier-free evaluation."""
 
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -96,6 +100,22 @@ def test_parse_errors_carry_positions():
 def test_terms_normalize_zero_coefficients():
     t = parse_term("x + -1*x", Q)
     assert t.is_zero()
+
+
+def test_term_hash_is_structural_and_survives_pickling_across_processes():
+    """Terms cache their hash; a term pickled in a process with other
+    string hashes must still find its equal in a set here."""
+    t = parse_term("2*x + -1/3*$c", Q)
+    u = parse_term("-1/3*$c + 2*x", Q)
+    assert t == u and hash(t) == hash(u) and t is not u
+    code = (
+        "import pickle, sys; from axisspace.fields import FieldCtx; from axisspace.formula import parse_term; "
+        "hash(t := parse_term('2*x + -1/3*$c', FieldCtx.rationals())); sys.stdout.buffer.write(pickle.dumps(t))"
+    )
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(sys.path))
+        data = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True).stdout
+        assert pickle.loads(data) in {t}
 
 
 # ---------------------------------------------------------------------------

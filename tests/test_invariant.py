@@ -62,6 +62,14 @@ def test_apply_fa_arity_mismatch(M):
         apply_fa(LinearMapFa((M.e(0, 0),)), vec(Q, (1, 2)))
 
 
+def test_apply_fa_empty_map_is_a_typed_error():
+    """The empty map has no field to take its value in."""
+    with pytest.raises(ArityMismatch, match="empty"):
+        apply_fa(LinearMapFa(()), ())
+    with pytest.raises(ArityMismatch, match="empty"):
+        LinearMapFa(()).field
+
+
 # ---------------------------------------------------------------------------
 # qf_invariant
 # ---------------------------------------------------------------------------

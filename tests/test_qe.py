@@ -1,5 +1,6 @@
 """Witness search and quantifier elimination."""
 
+import functools
 import itertools
 import random
 
@@ -8,13 +9,32 @@ import pytest
 from axisspace.errors import FieldNotInfinite, FreeSymbolsPresent
 from axisspace.fields import FieldCtx
 from axisspace.formula import (
+    And,
+    Eq,
+    Not,
+    Or,
+    Term,
+    Xn,
     eval_qf,
+    false_formula,
     free_symbols,
     parse_formula,
     print_formula,
+    true_formula,
 )
 from axisspace.model import in_Xn, rich_model, weight
-from axisspace.qe import decide_sentence, eliminate_all, eliminate_exists, simplify, witness_search
+from axisspace.qe import (
+    _big_and,
+    _big_or,
+    _dnf_literals,
+    _literal_formula,
+    _simplify_disjunct,
+    decide_sentence,
+    eliminate_all,
+    eliminate_exists,
+    simplify,
+    witness_search,
+)
 
 from randgen import random_exists_formula, random_f_element, random_param_env
 
@@ -210,6 +230,104 @@ def test_eliminate_all_idempotent_on_qf(M):
     out = eliminate_all(phi)
     assert out == simplify(phi)
     assert eliminate_all(out) == out
+
+
+def _reference_simplify(phi):
+    """simplify with a list scan for duplicates and a pairwise strict-subset
+    filter; returns the formula and the number of disjuncts it dropped."""
+    disjuncts = []
+    for raw in _dnf_literals(phi):
+        lits = _simplify_disjunct(raw, Q)
+        if lits is None:
+            continue
+        if lits == []:
+            return true_formula(Q), 0
+        if lits not in disjuncts:
+            disjuncts.append(lits)
+    kept = [d for d in disjuncts if not any(set(o) < set(d) for o in disjuncts)]
+    if not kept:
+        return false_formula(Q), 0
+    out = _big_or(Q, [_big_and(Q, [_literal_formula(lit) for lit in d]) for d in kept])
+    return out, len(disjuncts) - len(kept)
+
+
+def _random_dnf_with_plants(rng):
+    """A disjunction of random conjunctions over a small literal pool, with
+    duplicates (literals shuffled) and supersets of some disjuncts planted
+    at random positions."""
+    consts = [{"c0": 1}, {"c1": 1}, {"c0": 1, "c1": -1}, {"c0": 2, "c2": 1}, {"c1": 3, "c2": -1}, {}]
+    terms = [Term.make(Q, {}, k) for k in consts]
+    weights = [5, 5, 5, 5, 5, 1]
+
+    def literal():
+        t = rng.choices(terms, weights)[0]
+        if rng.random() < 0.75:
+            atom = Xn(rng.randrange(4), t)
+        else:
+            atom = Eq(t, rng.choice(terms[:2]).scale(rng.choice([0, 1])))
+        return atom if rng.random() < 0.6 else Not(atom)
+
+    base = [[literal() for _ in range(rng.randrange(1, 4))] for _ in range(rng.randrange(1, 8))]
+    disjuncts = list(base)
+    for _ in range(rng.randrange(1, 6)):
+        d = list(rng.choice(base))
+        if rng.random() < 0.5:
+            rng.shuffle(d)
+        else:
+            d += [literal() for _ in range(rng.randrange(1, 3))]
+        disjuncts.insert(rng.randrange(len(disjuncts) + 1), d)
+    return functools.reduce(Or, [functools.reduce(And, d) for d in disjuncts])
+
+
+def test_simplify_matches_pairwise_reference_on_planted_dnfs():
+    rng = random.Random(4242)
+    dropped = 0
+    for _ in range(300):
+        phi = _random_dnf_with_plants(rng)
+        expected, n = _reference_simplify(phi)
+        assert print_formula(simplify(phi)) == print_formula(expected), print_formula(phi)
+        dropped += n
+    assert dropped >= 100  # the plants exercise subsumption
+
+
+BIG_FORMULA = (
+    "E x. !(!(X4(-1*x + -2*$c0) & !(X1(x + -1*$c1) | X1(x + -1*$c0)))"
+    " | -2*$c1 = 2*$c0 + -1*$c1)"
+)
+
+
+def _literal_nodes(phi):
+    """(polarity, atom node) for every literal occurrence of a DNF tree."""
+    if isinstance(phi, (And, Or)):
+        return _literal_nodes(phi.lhs) + _literal_nodes(phi.rhs)
+    if isinstance(phi, Not):
+        return [(False, phi.child)]
+    return [(True, phi)]
+
+
+def test_simplify_shares_one_node_per_literal():
+    phi = parse_formula(BIG_FORMULA, Q)
+    out = eliminate_exists(phi.body, "x")
+    assert print_formula(out).count(" | ") + 1 == 752
+    occurrences = _literal_nodes(out)
+    distinct_literals = {(pol, atom) for pol, atom in occurrences}
+    assert len(occurrences) > 3 * len(distinct_literals)
+    assert len({id(atom) for _, atom in occurrences}) == len(distinct_literals)
+
+
+def test_three_x3_balls_agree_with_witness_search(M):
+    """Three radius-3 balls: a 954-disjunct condition."""
+    phi = parse_formula("E x. (X3(x + -1*$c0) & X3(x + -1*$c1) & X3(x + -1*$c2))", Q)
+    out = eliminate_exists(phi.body, "x")
+    assert print_formula(out).count(" | ") + 1 == 954
+    rng = random.Random(954)
+    seen = set()
+    for _ in range(24):
+        env = {f"$c{i}": random_f_element(M, rng, max_axes=6, max_coord=1) for i in range(3)}
+        truth = eval_qf(out, env, Q)
+        assert truth == (witness_search(phi.body, "x", env, M) is not None)
+        seen.add(truth)
+    assert seen == {True, False}
 
 
 def test_forall_inclusion_sentence(M):
