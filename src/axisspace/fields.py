@@ -19,6 +19,10 @@ Scalar = Union[Fraction, int]
 RATIONALS = "rationals"
 PRIME = "prime"
 
+# Fractions are immutable, so every rational zero and one can be these two
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -67,11 +71,11 @@ class FieldCtx:
 
     @property
     def zero(self) -> Scalar:
-        return Fraction(0) if self.kind == RATIONALS else 0
+        return _Q_ZERO if self.kind == RATIONALS else 0
 
     @property
     def one(self) -> Scalar:
-        return Fraction(1) if self.kind == RATIONALS else 1 % self.p
+        return _Q_ONE if self.kind == RATIONALS else 1 % self.p
 
     def __str__(self) -> str:
         return "Q" if self.kind == RATIONALS else f"GF({self.p})"
@@ -81,9 +85,7 @@ class FieldCtx:
     def of(self, value) -> Scalar:
         """Coerce an int, Fraction or string into canonical form."""
         if self.kind == RATIONALS:
-            if isinstance(value, str):
-                return Fraction(value)
-            return Fraction(value)
+            return value if isinstance(value, Fraction) else Fraction(value)
         if isinstance(value, str):
             value = int(value)
         if isinstance(value, Fraction):

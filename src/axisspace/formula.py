@@ -41,6 +41,8 @@ class Term:
     # hash of (field, vars, consts), computed on first use: hashing the
     # scalars is the cost of every dict and set keyed by terms or literals
     _hash: int | None = dataclass_field(default=None, init=False, repr=False, compare=False)
+    # printed text, computed on first use: literals are sorted by it
+    _text: str | None = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     def __hash__(self) -> int:
         h = self._hash
@@ -50,14 +52,13 @@ class Term:
         return h
 
     def __reduce__(self):
-        # string hashes differ between processes: a copy rehashes
+        # string hashes differ between processes: a copy rehashes (and
+        # prints afresh, so neither cache is pickled)
         return (Term, (self.field, self.vars, self.consts))
 
     @staticmethod
     def make(field: FieldCtx, vars: Mapping = (), consts: Mapping = ()) -> "Term":
-        v = tuple(sorted((k, field.of(c)) for k, c in dict(vars).items() if not field.is_zero(field.of(c))))
-        c = tuple(sorted((k, field.of(c)) for k, c in dict(consts).items() if not field.is_zero(field.of(c))))
-        return Term(field, v, c)
+        return Term(field, _nonzero_sorted(field, vars), _nonzero_sorted(field, consts))
 
     @staticmethod
     def zero(field: FieldCtx) -> "Term":
@@ -108,16 +109,28 @@ class Term:
         return {k for k, _ in self.vars} | {"$" + k for k, _ in self.consts}
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        f = self.field
-        parts = []
-        for name, c in self.vars:
-            parts.append(name if c == f.one else f"{f.format(c)}*{name}")
-        for name, c in self.consts:
-            atom = "$" + name
-            parts.append(atom if c == f.one else f"{f.format(c)}*{atom}")
-        return " + ".join(parts)
+        text = self._text
+        if text is None:
+            f = self.field
+            parts = []
+            for name, c in self.vars:
+                parts.append(name if c == f.one else f"{f.format(c)}*{name}")
+            for name, c in self.consts:
+                atom = "$" + name
+                parts.append(atom if c == f.one else f"{f.format(c)}*{atom}")
+            text = " + ".join(parts) or "0"
+            object.__setattr__(self, "_text", text)
+        return text
+
+
+def _nonzero_sorted(field: FieldCtx, pairs: Mapping) -> tuple:
+    """(name, scalar) pairs in canonical form, sorted by name, zeros dropped."""
+    out = []
+    for k, c in dict(pairs).items():
+        c = field.of(c)
+        if not field.is_zero(c):
+            out.append((k, c))
+    return tuple(sorted(out))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,14 @@ two independent directions go through an exact axis-type count enumeration.
 Disjuncts with three or more independent directions fall back to a sound
 anchored-template approximation.
 
+The engines emit one disjunct per feasible level of a term.
+:func:`simplify`, which every elimination ends with, reads each disjunct as
+one weight interval per term (every literal bounds the weight of its term:
+the number of axes it meets, infinite outside the axis span) and joins
+disjuncts that agree on every term but one and hold touching intervals on
+it, term by term in the order of the terms' printed text, until nothing
+joins.  So runs of levels print as one interval ``Xhi(t) & !X(lo-1)(t)``.
+
 Everything refuses finite fields: the theory is incomplete there and the
 level calculus loses its generic-scalar arguments.
 """
@@ -27,6 +35,7 @@ level calculus loses its generic-scalar arguments.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -784,37 +793,145 @@ def _union_at_least(s: Term, sigma: Term, bound: int, cap: int, field) -> Formul
 # ---------------------------------------------------------------------------
 
 
-def simplify(phi: Formula) -> Formula:
-    """Disjunctive normal form with constant folding, per-term literal
-    strengthening, and syntactic deduplication.
+# the weight of an element outside the axis span
+_UNBOUNDED = math.inf
 
-    Disjuncts are deduplicated through a dict keyed by their literal tuple,
-    keeping first-seen order.  A disjunct whose literal set strictly
-    contains another disjunct's is dropped (see :func:`_minimal_rows`).
-    The output holds one node per distinct literal (its atom, or a ``Not``
-    over an atom of its own), shared by every disjunct that contains it.
+
+def simplify(phi: Formula) -> Formula:
+    """Disjunctive normal form with constant folding, per-term weight
+    intervals, interval joins and deduplication.
+
+    Every literal on a nonzero term t bounds its weight w(t), the number of
+    axes t meets (infinite outside the axis span): ``t = 0`` and ``Xn(t)``
+    bound it above by 0 and n, ``!(t = 0)`` and ``!Xm(t)`` below by 1 and
+    m + 1.  So a disjunct reads as one interval [lo, hi] per term (see
+    :func:`_weight_intervals`); an empty interval kills it, and a literal
+    on the zero term is true or kills it.  Disjuncts are deduplicated in
+    first-seen order, then disjuncts that agree on every term but one and
+    hold overlapping or touching intervals on it are joined, term by term
+    in the order of their printed text, until nothing joins (see
+    :func:`_join_intervals`).
+
+    Each interval prints as at most two literals: ``t = 0`` when hi = 0,
+    else ``Xhi(t)`` when hi is finite and ``!X(lo-1)(t)`` when lo >= 1,
+    terms in the order of their printed text.  A disjunct whose literal
+    set strictly contains another disjunct's is dropped (see
+    :func:`_minimal_rows`).  The output holds one node per distinct
+    literal (its atom, or a ``Not`` over an atom of its own), shared by
+    every disjunct that contains it.
     """
     field = _formula_field(phi)
-    disjuncts = {}
+    boxes = []
     for raw in _dnf_literals(phi):
-        lits = _simplify_disjunct(raw, field)
-        if lits is None:
+        box = _weight_intervals(raw)
+        if box is None:
             continue  # contradiction
-        if not lits:
+        if not box:
             return true_formula(field)
-        disjuncts[tuple(lits)] = None
-    if not disjuncts:
+        boxes.append(box)
+    if not boxes:
         return false_formula(field)
+    terms = sorted({t for box in boxes for t in box}, key=str)
+    tid = {t: i for i, t in enumerate(terms)}
+    rows = dict.fromkeys(tuple(sorted((tid[t], lo, hi) for t, (lo, hi) in box.items())) for box in boxes)
+    rows = _join_intervals(list(rows), len(terms))
+    if () in rows:
+        return true_formula(field)
     ids = {}
-    rows = [[ids.setdefault(lit, len(ids)) for lit in d] for d in disjuncts]
-    nodes = [_literal_formula(lit) for lit in ids]
+    lit_rows = []
+    for row in rows:
+        lits = []
+        for i, lo, hi in row:
+            if hi == 0:
+                lits.append((True, "eq", None, i))
+                continue
+            if hi != _UNBOUNDED:
+                lits.append((True, "xn", hi, i))
+            if lo > 0:
+                lits.append((False, "xn", lo - 1, i))
+        lit_rows.append([ids.setdefault(lit, len(ids)) for lit in lits])
+    nodes = [_literal_formula((pol, kind, n, terms[i])) for pol, kind, n, i in ids]
     # every literal term is nonzero, so no part is a constant and the
     # folding of _big_and/_big_or has nothing to do
     return _balanced(Or, [
         _balanced(And, [nodes[i] for i in row])
-        for row, minimal in zip(rows, _minimal_rows(rows))
+        for row, minimal in zip(lit_rows, _minimal_rows(lit_rows))
         if minimal
     ])
+
+
+def _weight_intervals(lits):
+    """One conjunction of canonical literals as a map from each nonzero
+    term to its weight interval (lo, hi), hi possibly ``_UNBOUNDED``; None
+    when the literals contradict.  X^n(0) and 0 = 0 are true, so literals
+    on the zero term drop out and their negations kill the conjunction."""
+    box = {}
+    for pol, kind, n, term in lits:
+        if term.is_zero():
+            if not pol:
+                return None
+            continue
+        lo, hi = box.get(term, (0, _UNBOUNDED))
+        bound = 0 if kind == "eq" else n
+        if pol:
+            hi = min(hi, bound)
+        else:
+            lo = max(lo, bound + 1)
+        if lo > hi:
+            return None
+        box[term] = (lo, hi)
+    return box
+
+
+def _join_intervals(rows, nterms):
+    """Join the intervals of rows that agree on every term but one.
+
+    Rows are distinct tuples of (term id, lo, hi) sorted by id, for term
+    ids ``range(nterms)``.  A sweep visits the ids in order.  For id k it
+    groups the rows that hold k by their other entries and, within a
+    group, joins intervals that overlap or touch (lo <= previous hi + 1);
+    an interval that becomes [0, inf] leaves its row.  A row without k is
+    a group of its own: a row holding k that otherwise equals it has a
+    strict superset of its literals, which :func:`_minimal_rows` drops.
+    A step that joins nothing keeps the rows; one that does lists the
+    groups in the order of their first rows, each group's intervals by
+    lower end.  Sweeps repeat until one joins nothing, so the rows stay
+    distinct and their order depends on the input order alone.
+    """
+    joined_any = True
+    while joined_any:
+        joined_any = False
+        for k in range(nterms):
+            groups = {}
+            for row in rows:
+                key, span = (False, row), None
+                for j, (i, lo, hi) in enumerate(row):
+                    if i == k:
+                        key, span = (True, row[:j] + row[j + 1:]), (lo, hi)
+                        break
+                groups.setdefault(key, []).append(span)
+            if len(groups) == len(rows):
+                continue
+            out = []
+            shrunk = False
+            for (holds_k, rest), spans in groups.items():
+                if not holds_k:
+                    out.append(rest)
+                    continue
+                spans.sort()
+                joined = [list(spans[0])]
+                for lo, hi in spans[1:]:
+                    if lo <= joined[-1][1] + 1:
+                        joined[-1][1] = max(joined[-1][1], hi)
+                    else:
+                        joined.append([lo, hi])
+                shrunk |= len(joined) < len(spans)
+                for lo, hi in joined:
+                    out.append(rest if lo == 0 and hi == _UNBOUNDED else tuple(sorted(rest + ((k, lo, hi),))))
+            if shrunk:
+                rows = out
+                joined_any = True
+    return rows
 
 
 def _minimal_rows(rows):
@@ -834,39 +951,6 @@ def _minimal_rows(rows):
         not any(other != mask and other & mask == other for i in row for other in filed.get(i, ()))
         for row, mask in zip(rows, masks)
     ]
-
-
-def _simplify_disjunct(lits, field):
-    # X^n(0) and 0 = 0 are true; their negations kill the disjunct
-    if any(term.is_zero() and not pol for pol, _, _, term in lits):
-        return None
-    pos_eq, dis_eq, pos_xn, neg_xn = _bucket(lit for lit in lits if not lit[3].is_zero())
-    for t in pos_eq:
-        if t in dis_eq:
-            return None
-        if t in neg_xn:
-            return None  # t = 0 implies every X^m(t)
-        pos_xn.pop(t, None)  # implied
-    for t, n in pos_xn.items():
-        if t in neg_xn and n <= neg_xn[t]:
-            return None
-        if n == 0 and t in dis_eq:
-            return None
-    for t in list(dis_eq):
-        if t in neg_xn:
-            dis_eq.discard(t)  # implied by the negative sumset literal
-    out = []
-    for t in sorted(pos_eq, key=str):
-        out.append((True, "eq", None, t))
-    for t in sorted(dis_eq, key=str):
-        out.append((False, "eq", None, t))
-    for t in sorted(pos_xn, key=str):
-        if t in pos_eq:
-            continue
-        out.append((True, "xn", pos_xn[t], t))
-    for t in sorted(neg_xn, key=str):
-        out.append((False, "xn", neg_xn[t], t))
-    return out
 
 
 def eliminate_all(phi: Formula) -> Formula:

@@ -53,6 +53,12 @@ def test_qe_emits_quantifier_free_text():
     assert "E " not in out and "A " not in out
 
 
+def test_qe_readme_example_prints_one_interval():
+    """The levels 0, 1 and 2 of $c - $d join into one weight interval."""
+    code, out, err = run(["qe", "--field", "q", "--formula", "E x. (X1(x + -1*$c) & X1(x + -1*$d))"])
+    assert (code, out, err) == (0, "X2($c + -1*$d)\n", "")
+
+
 def test_eval_with_context(context_file):
     code, out, _ = run(["eval", "--model", context_file, "--formula", "X1($c) & X2($d)"])
     assert (code, out) == (0, "true\n")

@@ -103,19 +103,24 @@ def test_terms_normalize_zero_coefficients():
 
 
 def test_term_hash_is_structural_and_survives_pickling_across_processes():
-    """Terms cache their hash; a term pickled in a process with other
-    string hashes must still find its equal in a set here."""
+    """Terms cache their hash and their text; a term pickled in a process
+    with other string hashes must still find its equal in a set here, and
+    neither cache travels with it."""
     t = parse_term("2*x + -1/3*$c", Q)
     u = parse_term("-1/3*$c + 2*x", Q)
-    assert t == u and hash(t) == hash(u) and t is not u
+    assert t == u and hash(t) == hash(u) and str(t) == str(u) and t is not u
     code = (
         "import pickle, sys; from axisspace.fields import FieldCtx; from axisspace.formula import parse_term; "
-        "hash(t := parse_term('2*x + -1/3*$c', FieldCtx.rationals())); sys.stdout.buffer.write(pickle.dumps(t))"
+        "t = parse_term('2*x + -1/3*$c', FieldCtx.rationals()); hash(t); str(t); "
+        "sys.stdout.buffer.write(pickle.dumps(t))"
     )
+    uncached = pickle.dumps(parse_term("2*x + -1/3*$c", Q))
     for seed in ("1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(sys.path))
         data = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True).stdout
-        assert pickle.loads(data) in {t}
+        assert data == uncached
+        copy = pickle.loads(data)
+        assert copy in {t} and str(copy) == "2*x + -1/3*$c"
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 """Witness search and quantifier elimination."""
 
 import functools
+import hashlib
 import itertools
+import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -28,7 +33,6 @@ from axisspace.qe import (
     _big_or,
     _dnf_literals,
     _literal_formula,
-    _simplify_disjunct,
     decide_sentence,
     eliminate_all,
     eliminate_exists,
@@ -36,7 +40,7 @@ from axisspace.qe import (
     witness_search,
 )
 
-from randgen import random_exists_formula, random_f_element, random_param_env
+from randgen import random_element, random_exists_formula, random_f_element, random_param_env
 
 Q = FieldCtx.rationals()
 GF3 = FieldCtx.prime_field(3)
@@ -232,23 +236,107 @@ def test_eliminate_all_idempotent_on_qf(M):
     assert eliminate_all(out) == out
 
 
-def _reference_simplify(phi):
-    """simplify with a list scan for duplicates and a pairwise strict-subset
-    filter; returns the formula and the number of disjuncts it dropped."""
-    disjuncts = []
-    for raw in _dnf_literals(phi):
-        lits = _simplify_disjunct(raw, Q)
-        if lits is None:
+INF = math.inf
+
+
+def _read_intervals(lits):
+    """One conjunction of canonical literals as a list of [term, lo, hi]
+    weight intervals in first-seen term order, or None when the literals
+    contradict.  A literal on the zero term (weight 0) is dropped when true."""
+    box = []
+    for pol, kind, n, t in lits:
+        if t.is_zero():
+            if not pol:
+                return None
             continue
-        if lits == []:
-            return true_formula(Q), 0
-        if lits not in disjuncts:
-            disjuncts.append(lits)
+        entry = next((e for e in box if e[0] == t), None)
+        if entry is None:
+            entry = [t, 0, INF]
+            box.append(entry)
+        bound = 0 if kind == "eq" else n
+        if pol:
+            entry[2] = min(entry[2], bound)
+        else:
+            entry[1] = max(entry[1], bound + 1)
+        if entry[1] > entry[2]:
+            return None
+    return sorted(box, key=lambda e: str(e[0]))
+
+
+def _interval_literals(row):
+    lits = []
+    for t, lo, hi in row:
+        if hi == 0:
+            lits.append((True, "eq", None, t))
+            continue
+        if hi != INF:
+            lits.append((True, "xn", hi, t))
+        if lo >= 1:
+            lits.append((False, "xn", lo - 1, t))
+    return lits
+
+
+def _reference_simplify(phi):
+    """simplify with list scans and no ids: the literals of each disjunct
+    as weight intervals, a list scan for duplicates, the sweeps that join
+    touching intervals on one term among disjuncts agreeing on every other,
+    and a pairwise strict-subset filter.  Returns the formula, the number
+    of disjuncts the subset filter dropped and the number the joins saved."""
+    rows = []
+    for raw in _dnf_literals(phi):
+        row = _read_intervals(raw)
+        if row is None:
+            continue
+        if row == []:
+            return true_formula(Q), 0, 0
+        if row not in rows:
+            rows.append(row)
+    if not rows:
+        return false_formula(Q), 0, 0
+    before = len(rows)
+    terms = []
+    for row in rows:
+        for t, _, _ in row:
+            if t not in terms:
+                terms.append(t)
+    terms.sort(key=str)
+    changed = True
+    while changed:
+        changed = False
+        for t in terms:
+            groups = []  # [rest, spans] in the order of their first rows
+            for row in rows:
+                rest = [e for e in row if e[0] != t]
+                span = next(([lo, hi] for u, lo, hi in row if u == t), None)
+                for group in groups:
+                    if span is not None and group[0] == rest and group[1][0] is not None:
+                        group[1].append(span)
+                        break
+                else:
+                    groups.append([rest, [span]])
+            joined_rows, joined_any = [], False
+            for rest, spans in groups:
+                if spans == [None]:  # a row without t stands alone
+                    joined_rows.append(rest)
+                    continue
+                joined = []
+                for lo, hi in sorted(spans):
+                    if joined and lo <= joined[-1][1] + 1:
+                        joined[-1][1] = max(joined[-1][1], hi)
+                    else:
+                        joined.append([lo, hi])
+                joined_any |= len(joined) < len(spans)
+                for lo, hi in joined:
+                    row = rest if (lo, hi) == (0, INF) else rest + [[t, lo, hi]]
+                    joined_rows.append(sorted(row, key=lambda e: str(e[0])))
+            if joined_any:
+                rows, changed = joined_rows, True
+    if [] in rows:
+        return true_formula(Q), 0, before - len(rows)
+    disjuncts = [_interval_literals(row) for row in rows]
     kept = [d for d in disjuncts if not any(set(o) < set(d) for o in disjuncts)]
-    if not kept:
-        return false_formula(Q), 0
     out = _big_or(Q, [_big_and(Q, [_literal_formula(lit) for lit in d]) for d in kept])
-    return out, len(disjuncts) - len(kept)
+    return out, len(disjuncts) - len(kept), before - len(rows)
 
 
 def _random_dnf_with_plants(rng):
@@ -281,19 +369,64 @@ def _random_dnf_with_plants(rng):
 
 def test_simplify_matches_pairwise_reference_on_planted_dnfs():
     rng = random.Random(4242)
-    dropped = 0
+    dropped = merging_cases = 0
     for _ in range(300):
         phi = _random_dnf_with_plants(rng)
-        expected, n = _reference_simplify(phi)
+        expected, n, saved = _reference_simplify(phi)
         assert print_formula(simplify(phi)) == print_formula(expected), print_formula(phi)
         dropped += n
+        merging_cases += saved > 0
     assert dropped >= 100  # the plants exercise subsumption
+    assert merging_cases >= 30  # and the interval joins
+
+
+def _random_env(model, rng):
+    """Parameters c0..c2 of weights 0 to 5 or outside the axis span, with
+    c1 = c0 now and then, so that equations hold too."""
+    env = {f"$c{i}": random_element(model, rng, max_axes=3) for i in range(3)}
+    if rng.random() < 0.2:
+        env["$c1"] = env["$c0"]
+    return env
+
+
+def test_simplify_is_equivalent_and_idempotent_on_planted_dnfs(M):
+    rng = random.Random(4343)
+    for _ in range(300):
+        phi = _random_dnf_with_plants(rng)
+        out = simplify(phi)
+        assert simplify(out) == out, print_formula(phi)
+        for _ in range(30):
+            env = _random_env(M, rng)
+            assert eval_qf(out, env, Q) == eval_qf(phi, env, Q), print_formula(phi)
+
+
+def _assert_merge_fixpoint(phi):
+    """No two disjuncts of phi agree on every term but one and hold
+    overlapping or touching weight intervals on that one."""
+    if phi == false_formula(Q):
+        return
+    rows = [{t: (lo, hi) for t, lo, hi in _read_intervals(d)} for d in _dnf_literals(phi)]
+    for a, b in itertools.combinations(rows, 2):
+        differ = [t for t in set(a) | set(b) if a.get(t, (0, INF)) != b.get(t, (0, INF))]
+        if len(differ) == 1:
+            (lo_a, hi_a), (lo_b, hi_b) = sorted([a.get(differ[0], (0, INF)), b.get(differ[0], (0, INF))])
+            assert lo_b > hi_a + 1, (differ[0], a, b)
+        assert differ, a
+
+
+def test_simplify_output_is_a_merge_fixpoint():
+    rng = random.Random(4444)
+    for _ in range(300):
+        _assert_merge_fixpoint(simplify(_random_dnf_with_plants(rng)))
+    phi = parse_formula(BIG_FORMULA, Q)
+    _assert_merge_fixpoint(eliminate_exists(phi.body, "x"))
 
 
 BIG_FORMULA = (
     "E x. !(!(X4(-1*x + -2*$c0) & !(X1(x + -1*$c1) | X1(x + -1*$c0)))"
     " | -2*$c1 = 2*$c0 + -1*$c1)"
 )
+BIG_FORMULA_DISJUNCTS = 297  # 752 before the interval joins
 
 
 def _literal_nodes(phi):
@@ -308,18 +441,51 @@ def _literal_nodes(phi):
 def test_simplify_shares_one_node_per_literal():
     phi = parse_formula(BIG_FORMULA, Q)
     out = eliminate_exists(phi.body, "x")
-    assert print_formula(out).count(" | ") + 1 == 752
+    assert print_formula(out).count(" | ") + 1 == BIG_FORMULA_DISJUNCTS
     occurrences = _literal_nodes(out)
     distinct_literals = {(pol, atom) for pol, atom in occurrences}
     assert len(occurrences) > 3 * len(distinct_literals)
     assert len({id(atom) for _, atom in occurrences}) == len(distinct_literals)
 
 
+def test_criterion_4_formula_agrees_with_witness_search(M):
+    phi = parse_formula(BIG_FORMULA, Q)
+    out = eliminate_exists(phi.body, "x")
+    rng = random.Random(752)
+    seen = set()
+    for _ in range(24):
+        c0 = random_element(M, rng)
+        # where -2*$c1 = 2*$c0 + -1*$c1 holds the condition is false
+        c1 = c0.scale(-2) if rng.random() < 0.3 else random_element(M, rng)
+        env = {"$c0": c0, "$c1": c1}
+        truth = eval_qf(out, env, Q)
+        assert truth == (witness_search(phi.body, "x", env, M) is not None), env
+        seen.add(truth)
+    assert seen == {True, False}
+
+
+def test_criterion_4_formula_prints_the_same_under_any_hash_seed():
+    code = (
+        "import hashlib, sys; from axisspace.fields import FieldCtx; "
+        "from axisspace.formula import parse_formula, print_formula; from axisspace.qe import eliminate_exists; "
+        f"phi = parse_formula({BIG_FORMULA!r}, FieldCtx.rationals()); "
+        "print(hashlib.sha1(print_formula(eliminate_exists(phi.body, 'x')).encode()).hexdigest())"
+    )
+    digests = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(sys.path))
+        digests.add(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True, text=True).stdout)
+    phi = parse_formula(BIG_FORMULA, Q)
+    here = hashlib.sha1(print_formula(eliminate_exists(phi.body, "x")).encode()).hexdigest()
+    assert digests == {here + "\n"}
+
+
 def test_three_x3_balls_agree_with_witness_search(M):
-    """Three radius-3 balls: a 954-disjunct condition."""
+    """Three radius-3 balls: a 392-disjunct condition (954 before the
+    interval joins)."""
     phi = parse_formula("E x. (X3(x + -1*$c0) & X3(x + -1*$c1) & X3(x + -1*$c2))", Q)
     out = eliminate_exists(phi.body, "x")
-    assert print_formula(out).count(" | ") + 1 == 954
+    assert print_formula(out).count(" | ") + 1 == 392
     rng = random.Random(954)
     seen = set()
     for _ in range(24):
