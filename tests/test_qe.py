@@ -6,6 +6,7 @@ import itertools
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 
@@ -441,7 +442,9 @@ def _literal_nodes(phi):
 def test_simplify_shares_one_node_per_literal():
     phi = parse_formula(BIG_FORMULA, Q)
     out = eliminate_exists(phi.body, "x")
-    assert print_formula(out).count(" | ") + 1 == BIG_FORMULA_DISJUNCTS
+    text = print_formula(out)
+    assert text.count(" | ") + 1 == BIG_FORMULA_DISJUNCTS
+    assert (hashlib.sha1(text.encode()).hexdigest(), len(text)) == ("9500376232998dd69b0ce970409cb76f79829de8", 65969)
     occurrences = _literal_nodes(out)
     distinct_literals = {(pol, atom) for pol, atom in occurrences}
     assert len(occurrences) > 3 * len(distinct_literals)
@@ -485,7 +488,9 @@ def test_three_x3_balls_agree_with_witness_search(M):
     interval joins)."""
     phi = parse_formula("E x. (X3(x + -1*$c0) & X3(x + -1*$c1) & X3(x + -1*$c2))", Q)
     out = eliminate_exists(phi.body, "x")
-    assert print_formula(out).count(" | ") + 1 == 392
+    text = print_formula(out)
+    assert text.count(" | ") + 1 == 392
+    assert (hashlib.sha1(text.encode()).hexdigest(), len(text)) == ("cd467cdd3fbc8b64a03383098ea2be17946c1d7e", 121056)
     rng = random.Random(954)
     seen = set()
     for _ in range(24):
@@ -494,6 +499,62 @@ def test_three_x3_balls_agree_with_witness_search(M):
         assert truth == (witness_search(phi.body, "x", env, M) is not None)
         seen.add(truth)
     assert seen == {True, False}
+
+
+def _within(seconds, fn, *args):
+    """fn(*args), failing the test once it has run for ``seconds``."""
+
+    def stop(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_eight_binary_disjunctions_eliminate_to_true():
+    """The disjunct that takes every ``!X2`` has no positive literal, so a
+    fresh free coordinate satisfies it: the condition is true.  The DNF has
+    256 disjuncts."""
+    body = " & ".join(f"(X1(x + -1*$c{i}) | !X2(x + $d{i}))" for i in range(8))
+    phi = parse_formula(f"E x. ({body})", Q)
+    assert _within(10, eliminate_exists, phi.body, "x") == true_formula(Q)
+
+
+def test_four_independent_axes_sentence():
+    vs = ["x0", "x1", "x2", "x3"]
+    hyp = " & ".join(
+        [f"X1({v}) & !X0({v})" for v in vs] + [f"!X1({a} + {b})" for a, b in itertools.combinations(vs, 2)]
+    )
+    sigma = parse_formula(f"A x0. A x1. A x2. A x3. (({hyp}) -> !(1*x0 + 2*x1 + 3*x2 + -4*x3 = 0))", Q)
+    assert _within(10, decide_sentence, sigma) is True
+
+
+# true: x = -e0 - 2*e2 - 2*e4, y = 0, z = 2*e0 + 2*e2 + 2*e4 satisfies it
+THREE_VARIABLE_MATRIX = (
+    "X1(-1*x + y + -1*z) & X1(-1*y) & !X1(x + -1*y + -1*z) & X2(2*x + -1*y + z) & !X2(-1*x + -1*y + z)"
+)
+_FALLBACK_INCOMPLETE = pytest.mark.xfail(strict=True, reason="fallback incomplete; ROADMAP item 1")
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        pytest.param("xyz", marks=_FALLBACK_INCOMPLETE),
+        "xzy",
+        pytest.param("yxz", marks=_FALLBACK_INCOMPLETE),
+        pytest.param("yzx", marks=_FALLBACK_INCOMPLETE),
+        "zxy",
+        pytest.param("zyx", marks=_FALLBACK_INCOMPLETE),
+    ],
+)
+def test_three_variable_sentence_in_every_quantifier_order(order):
+    prefix = " ".join(f"E {v}." for v in order)
+    assert decide_sentence(parse_formula(f"{prefix} ({THREE_VARIABLE_MATRIX})", Q)) is True
 
 
 def test_forall_inclusion_sentence(M):
