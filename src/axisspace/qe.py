@@ -20,13 +20,20 @@ two independent directions go through an exact axis-type count enumeration.
 Disjuncts with three or more independent directions fall back to a sound
 anchored-template approximation.
 
-The engines emit one disjunct per feasible level of a term.
-:func:`simplify`, which every elimination ends with, reads each disjunct as
+A condition is one thing throughout: a list of distinct rows in first-seen
+order, each row a frozenset of canonical literals read as their conjunction,
+the list read as the disjunction of its rows (``[frozenset()]`` is true,
+``[]`` is false).  :func:`_all` and :func:`_any` build conditions; the DNF
+of an input formula and every engine's output are built with them, so the
+engines emit rows and no formula tree is expanded twice.  The engines emit
+one row per feasible level of a term.
+
+Every elimination ends in :func:`_simplify_rows`, which reads each row as
 one weight interval per term (every literal bounds the weight of its term:
-the number of axes it meets, infinite outside the axis span) and joins
-disjuncts that agree on every term but one and hold touching intervals on
-it, term by term in the order of the terms' printed text, until nothing
-joins.  So runs of levels print as one interval ``Xhi(t) & !X(lo-1)(t)``.
+the number of axes it meets, infinite outside the axis span) and joins rows
+that agree on every term but one and hold touching intervals on it, term by
+term in the order of the terms' printed text, until nothing joins.  So runs
+of levels print as one interval ``Xhi(t) & !X(lo-1)(t)``.
 
 Everything refuses finite fields: the theory is incomplete there and the
 level calculus loses its generic-scalar arguments.
@@ -63,7 +70,6 @@ from .formula import (
     free_symbols,
     is_quantifier_free,
     print_formula,
-    substitute,
     true_formula,
 )
 from .model import Model, ModelElement
@@ -138,36 +144,48 @@ def _canonical_atom(kind: str, n, term: Term):
 Literal = tuple  # (polarity, kind, n, Term)
 
 
+def _lit(pol: bool, kind: str, n, term: Term) -> Literal:
+    return (pol, *_canonical_atom(kind, n, term))
+
+
+def _all(parts) -> list:
+    """Conjunction of conditions: the left-major product of their rows,
+    deduplicated after each factor so repeats never multiply."""
+    rows = [frozenset()]
+    for part in parts:
+        rows = list(dict.fromkeys(row | other for row in rows for other in part))
+        if not rows:
+            break
+    return rows
+
+
+def _any(parts) -> list:
+    """Disjunction of conditions: their rows in order without repeats;
+    true as soon as one row is."""
+    rows = {}
+    for part in parts:
+        for row in part:
+            if not row:
+                return [frozenset()]
+            rows[row] = None
+    return list(rows)
+
+
 def _dnf_literals(phi: Formula) -> list:
-    """Disjunctive normal form as lists of canonical literals."""
+    """Disjunctive normal form: the rows of ``phi``, each as a list of
+    canonical literals sorted by :func:`_literal_key`."""
 
-    def atoms(psi: Formula) -> list:
-        if isinstance(psi, Eq):
-            return [[(True, *_canonical_atom("eq", None, psi.lhs - psi.rhs))]]
-        if isinstance(psi, Xn):
-            return [[(True, *_canonical_atom("xn", psi.n, psi.term))]]
-        if isinstance(psi, Not):
-            inner = psi.child
-            if isinstance(inner, Eq):
-                return [[(False, *_canonical_atom("eq", None, inner.lhs - inner.rhs))]]
-            if isinstance(inner, Xn):
-                return [[(False, *_canonical_atom("xn", inner.n, inner.term))]]
-            raise AssertionError("non-literal negation in NNF")
-        if isinstance(psi, Or):
-            return atoms(psi.lhs) + atoms(psi.rhs)
+    def rows(psi: Formula) -> list:
         if isinstance(psi, And):
-            lefts, rights = atoms(psi.lhs), atoms(psi.rhs)
-            return [left + right for left in lefts for right in rights]
-        raise NotQuantifierFree(print_formula(psi))
+            return _all([rows(psi.lhs), rows(psi.rhs)])
+        if isinstance(psi, Or):
+            return _any([rows(psi.lhs), rows(psi.rhs)])
+        pol, atom = (False, psi.child) if isinstance(psi, Not) else (True, psi)
+        if isinstance(atom, Eq):
+            return [frozenset([_lit(pol, "eq", None, atom.lhs - atom.rhs)])]
+        return [frozenset([_lit(pol, "xn", atom.n, atom.term)])]
 
-    disjuncts = []
-    seen = set()
-    for disjunct in atoms(_nnf(phi)):
-        ordered = tuple(sorted(set(disjunct), key=_literal_key))
-        if ordered not in seen:
-            seen.add(ordered)
-            disjuncts.append(list(ordered))
-    return disjuncts
+    return [sorted(row, key=_literal_key) for row in rows(_nnf(phi))]
 
 
 def _literal_key(lit: Literal):
@@ -186,24 +204,6 @@ def _balanced(node, parts):
         return parts[0]
     mid = len(parts) // 2
     return node(_balanced(node, parts[:mid]), _balanced(node, parts[mid:]))
-
-
-def _big_and(field: FieldCtx, parts: list) -> Formula:
-    parts = [p for p in parts if p != true_formula(field)]
-    if not parts:
-        return true_formula(field)
-    if any(p == false_formula(field) for p in parts):
-        return false_formula(field)
-    return _balanced(And, parts)
-
-
-def _big_or(field: FieldCtx, parts: list) -> Formula:
-    parts = [p for p in parts if p != false_formula(field)]
-    if not parts:
-        return false_formula(field)
-    if any(p == true_formula(field) for p in parts):
-        return true_formula(field)
-    return _balanced(Or, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -391,37 +391,44 @@ def eliminate_exists(phi: Formula, var: str) -> Formula:
     _require_infinite(field)
     if not is_quantifier_free(phi):
         raise NotQuantifierFree("eliminate_exists expects a quantifier-free matrix")
-    out = []
-    for disjunct in _dnf_literals(phi):
-        out.append(_eliminate_disjunct(disjunct, var, field))
-    return simplify(_big_or(field, out))
+    disjuncts = _dnf_literals(phi)
+    conds = [None] * len(disjuncts)
+    # one true disjunct makes the condition true; disjuncts with few
+    # positive literals are cheap to eliminate and the likely true ones, so
+    # they go first and spare the expensive ones
+    for i in sorted(range(len(disjuncts)), key=lambda i: sum(lit[0] for lit in disjuncts[i])):
+        conds[i] = _eliminate_disjunct(disjuncts[i], var, field)
+        if conds[i] == [frozenset()]:
+            return true_formula(field)
+    return _simplify_rows(field, _any(conds))
 
 
-def _eliminate_disjunct(disjunct, var: str, field: FieldCtx) -> Formula:
+def _eliminate_disjunct(disjunct, var: str, field: FieldCtx) -> list:
     params: list = []
     x_lits: list = []
-    for pol, kind, n, term in disjunct:
+    for lit in disjunct:
+        pol, kind, n, term = lit
         mu = term.coeff_of_var(var)
         if field.is_zero(mu):
-            params.append(_literal_formula((pol, kind, n, term)))
+            params.append(lit)
         else:
             t_term = term.drop_var(var).scale(field.neg(field.inv(mu)))
             x_lits.append((pol, kind, n, t_term))
+    params = [frozenset(params)]
     if not x_lits:
-        return _big_and(field, params)
+        return params
 
     # substitution: a positive equation pins the witness exactly
     for pol, kind, n, t in x_lits:
         if pol and kind == "eq":
-            rest = [substitute(f, var, t) for f in _relit(x_lits, var, field)]
-            return _big_and(field, params + rest)
+            return _all([params, [frozenset(_lit(p, k, m, t - s) for p, k, m, s in x_lits)]])
 
     terms = list(dict.fromkeys(t for _, _, _, t in x_lits))
     _, dis_eq, pos_xn, neg_xn = _bucket((pol, kind, n, terms.index(t)) for pol, kind, n, t in x_lits)
 
     # no positive literal: a fresh free coordinate defeats every negative one
     if not pos_xn:
-        return _big_and(field, params)
+        return params
 
     anchor = min(pos_xn)
     others = [i for i in range(len(terms)) if i != anchor]
@@ -431,21 +438,17 @@ def _eliminate_disjunct(disjunct, var: str, field: FieldCtx) -> Formula:
 
     if not others:
         lower, upper = boxes[anchor]
-        cond = true_formula(field) if lower <= upper else false_formula(field)
-        return _big_and(field, params + [cond])
+        return params if lower <= upper else []
 
     gammas = _collinear(diffs, field)
     if gammas is not None:
         direction, coeffs = gammas
         cond = _collinear_condition(direction, coeffs, anchor, others, boxes, cap, field)
-        return _big_and(field, params + [cond])
-
-    if len(others) == 2:
+    elif len(others) == 2:
         cond = _two_direction_condition(diffs, anchor, others, boxes, cap, field)
-        return _big_and(field, params + [cond])
-
-    cond = _fallback_condition(diffs, anchor, others, boxes, cap, field)
-    return _big_and(field, params + [cond])
+    else:
+        cond = _fallback_condition(diffs, anchor, others, boxes, cap, field)
+    return _all([params, cond])
 
 
 def _bucket(lits):
@@ -462,13 +465,6 @@ def _bucket(lits):
         else:
             neg_xn[key] = max(neg_xn.get(key, n), n)
     return pos_eq, dis_eq, pos_xn, neg_xn
-
-
-def _relit(x_lits, var, field):
-    for pol, kind, n, t in x_lits:
-        term = Term.var(field, var) - t
-        atom = Eq(term, Term.zero(field)) if kind == "eq" else Xn(n, term)
-        yield atom if pol else Not(atom)
 
 
 def _boxes(nterms, pos_xn, neg_xn, dis_eq):
@@ -523,17 +519,17 @@ def _proportionality(t: Term, base: Term, field: FieldCtx):
     return ratio
 
 
-def _pin(term: Term, level, cap: int, field: FieldCtx) -> Formula:
+def _pin(term: Term, level, cap: int) -> list:
     """Assert the exact sumset level of a term; level=None means beyond cap
     (huge weight or outside the axis span)."""
     if level is None:
-        return Not(Xn(cap, term))
+        return [frozenset([_lit(False, "xn", cap, term)])]
     if level == 0:
-        return Xn(0, term)
-    return And(Xn(level, term), Not(Xn(level - 1, term)))
+        return [frozenset([_lit(True, "xn", 0, term)])]
+    return [frozenset([_lit(True, "xn", level, term), _lit(False, "xn", level - 1, term)])]
 
 
-def _collinear_condition(direction, coeffs, anchor, others, boxes, cap, field) -> Formula:
+def _collinear_condition(direction, coeffs, anchor, others, boxes, cap, field) -> list:
     """All differences lie along one direction e: with L the level of e,
     the witness weights are w_i = L - q_i + r with one q per distinct
     coefficient and sum q <= L, so feasibility is arithmetic per level."""
@@ -573,10 +569,10 @@ def _collinear_condition(direction, coeffs, anchor, others, boxes, cap, field) -
     disjuncts = []
     for level in range(cap + 1):
         if feasible(level):
-            disjuncts.append(_pin(direction, level, cap, field))
+            disjuncts.append(_pin(direction, level, cap))
     if not non_anchor_positive and feasible(cap + 1):
-        disjuncts.append(_pin(direction, None, cap, field))
-    return _big_or(field, disjuncts)
+        disjuncts.append(_pin(direction, None, cap))
+    return _any(disjuncts)
 
 
 # -- two independent directions ---------------------------------------------
@@ -619,7 +615,7 @@ def _counts_feasible(counts: tuple, lowers: tuple, uppers: tuple, r_max: int) ->
     return False
 
 
-def _two_direction_condition(diffs, anchor, others, boxes, cap, field) -> Formula:
+def _two_direction_condition(diffs, anchor, others, boxes, cap, field) -> list:
     """Exact condition for two independent difference directions.
 
     The profile of (u, v) relevant to witness weights is the axis census:
@@ -651,14 +647,11 @@ def _two_direction_condition(diffs, anchor, others, boxes, cap, field) -> Formul
     branches = []
     for k in range(len(unbounded) + 1):
         for S in itertools.combinations(unbounded, k):
-            assertions = []
-            for i in S:
-                if thr[i] > 0:
-                    assertions.append(Not(Xn(thr[i] - 1, terms[i])))
+            assertions = [frozenset(_lit(False, "xn", thr[i] - 1, terms[i]) for i in S if thr[i] > 0)]
             residual = [i for i in (i1, i2) if i not in S]
             if not residual:
                 lower, upper = boxes[anchor]
-                cond = true_formula(field) if lower <= upper else false_formula(field)
+                cond = [frozenset()] if lower <= upper else []
             elif len(residual) == 1:
                 j = residual[0]
                 sub_boxes = {0: boxes[anchor], 1: (boxes[j][0], boxes[j][1])}
@@ -672,29 +665,19 @@ def _two_direction_condition(diffs, anchor, others, boxes, cap, field) -> Formul
                     (rng_bound(i1), rng_bound(i2)),
                     cap, field,
                 )
-            branches.append(_big_and(field, assertions + [cond]))
-    return _big_or(field, branches)
+            branches.append(_all([assertions, cond]))
+    return _any(branches)
 
 
-def _pair_profiles_condition(u, v, boxes3, ranges, cap, field) -> Formula:
+def _pair_profiles_condition(u, v, boxes3, ranges, cap, field) -> list:
     (l0, a0), (l1, a1), (l2, a2) = boxes3
     profiles = _feasible_profiles(
         (l0, l1, l2), (a0, a1, a2), ranges[0], ranges[1]
     )
-    out = []
-    for A, B, C, D in profiles:
-        out.append(
-            _big_and(
-                field,
-                [
-                    _pin(u, A, cap, field),
-                    _pin(v, B, cap, field),
-                    _pin(u - v, C, cap, field),
-                    _pin_span(u, v, D, min(A, B), cap, field),
-                ],
-            )
-        )
-    return _big_or(field, out)
+    return _any(
+        _all([_pin(u, A, cap), _pin(v, B, cap), _pin(u - v, C, cap), _pin_span(u, v, D, min(A, B), cap, field)])
+        for A, B, C, D in profiles
+    )
 
 
 @lru_cache(maxsize=4096)
@@ -717,23 +700,22 @@ def _feasible_profiles(lowers, uppers, range_a, range_b):
     return tuple(out)
 
 
-def _pin_span(u: Term, v: Term, level: int, shared_bound: int, cap: int, field: FieldCtx) -> Formula:
+def _pin_span(u: Term, v: Term, level: int, shared_bound: int, cap: int, field: FieldCtx) -> list:
     """Pin the level of the span of two terms via a scalar menu: a generic
     combination realizes the union of the axes, and any menu longer than
     the number of shared axes contains a generic entry."""
     menu = [field.of(k) for k in range(1, shared_bound + 2)]
     combos = [u + v.scale(lam) for lam in menu]
-    at_most = _big_and(field, [Xn(level, c) for c in combos])
+    at_most = [frozenset(_lit(True, "xn", level, c) for c in combos)]
     if level == 0:
         return at_most
-    at_least = _big_or(field, [Not(Xn(level - 1, c)) for c in combos])
-    return And(at_most, at_least)
+    return _all([at_most, _any([frozenset([_lit(False, "xn", level - 1, c)])] for c in combos)])
 
 
 # -- sound fallback for three or more directions -----------------------------
 
 
-def _fallback_condition(diffs, anchor, others, boxes, cap, field) -> Formula:
+def _fallback_condition(diffs, anchor, others, boxes, cap, field) -> list:
     """Anchored-template approximation for disjuncts beyond the exact
     engines: witnesses of the shapes t_anchor + nu*u_j + (fresh axes), plus
     the fresh-coordinate perturbation of a single difference.  Sound by
@@ -760,32 +742,32 @@ def _fallback_condition(diffs, anchor, others, boxes, cap, field) -> Formula:
                     dead = True
                     break
                 if sigma is None:
-                    conds.append(Xn(upper - r, s))
+                    conds.append([frozenset([_lit(True, "xn", upper - r, s)])])
                 else:
                     conds.append(_union_at_most(s, sigma, upper - r, cap, field))
             if lower > 0:
                 if sigma is None:
                     if lower - r > 0:
-                        conds.append(Not(Xn(lower - r - 1, s)))
+                        conds.append([frozenset([_lit(False, "xn", lower - r - 1, s)])])
                 else:
                     conds.append(_union_at_least(s, sigma, lower - r, cap, field))
         if not dead:
-            out.append(_big_and(field, conds))
-    return _big_or(field, out)
+            out.append(_all(conds))
+    return _any(out)
 
 
-def _union_at_most(s: Term, sigma: Term, bound: int, cap: int, field) -> Formula:
+def _union_at_most(s: Term, sigma: Term, bound: int, cap: int, field) -> list:
     if bound < 0:
-        return false_formula(field)
+        return []
     menu = [field.of(k) for k in range(1, cap + 2)]
-    return _big_and(field, [Xn(bound, s + sigma.scale(lam)) for lam in menu])
+    return [frozenset(_lit(True, "xn", bound, s + sigma.scale(lam)) for lam in menu)]
 
 
-def _union_at_least(s: Term, sigma: Term, bound: int, cap: int, field) -> Formula:
+def _union_at_least(s: Term, sigma: Term, bound: int, cap: int, field) -> list:
     if bound <= 0:
-        return true_formula(field)
+        return [frozenset()]
     menu = [field.of(k) for k in range(1, cap + 2)]
-    return _big_or(field, [Not(Xn(bound - 1, s + sigma.scale(lam))) for lam in menu])
+    return _any([frozenset([_lit(False, "xn", bound - 1, s + sigma.scale(lam))])] for lam in menu)
 
 
 # ---------------------------------------------------------------------------
@@ -798,18 +780,28 @@ _UNBOUNDED = math.inf
 
 
 def simplify(phi: Formula) -> Formula:
-    """Disjunctive normal form with constant folding, per-term weight
-    intervals, interval joins and deduplication.
+    """Disjunctive normal form of ``phi`` with constant folding, per-term
+    weight intervals, interval joins and deduplication.
+
+    The rows of ``phi`` (see :func:`_dnf_literals`) go through
+    :func:`_simplify_rows`, as every elimination's rows do directly.
+    """
+    return _simplify_rows(_formula_field(phi), _dnf_literals(phi))
+
+
+def _simplify_rows(field: FieldCtx, rows) -> Formula:
+    """A condition, rows of canonical literals, as a formula with constant
+    folding, per-term weight intervals, interval joins and deduplication.
 
     Every literal on a nonzero term t bounds its weight w(t), the number of
     axes t meets (infinite outside the axis span): ``t = 0`` and ``Xn(t)``
     bound it above by 0 and n, ``!(t = 0)`` and ``!Xm(t)`` below by 1 and
-    m + 1.  So a disjunct reads as one interval [lo, hi] per term (see
+    m + 1.  So a row reads as one interval [lo, hi] per term (see
     :func:`_weight_intervals`); an empty interval kills it, and a literal
-    on the zero term is true or kills it.  Disjuncts are deduplicated in
-    first-seen order, then disjuncts that agree on every term but one and
-    hold overlapping or touching intervals on it are joined, term by term
-    in the order of their printed text, until nothing joins (see
+    on the zero term is true or kills it.  Rows are deduplicated in
+    first-seen order, then rows that agree on every term but one and hold
+    overlapping or touching intervals on it are joined, term by term in the
+    order of their printed text, until nothing joins (see
     :func:`_join_intervals`).
 
     Each interval prints as at most two literals: ``t = 0`` when hi = 0,
@@ -820,9 +812,8 @@ def simplify(phi: Formula) -> Formula:
     literal (its atom, or a ``Not`` over an atom of its own), shared by
     every disjunct that contains it.
     """
-    field = _formula_field(phi)
     boxes = []
-    for raw in _dnf_literals(phi):
+    for raw in rows:
         box = _weight_intervals(raw)
         if box is None:
             continue  # contradiction
@@ -851,8 +842,6 @@ def simplify(phi: Formula) -> Formula:
                 lits.append((False, "xn", lo - 1, i))
         lit_rows.append([ids.setdefault(lit, len(ids)) for lit in lits])
     nodes = [_literal_formula((pol, kind, n, terms[i])) for pol, kind, n, i in ids]
-    # every literal term is nonzero, so no part is a constant and the
-    # folding of _big_and/_big_or has nothing to do
     return _balanced(Or, [
         _balanced(And, [nodes[i] for i in row])
         for row, minimal in zip(lit_rows, _minimal_rows(lit_rows))

@@ -30,8 +30,7 @@ from axisspace.formula import (
 )
 from axisspace.model import in_Xn, rich_model, weight
 from axisspace.qe import (
-    _big_and,
-    _big_or,
+    _balanced,
     _dnf_literals,
     _literal_formula,
     decide_sentence,
@@ -336,7 +335,7 @@ def _reference_simplify(phi):
         return true_formula(Q), 0, before - len(rows)
     disjuncts = [_interval_literals(row) for row in rows]
     kept = [d for d in disjuncts if not any(set(o) < set(d) for o in disjuncts)]
-    out = _big_or(Q, [_big_and(Q, [_literal_formula(lit) for lit in d]) for d in kept])
+    out = _balanced(Or, [_balanced(And, [_literal_formula(lit) for lit in d]) for d in kept])
     return out, len(disjuncts) - len(kept), before - len(rows)
 
 
