@@ -342,12 +342,20 @@ def _tokenize(text: str):
     return tokens
 
 
+# The deepest nesting of ``!``, parentheses and quantifiers a formula may
+# have.  Each level costs the parser up to five Python frames, and every
+# walk of the formula (printing, evaluation, elimination) one or two more,
+# so deeper input would end in a RecursionError.
+MAX_NESTING = 150
+
+
 class _Parser:
     def __init__(self, text: str, field: FieldCtx):
         self.text = text
         self.field = field
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -365,6 +373,12 @@ class _Parser:
     def fail(self, message: str):
         raise FormulaSyntaxError(message, self.peek()[2])
 
+    def descend(self):
+        """Enter one more level of nesting; the caller leaves it."""
+        if self.depth == MAX_NESTING:
+            self.fail(f"formula nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
+
     # formula := quantified | implication
     def formula(self) -> Formula:
         kind, text, _ = self.peek()
@@ -374,7 +388,9 @@ class _Parser:
             if vkind != "name":
                 raise FormulaSyntaxError("expected a variable after quantifier", vpos)
             self.expect(".")
+            self.descend()
             body = self.formula()
+            self.depth -= 1
             return (Exists if text == "E" else Forall)(vname, body)
         return self.implication()
 
@@ -404,11 +420,16 @@ class _Parser:
         kind, text, pos = self.peek()
         if text == "!":
             self.next()
-            return Not(self.unary())
+            self.descend()
+            inner = self.unary()
+            self.depth -= 1
+            return Not(inner)
         if text == "(":
             self.next()
+            self.descend()
             inner = self.formula()
             self.expect(")")
+            self.depth -= 1
             return inner
         if kind == "quant":
             return self.formula()

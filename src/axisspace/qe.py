@@ -9,10 +9,10 @@ evaluated parameters and checks every candidate by evaluation, so a returned
 witness is correct unconditionally.
 
 :func:`eliminate_exists` runs the same case analysis symbolically.  Three
-exact engines cover a disjunct: substitution when a positive equation pins
-the witness; a trivial condition when no positive literal constrains it (a
-fresh free coordinate satisfies every negative literal in a rich model); and
-level-profile enumeration over the differences of the parameter terms, which
+exact engines cover a disjunct: substitution when weight 0 (an equation or
+``X0``) pins the witness; a trivial condition when no upper bound
+constrains it (a fresh free coordinate satisfies every lower bound in a
+rich model); and level-profile enumeration over the differences of the parameter terms, which
 reduces truth to finitely many weight levels, asserted through sumset atoms
 on explicit scalar combinations.  Profiles with one direction (all
 differences proportional) are solved in closed form for any number of terms;
@@ -20,20 +20,24 @@ two independent directions go through an exact axis-type count enumeration.
 Disjuncts with three or more independent directions fall back to a sound
 anchored-template approximation.
 
-A condition is one thing throughout: a list of distinct rows in first-seen
-order, each row a frozenset of canonical literals read as their conjunction,
-the list read as the disjunction of its rows (``[frozenset()]`` is true,
-``[]`` is false).  :func:`_all` and :func:`_any` build conditions; the DNF
-of an input formula and every engine's output are built with them, so the
-engines emit rows and no formula tree is expanded twice.  The engines emit
-one row per feasible level of a term.
+Every atom bounds one integer, the weight of its term: the number of axes
+the term meets, infinite outside the axis span.  ``t = 0`` is ``X0(t)``
+(X^0 = {0}): both bound w(t) above by 0, and their negations bound it
+below by 1.  So a condition is one thing from the input DNF to the
+printer: a list of distinct boxes in first-seen order, read as their
+disjunction.  A box is a frozenset of pairs (term, (lo, hi)), one per
+nonzero term scaled to lead coefficient 1, read as the conjunction of
+lo <= w(term) <= hi (hi possibly infinite); ``[frozenset()]`` is true and
+``[]`` is false.  :func:`_bound` makes every one-term condition and folds
+the zero term; :func:`_all` intersects intervals term by term and drops a
+box as soon as one is empty; :func:`_any` joins lists.  The DNF of an
+input formula and every engine's output are built with them.  The engines
+emit one box per feasible level of a term.
 
-Every elimination ends in :func:`_simplify_rows`, which reads each row as
-one weight interval per term (every literal bounds the weight of its term:
-the number of axes it meets, infinite outside the axis span) and joins rows
-that agree on every term but one and hold touching intervals on it, term by
-term in the order of the terms' printed text, until nothing joins.  So runs
-of levels print as one interval ``Xhi(t) & !X(lo-1)(t)``.
+Every elimination ends in :func:`_simplify_rows`, which joins boxes that
+agree on every term but one and hold touching intervals on it, term by
+term in the order of the terms' printed text, until nothing joins.  So
+runs of levels print as one interval ``Xhi(t) & !X(lo-1)(t)``.
 
 Everything refuses finite fields: the theory is incomplete there and the
 level calculus loses its generic-scalar arguments.
@@ -114,7 +118,7 @@ def instantiate_template(template: WitnessTemplate, model: Model, used: Sequence
 
 
 # ---------------------------------------------------------------------------
-# literal normalization
+# weight boxes: the one form of a condition
 # ---------------------------------------------------------------------------
 
 
@@ -132,36 +136,70 @@ def _nnf(phi: Formula, positive: bool = True) -> Formula:
     raise NotQuantifierFree(f"quantifier inside a quantifier-free context: {print_formula(phi)}")
 
 
-def _canonical_atom(kind: str, n, term: Term):
-    """Scale-normalize the atom term (both atom kinds are scale-invariant)."""
-    entries = list(term.vars) + list(term.consts)
-    if entries:
-        lead = entries[0][1]
-        term = term.scale(term.field.inv(lead))
-    return (kind, n, term)
+# the weight of an element outside the axis span
+_UNBOUNDED = math.inf
 
 
-Literal = tuple  # (polarity, kind, n, Term)
+def _canonical(term: Term):
+    """(lead, term / lead) for a nonzero term: its first coefficient and
+    the term scaled to make that coefficient 1."""
+    lead = (term.vars or term.consts)[0][1]
+    field = term.field
+    return lead, term if lead == field.one else term.scale(field.inv(lead))
 
 
-def _lit(pol: bool, kind: str, n, term: Term) -> Literal:
-    return (pol, *_canonical_atom(kind, n, term))
+def _bound(term: Term, lo, hi) -> list:
+    """The condition lo <= w(term) <= hi on the weight of a term: at most
+    one box, keyed by the term scaled by its lead (weights are scale
+    invariant).  [0, inf] is true; the zero term has weight 0, so its
+    bound is true when lo <= 0 and false otherwise."""
+    lo = max(lo, 0)
+    if lo > hi or (lo > 0 and term.is_zero()):
+        return []
+    if term.is_zero() or (lo == 0 and hi == _UNBOUNDED):
+        return [frozenset()]
+    return [frozenset([(_canonical(term)[1], (lo, hi))])]
+
+
+def _meet(a: frozenset, b: frozenset):
+    """The conjunction of two boxes, intervals intersected term by term;
+    None when one becomes empty."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return a
+    box = dict(a)
+    for term, (lo, hi) in b:
+        if term in box:
+            lo0, hi0 = box[term]
+            lo, hi = max(lo, lo0), min(hi, hi0)
+            if lo > hi:
+                return None
+        box[term] = (lo, hi)
+    return frozenset(box.items())
 
 
 def _all(parts) -> list:
-    """Conjunction of conditions: the left-major product of their rows,
+    """Conjunction of conditions: the left-major product of their boxes,
+    a box dropped as soon as an interval is empty and the product
     deduplicated after each factor so repeats never multiply."""
     rows = [frozenset()]
     for part in parts:
-        rows = list(dict.fromkeys(row | other for row in rows for other in part))
+        out = {}
+        for row in rows:
+            for other in part:
+                box = _meet(row, other)
+                if box is not None:
+                    out[box] = None
+        rows = list(out)
         if not rows:
             break
     return rows
 
 
 def _any(parts) -> list:
-    """Disjunction of conditions: their rows in order without repeats;
-    true as soon as one row is."""
+    """Disjunction of conditions: their boxes in order without repeats;
+    true as soon as one box is."""
     rows = {}
     for part in parts:
         for row in part:
@@ -172,8 +210,9 @@ def _any(parts) -> list:
 
 
 def _dnf_literals(phi: Formula) -> list:
-    """Disjunctive normal form: the rows of ``phi``, each as a list of
-    canonical literals sorted by :func:`_literal_key`."""
+    """Disjunctive normal form: the boxes of ``phi``.  ``t = 0`` and
+    ``Xn(t)`` bound w(t) above by 0 and n, their negations below by 1
+    and n + 1."""
 
     def rows(psi: Formula) -> list:
         if isinstance(psi, And):
@@ -181,22 +220,10 @@ def _dnf_literals(phi: Formula) -> list:
         if isinstance(psi, Or):
             return _any([rows(psi.lhs), rows(psi.rhs)])
         pol, atom = (False, psi.child) if isinstance(psi, Not) else (True, psi)
-        if isinstance(atom, Eq):
-            return [frozenset([_lit(pol, "eq", None, atom.lhs - atom.rhs)])]
-        return [frozenset([_lit(pol, "xn", atom.n, atom.term)])]
+        term, n = (atom.lhs - atom.rhs, 0) if isinstance(atom, Eq) else (atom.term, atom.n)
+        return _bound(term, 0, n) if pol else _bound(term, n + 1, _UNBOUNDED)
 
-    return [sorted(row, key=_literal_key) for row in rows(_nnf(phi))]
-
-
-def _literal_key(lit: Literal):
-    pol, kind, n, term = lit
-    return (kind, n if n is not None else -1, str(term), pol)
-
-
-def _literal_formula(lit: Literal) -> Formula:
-    pol, kind, n, term = lit
-    atom = Eq(term, Term.zero(term.field)) if kind == "eq" else Xn(n, term)
-    return atom if pol else Not(atom)
+    return rows(_nnf(phi))
 
 
 def _balanced(node, parts):
@@ -230,34 +257,25 @@ def witness_search(phi: Formula, var: str, env: Mapping, model: Model):
     return None
 
 
-def _search_disjunct(disjunct, phi, var, env, model: Model):
+def _search_disjunct(box, phi, var, env, model: Model):
     field = model.field
-    x_lits = []
-    for pol, kind, n, term in disjunct:
-        mu = term.coeff_of_var(var)
-        if field.is_zero(mu):
-            if not eval_qf(_literal_formula((pol, kind, n, term)), env, field):
-                return None  # parameter-only literal fails; disjunct dead
-        else:
-            t_term = term.drop_var(var).scale(field.neg(field.inv(mu)))
-            x_lits.append((pol, kind, n, eval_term(t_term, env, field)))
+    params, xs = _split(box, var, field)
+    for term, (lo, hi) in params:
+        if not lo <= _weight(eval_term(term, env, field)) <= hi:
+            return None  # parameter-only bound fails; disjunct dead
 
-    terms: list = []
-    for pol, kind, n, t in x_lits:
-        if t not in terms:
-            terms.append(t)
-
-    pos_eq, dis_eq = set(), set()
-    pos_xn: dict = {}
-    neg_xn: dict = {}
-    for pol, kind, n, t in x_lits:
-        i = terms.index(t)
-        if kind == "eq":
-            (pos_eq if pol else dis_eq).add(i)
-        elif pol:
-            pos_xn[i] = min(pos_xn.get(i, n), n)
+    # w(x - t_i) lies in spans[i]; terms equal under env share one interval
+    terms, spans = [], []
+    for t in sorted(xs, key=str):
+        el, (lo, hi) = eval_term(t, env, field), xs[t]
+        if el in terms:
+            i = terms.index(el)
+            spans[i] = (max(lo, spans[i][0]), min(hi, spans[i][1]))
         else:
-            neg_xn[i] = max(neg_xn.get(i, n), n)
+            terms.append(el)
+            spans.append((lo, hi))
+    pos_xn = {i: hi for i, (_, hi) in enumerate(spans) if hi != _UNBOUNDED}
+    lows = {i: lo for i, (lo, _) in enumerate(spans) if lo > 0}
 
     used = list(env.values()) + terms
     free_classes: list = []
@@ -289,9 +307,9 @@ def _search_disjunct(disjunct, phi, var, env, model: Model):
         return terms[i].free_part == chosen_fp
 
     for chosen_fp in list(free_classes) + [None]:  # None = fresh free direction
-        if chosen_fp is None and (pos_eq or pos_xn):
-            continue  # positive literals force agreement on the free block
-        if chosen_fp is not None and any(not matches(i, chosen_fp) for i in pos_eq | set(pos_xn)):
+        if chosen_fp is None and pos_xn:
+            continue  # an upper bound forces agreement on the free block
+        if chosen_fp is not None and any(not matches(i, chosen_fp) for i in pos_xn):
             continue
 
         counts = [0] * len(terms)
@@ -309,10 +327,7 @@ def _search_disjunct(disjunct, phi, var, env, model: Model):
                     if opt is None or opt != comps[i]:
                         counts[i] += 1
                         bumped.append(i)
-                ok = all(counts[i] <= n for i, n in pos_xn.items()) and all(
-                    counts[i] == 0 for i in pos_eq
-                )
-                if ok:
+                if all(counts[i] <= n for i, n in pos_xn.items()):
                     choice.append((axis, opt))
                     yield from assign(ai + 1)
                     choice.pop()
@@ -324,16 +339,11 @@ def _search_disjunct(disjunct, phi, var, env, model: Model):
             for i, n in pos_xn.items():
                 slack = n - counts[i]
                 upper = slack if upper is None else min(upper, slack)
-            if pos_eq:
-                upper = 0
             lower = 0
             if chosen_fp is not None:
-                for i, m in neg_xn.items():
+                for i, lo in lows.items():
                     if matches(i, chosen_fp):
-                        lower = max(lower, m - counts[i] + 1)
-                for i in dis_eq:
-                    if matches(i, chosen_fp) and counts[i] == 0:
-                        lower = max(lower, 1)
+                        lower = max(lower, lo - counts[i])
             if upper is not None and lower > upper:
                 return
             yield lower
@@ -344,6 +354,11 @@ def _search_disjunct(disjunct, phi, var, env, model: Model):
             if verify(x):
                 return x
     return None
+
+
+def _weight(el: ModelElement):
+    """The number of axes ``el`` meets, unbounded outside the axis span."""
+    return len(el.axes()) if el.in_F() else _UNBOUNDED
 
 
 def _build_template(field, chosen_fp, choice, r) -> WitnessTemplate:
@@ -393,143 +408,71 @@ def eliminate_exists(phi: Formula, var: str) -> Formula:
         raise NotQuantifierFree("eliminate_exists expects a quantifier-free matrix")
     disjuncts = _dnf_literals(phi)
     conds = [None] * len(disjuncts)
-    # one true disjunct makes the condition true; disjuncts with few
-    # positive literals are cheap to eliminate and the likely true ones, so
-    # they go first and spare the expensive ones
-    for i in sorted(range(len(disjuncts)), key=lambda i: sum(lit[0] for lit in disjuncts[i])):
+    # one true disjunct makes the condition true; disjuncts with few upper
+    # bounds are cheap to eliminate and the likely true ones, so they go
+    # first and spare the expensive ones
+    for i in sorted(range(len(disjuncts)), key=lambda i: sum(hi != _UNBOUNDED for _, (_, hi) in disjuncts[i])):
         conds[i] = _eliminate_disjunct(disjuncts[i], var, field)
         if conds[i] == [frozenset()]:
             return true_formula(field)
     return _simplify_rows(field, _any(conds))
 
 
-def _eliminate_disjunct(disjunct, var: str, field: FieldCtx) -> list:
-    params: list = []
-    x_lits: list = []
-    for lit in disjunct:
-        pol, kind, n, term = lit
+def _split(box, var: str, field: FieldCtx):
+    """The entries of a box without ``var``, and the others as a map from
+    t to the interval, for an x-term mu*(x - t) has the weight of x - t."""
+    params, xs = [], {}
+    for term, span in box:
         mu = term.coeff_of_var(var)
         if field.is_zero(mu):
-            params.append(lit)
+            params.append((term, span))
         else:
-            t_term = term.drop_var(var).scale(field.neg(field.inv(mu)))
-            x_lits.append((pol, kind, n, t_term))
+            xs[term.drop_var(var).scale(field.neg(field.inv(mu)))] = span
+    return params, xs
+
+
+def _eliminate_disjunct(box, var: str, field: FieldCtx) -> list:
+    """One disjunct's condition, over the intervals of w(x - t) for its
+    parameter terms t in the order of their printed text."""
+    params, xs = _split(box, var, field)
     params = [frozenset(params)]
-    if not x_lits:
-        return params
+    terms = sorted(xs, key=str)
+    spans = [xs[t] for t in terms]
 
-    # substitution: a positive equation pins the witness exactly
-    for pol, kind, n, t in x_lits:
-        if pol and kind == "eq":
-            return _all([params, [frozenset(_lit(p, k, m, t - s) for p, k, m, s in x_lits)]])
+    # substitution: weight 0 pins the witness exactly, x = t
+    for t, (_, hi) in zip(terms, spans):
+        if hi == 0:
+            return _all([params] + [_bound(t - s, *span) for s, span in zip(terms, spans)])
 
-    terms = list(dict.fromkeys(t for _, _, _, t in x_lits))
-    _, dis_eq, pos_xn, neg_xn = _bucket((pol, kind, n, terms.index(t)) for pol, kind, n, t in x_lits)
-
-    # no positive literal: a fresh free coordinate defeats every negative one
-    if not pos_xn:
-        return params
-
-    anchor = min(pos_xn)
+    # no upper bound: a fresh free coordinate defeats every lower one
+    anchor = next((i for i, (_, hi) in enumerate(spans) if hi != _UNBOUNDED), None)
     others = [i for i in range(len(terms)) if i != anchor]
+    if anchor is None or not others:
+        return params
+
     diffs = [terms[i] - terms[anchor] for i in others]
-    boxes = _boxes(len(terms), pos_xn, neg_xn, dis_eq)
-    cap = sum(n for n in pos_xn.values()) + max(list(neg_xn.values()) + [0]) + 2
-
-    if not others:
-        lower, upper = boxes[anchor]
-        return params if lower <= upper else []
-
-    gammas = _collinear(diffs, field)
+    cap = sum(hi for _, hi in spans if hi != _UNBOUNDED) + max([0] + [lo - 1 for lo, _ in spans]) + 2
+    gammas = _collinear(diffs)
     if gammas is not None:
         direction, coeffs = gammas
-        cond = _collinear_condition(direction, coeffs, anchor, others, boxes, cap, field)
+        cond = _collinear_condition(direction, coeffs, anchor, others, spans, cap, field)
     elif len(others) == 2:
-        cond = _two_direction_condition(diffs, anchor, others, boxes, cap, field)
+        cond = _two_direction_condition(diffs, anchor, others, spans, cap, field)
     else:
-        cond = _fallback_condition(diffs, anchor, others, boxes, cap, field)
+        cond = _fallback_condition(diffs, anchor, others, spans, cap, field)
     return _all([params, cond])
 
 
-def _bucket(lits):
-    """Group literals (polarity, kind, n, key) by key: the keys of positive
-    and of negated equations, and per key the tightest positive sumset
-    bound (the min) and the tightest negated one (the max)."""
-    pos_eq, dis_eq = set(), set()
-    pos_xn, neg_xn = {}, {}
-    for pol, kind, n, key in lits:
-        if kind == "eq":
-            (pos_eq if pol else dis_eq).add(key)
-        elif pol:
-            pos_xn[key] = min(pos_xn.get(key, n), n)
-        else:
-            neg_xn[key] = max(neg_xn.get(key, n), n)
-    return pos_eq, dis_eq, pos_xn, neg_xn
-
-
-def _boxes(nterms, pos_xn, neg_xn, dis_eq):
-    """Per-term weight interval [lower, upper] for w(x - t_i); upper None
-    when no positive literal bounds the term."""
-    boxes = {}
-    for i in range(nterms):
-        upper = pos_xn.get(i)
-        lower = 0
-        if i in neg_xn:
-            lower = max(lower, neg_xn[i] + 1)
-        if i in dis_eq:
-            lower = max(lower, 1)
-        boxes[i] = (lower, upper)
-    return boxes
-
-
-def _collinear(diffs, field):
+def _collinear(diffs):
     """If all difference terms are proportional, the common direction and
     the coefficient of each difference along it; None otherwise."""
-    direction = None
-    coeffs = []
-    for d in diffs:
-        if direction is None:
-            entries = list(d.vars) + list(d.consts)
-            lead = entries[0][1]
-            direction = d.scale(field.inv(lead))
-            coeffs.append(lead)
-            continue
-        ratio = _proportionality(d, direction, field)
-        if ratio is None:
-            return None
-        coeffs.append(ratio)
-    return direction, coeffs
-
-
-def _proportionality(t: Term, base: Term, field: FieldCtx):
-    """Scalar c with t = c * base, or None."""
-    tv, bv = dict(t.vars), dict(base.vars)
-    tc, bc = dict(t.consts), dict(base.consts)
-    if set(tv) != set(bv) or set(tc) != set(bc):
+    leads, directions = zip(*map(_canonical, diffs))
+    if any(d != directions[0] for d in directions):
         return None
-    ratio = None
-    for k in list(tv) + ["$" + c for c in tc]:
-        a = tv[k] if k in tv else tc[k[1:]]
-        b = bv[k] if k in bv else bc[k[1:]]
-        r = field.div(a, b)
-        if ratio is None:
-            ratio = r
-        elif ratio != r:
-            return None
-    return ratio
+    return directions[0], list(leads)
 
 
-def _pin(term: Term, level, cap: int) -> list:
-    """Assert the exact sumset level of a term; level=None means beyond cap
-    (huge weight or outside the axis span)."""
-    if level is None:
-        return [frozenset([_lit(False, "xn", cap, term)])]
-    if level == 0:
-        return [frozenset([_lit(True, "xn", 0, term)])]
-    return [frozenset([_lit(True, "xn", level, term), _lit(False, "xn", level - 1, term)])]
-
-
-def _collinear_condition(direction, coeffs, anchor, others, boxes, cap, field) -> list:
+def _collinear_condition(direction, coeffs, anchor, others, spans, cap, field) -> list:
     """All differences lie along one direction e: with L the level of e,
     the witness weights are w_i = L - q_i + r with one q per distinct
     coefficient and sum q <= L, so feasibility is arithmetic per level."""
@@ -539,21 +482,18 @@ def _collinear_condition(direction, coeffs, anchor, others, boxes, cap, field) -
     classes: dict = {}
     for i, g in gamma.items():
         classes.setdefault(g, []).append(i)
-    class_boxes = []
-    for g, members in classes.items():
-        lower = max(boxes[i][0] for i in members)
-        uppers = [boxes[i][1] for i in members if boxes[i][1] is not None]
-        upper = min(uppers) if uppers else None
-        positive = any(boxes[i][1] is not None for i in members)
-        class_boxes.append((lower, upper, positive))
+    class_spans = [
+        (max(spans[i][0] for i in members), min(spans[i][1] for i in members))
+        for members in classes.values()
+    ]
+    r_max = max((u for _, u in class_spans if u != _UNBOUNDED), default=0) + 1
 
     def feasible(level: int) -> bool:
-        r_max = max((u for (_, u, _) in class_boxes if u is not None), default=0) + 1
         for r in range(r_max + 1):
             need = 0
             ok = True
-            for lower, upper, _ in class_boxes:
-                lo_q = max(0, level + r - upper) if upper is not None else 0
+            for lower, upper in class_spans:
+                lo_q = max(0, level + r - upper)
                 hi_q = level + r - lower
                 if hi_q < lo_q or lo_q > level:
                     ok = False
@@ -563,15 +503,9 @@ def _collinear_condition(direction, coeffs, anchor, others, boxes, cap, field) -
                 return True
         return False
 
-    non_anchor_positive = any(
-        boxes[i][1] is not None for i in others
-    )
-    disjuncts = []
-    for level in range(cap + 1):
-        if feasible(level):
-            disjuncts.append(_pin(direction, level, cap))
-    if not non_anchor_positive and feasible(cap + 1):
-        disjuncts.append(_pin(direction, None, cap))
+    disjuncts = [_bound(direction, level, level) for level in range(cap + 1) if feasible(level)]
+    if all(spans[i][1] == _UNBOUNDED for i in others) and feasible(cap + 1):
+        disjuncts.append(_bound(direction, cap + 1, _UNBOUNDED))
     return _any(disjuncts)
 
 
@@ -588,8 +522,8 @@ _TYPE_OPTIONS = {
 
 
 def _counts_feasible(counts: tuple, lowers: tuple, uppers: tuple, r_max: int) -> bool:
-    """Axis-by-axis reachability of a weight triple inside the boxes."""
-    clip = tuple((u if u is not None else l) + 1 for l, u in zip(lowers, uppers))
+    """Axis-by-axis reachability of a weight triple inside the intervals."""
+    clip = tuple((u if u != _UNBOUNDED else l) + 1 for l, u in zip(lowers, uppers))
     states = {(0, 0, 0)}
     for type_name, count in zip(("n10", "n01", "n11", "n1x"), counts):
         options = _TYPE_OPTIONS[type_name]
@@ -599,7 +533,7 @@ def _counts_feasible(counts: tuple, lowers: tuple, uppers: tuple, r_max: int) ->
                 for o in options:
                     t = tuple(min(c, s[d] + o[d]) for d, c in enumerate(clip))
                     # drop states that already exceed a hard upper bound
-                    if all(uppers[d] is None or t[d] <= uppers[d] for d in range(3)):
+                    if all(t[d] <= uppers[d] for d in range(3)):
                         nxt.add(t)
             states = nxt
             if not states:
@@ -607,15 +541,12 @@ def _counts_feasible(counts: tuple, lowers: tuple, uppers: tuple, r_max: int) ->
     for r in range(r_max + 1):
         for s in states:
             w = tuple(s[d] + r for d in range(3))
-            if all(
-                (uppers[d] is None or w[d] <= uppers[d]) and w[d] >= lowers[d]
-                for d in range(3)
-            ):
+            if all(lowers[d] <= w[d] <= uppers[d] for d in range(3)):
                 return True
     return False
 
 
-def _two_direction_condition(diffs, anchor, others, boxes, cap, field) -> list:
+def _two_direction_condition(diffs, anchor, others, spans, cap, field) -> list:
     """Exact condition for two independent difference directions.
 
     The profile of (u, v) relevant to witness weights is the axis census:
@@ -633,49 +564,45 @@ def _two_direction_condition(diffs, anchor, others, boxes, cap, field) -> list:
     """
     u, v = diffs
     i1, i2 = others
-    a0 = boxes[anchor][1]
+    a0 = spans[anchor][1]
     terms = {i1: u, i2: v}
-    unbounded = [i for i in (i1, i2) if boxes[i][1] is None]
-    thr = {i: boxes[i][0] + a0 for i in unbounded}
+    unbounded = [i for i in (i1, i2) if spans[i][1] == _UNBOUNDED]
+    thr = {i: spans[i][0] + a0 for i in unbounded}
 
     def rng_bound(i):
         # finite-branch level range for term i (exclusive upper end)
-        if boxes[i][1] is not None:
-            return a0 + boxes[i][1] + 1
+        if spans[i][1] != _UNBOUNDED:
+            return a0 + spans[i][1] + 1
         return thr[i]
 
     branches = []
     for k in range(len(unbounded) + 1):
         for S in itertools.combinations(unbounded, k):
-            assertions = [frozenset(_lit(False, "xn", thr[i] - 1, terms[i]) for i in S if thr[i] > 0)]
+            assertions = _all([_bound(terms[i], thr[i], _UNBOUNDED) for i in S])
             residual = [i for i in (i1, i2) if i not in S]
             if not residual:
-                lower, upper = boxes[anchor]
-                cond = [frozenset()] if lower <= upper else []
+                cond = [frozenset()]
             elif len(residual) == 1:
                 j = residual[0]
-                sub_boxes = {0: boxes[anchor], 1: (boxes[j][0], boxes[j][1])}
-                cond = _collinear_condition(
-                    terms[j], [field.one], 0, [1], sub_boxes, cap, field
-                )
+                cond = _collinear_condition(terms[j], [field.one], 0, [1], [spans[anchor], spans[j]], cap, field)
             else:
                 cond = _pair_profiles_condition(
                     u, v,
-                    (boxes[anchor], boxes[i1], boxes[i2]),
+                    (spans[anchor], spans[i1], spans[i2]),
                     (rng_bound(i1), rng_bound(i2)),
-                    cap, field,
+                    field,
                 )
             branches.append(_all([assertions, cond]))
     return _any(branches)
 
 
-def _pair_profiles_condition(u, v, boxes3, ranges, cap, field) -> list:
-    (l0, a0), (l1, a1), (l2, a2) = boxes3
+def _pair_profiles_condition(u, v, spans3, ranges, field) -> list:
+    (l0, a0), (l1, a1), (l2, a2) = spans3
     profiles = _feasible_profiles(
         (l0, l1, l2), (a0, a1, a2), ranges[0], ranges[1]
     )
     return _any(
-        _all([_pin(u, A, cap), _pin(v, B, cap), _pin(u - v, C, cap), _pin_span(u, v, D, min(A, B), cap, field)])
+        _all([_bound(u, A, A), _bound(v, B, B), _bound(u - v, C, C), _menu_bound(u, v, D, D, min(A, B) + 1, field)])
         for A, B, C, D in profiles
     )
 
@@ -683,14 +610,11 @@ def _pair_profiles_condition(u, v, boxes3, ranges, cap, field) -> list:
 @lru_cache(maxsize=4096)
 def _feasible_profiles(lowers, uppers, range_a, range_b):
     """All feasible level profiles (A, B, C, D) with A < range_a, B < range_b."""
-    r_max = max([x for x in uppers if x is not None] + [0]) + 1
+    r_max = max([x for x in uppers if x != _UNBOUNDED] + [0]) + 1
     out = []
     for A in range(range_a):
         for B in range(range_b):
-            c_hi = A + B
-            if uppers[1] is not None and uppers[2] is not None:
-                c_hi = min(c_hi, uppers[1] + uppers[2])
-            for C in range(abs(A - B), c_hi + 1):
+            for C in range(abs(A - B), min(A + B, uppers[1] + uppers[2]) + 1):
                 for D in range(max(A, B, C), (A + B + C) // 2 + 1):
                     counts = (D - B, D - A, D - C, A + B + C - 2 * D)
                     if any(c < 0 for c in counts):
@@ -700,74 +624,46 @@ def _feasible_profiles(lowers, uppers, range_a, range_b):
     return tuple(out)
 
 
-def _pin_span(u: Term, v: Term, level: int, shared_bound: int, cap: int, field: FieldCtx) -> list:
-    """Pin the level of the span of two terms via a scalar menu: a generic
-    combination realizes the union of the axes, and any menu longer than
-    the number of shared axes contains a generic entry."""
-    menu = [field.of(k) for k in range(1, shared_bound + 2)]
-    combos = [u + v.scale(lam) for lam in menu]
-    at_most = [frozenset(_lit(True, "xn", level, c) for c in combos)]
-    if level == 0:
-        return at_most
-    return _all([at_most, _any([frozenset([_lit(False, "xn", level - 1, c)])] for c in combos)])
+def _menu_bound(s: Term, sigma: Term, lo, hi, size: int, field: FieldCtx) -> list:
+    """lo <= w(s + lambda * sigma) <= hi for a generic scalar lambda,
+    through the menu lambda = 1..size: every combination is at most hi (one
+    row) and some combination at least lo (one column).  A generic
+    combination realizes the union of the axes, and a menu longer than the
+    number of axes where a combination can cancel contains a generic entry."""
+    combos = [s + sigma.scale(field.of(k)) for k in range(1, size + 1)]
+    return _all([_bound(c, 0, hi) for c in combos] + [_any([_bound(c, lo, _UNBOUNDED) for c in combos])])
 
 
 # -- sound fallback for three or more directions -----------------------------
 
 
-def _fallback_condition(diffs, anchor, others, boxes, cap, field) -> list:
+def _fallback_condition(diffs, anchor, others, spans, cap, field) -> list:
     """Anchored-template approximation for disjuncts beyond the exact
     engines: witnesses of the shapes t_anchor + nu*u_j + (fresh axes), plus
     the fresh-coordinate perturbation of a single difference.  Sound by
     construction; completeness for these rare disjuncts is not claimed."""
     menu = [field.of(k) for k in (0, 1, -1, 2, -2)]
-    gamma = {anchor: Term.zero(field)}
+    zero = Term.zero(field)
+    gamma = {anchor: zero}
     for i, d in zip(others, diffs):
         gamma[i] = d
     candidates = []
-    for j, base in [(anchor, Term.zero(field))] + list(zip(others, diffs)):
+    for base in [zero] + diffs:
         for nu in menu:
             for r in range(cap + 1):
                 candidates.append((base.scale(nu), r, None))
-        candidates.append((Term.zero(field), 0, base))  # fresh coords on base's axes
+        candidates.append((zero, 0, base))  # fresh coords on base's axes
     out = []
     for displacement, r, sigma in candidates:
         conds = []
-        dead = False
-        for i in gamma:
-            s = displacement - gamma[i]
-            lower, upper = boxes[i]
-            if upper is not None:
-                if r > upper:
-                    dead = True
-                    break
-                if sigma is None:
-                    conds.append([frozenset([_lit(True, "xn", upper - r, s)])])
-                else:
-                    conds.append(_union_at_most(s, sigma, upper - r, cap, field))
-            if lower > 0:
-                if sigma is None:
-                    if lower - r > 0:
-                        conds.append([frozenset([_lit(False, "xn", lower - r - 1, s)])])
-                else:
-                    conds.append(_union_at_least(s, sigma, lower - r, cap, field))
-        if not dead:
-            out.append(_all(conds))
+        for i, g in gamma.items():
+            lo, hi = spans[i]
+            if sigma is None:
+                conds.append(_bound(displacement - g, lo - r, hi - r))
+            else:
+                conds.append(_menu_bound(displacement - g, sigma, lo, hi, cap + 1, field))
+        out.append(_all(conds))
     return _any(out)
-
-
-def _union_at_most(s: Term, sigma: Term, bound: int, cap: int, field) -> list:
-    if bound < 0:
-        return []
-    menu = [field.of(k) for k in range(1, cap + 2)]
-    return [frozenset(_lit(True, "xn", bound, s + sigma.scale(lam)) for lam in menu)]
-
-
-def _union_at_least(s: Term, sigma: Term, bound: int, cap: int, field) -> list:
-    if bound <= 0:
-        return [frozenset()]
-    menu = [field.of(k) for k in range(1, cap + 2)]
-    return _any([frozenset([_lit(False, "xn", bound - 1, s + sigma.scale(lam))])] for lam in menu)
 
 
 # ---------------------------------------------------------------------------
@@ -775,34 +671,21 @@ def _union_at_least(s: Term, sigma: Term, bound: int, cap: int, field) -> list:
 # ---------------------------------------------------------------------------
 
 
-# the weight of an element outside the axis span
-_UNBOUNDED = math.inf
-
-
 def simplify(phi: Formula) -> Formula:
-    """Disjunctive normal form of ``phi`` with constant folding, per-term
-    weight intervals, interval joins and deduplication.
-
-    The rows of ``phi`` (see :func:`_dnf_literals`) go through
-    :func:`_simplify_rows`, as every elimination's rows do directly.
-    """
+    """Disjunctive normal form of ``phi`` with constant folding, interval
+    joins and deduplication: the boxes of ``phi`` (see
+    :func:`_dnf_literals`) go through :func:`_simplify_rows`, as every
+    elimination's boxes do directly."""
     return _simplify_rows(_formula_field(phi), _dnf_literals(phi))
 
 
 def _simplify_rows(field: FieldCtx, rows) -> Formula:
-    """A condition, rows of canonical literals, as a formula with constant
-    folding, per-term weight intervals, interval joins and deduplication.
+    """A condition, distinct boxes, as a formula with interval joins.
 
-    Every literal on a nonzero term t bounds its weight w(t), the number of
-    axes t meets (infinite outside the axis span): ``t = 0`` and ``Xn(t)``
-    bound it above by 0 and n, ``!(t = 0)`` and ``!Xm(t)`` below by 1 and
-    m + 1.  So a row reads as one interval [lo, hi] per term (see
-    :func:`_weight_intervals`); an empty interval kills it, and a literal
-    on the zero term is true or kills it.  Rows are deduplicated in
-    first-seen order, then rows that agree on every term but one and hold
-    overlapping or touching intervals on it are joined, term by term in the
-    order of their printed text, until nothing joins (see
-    :func:`_join_intervals`).
+    A box that is true makes the formula true, and no boxes make it false.
+    Boxes that agree on every term but one and hold overlapping or
+    touching intervals on it are joined, term by term in the order of
+    their printed text, until nothing joins (see :func:`_join_intervals`).
 
     Each interval prints as at most two literals: ``t = 0`` when hi = 0,
     else ``Xhi(t)`` when hi is finite and ``!X(lo-1)(t)`` when lo >= 1,
@@ -812,20 +695,13 @@ def _simplify_rows(field: FieldCtx, rows) -> Formula:
     literal (its atom, or a ``Not`` over an atom of its own), shared by
     every disjunct that contains it.
     """
-    boxes = []
-    for raw in rows:
-        box = _weight_intervals(raw)
-        if box is None:
-            continue  # contradiction
-        if not box:
-            return true_formula(field)
-        boxes.append(box)
-    if not boxes:
+    if not rows:
         return false_formula(field)
-    terms = sorted({t for box in boxes for t in box}, key=str)
+    if not all(rows):
+        return true_formula(field)
+    terms = sorted({t for box in rows for t, _ in box}, key=str)
     tid = {t: i for i, t in enumerate(terms)}
-    rows = dict.fromkeys(tuple(sorted((tid[t], lo, hi) for t, (lo, hi) in box.items())) for box in boxes)
-    rows = _join_intervals(list(rows), len(terms))
+    rows = _join_intervals([tuple(sorted((tid[t], lo, hi) for t, (lo, hi) in box)) for box in rows], len(terms))
     if () in rows:
         return true_formula(field)
     ids = {}
@@ -833,43 +709,20 @@ def _simplify_rows(field: FieldCtx, rows) -> Formula:
     for row in rows:
         lits = []
         for i, lo, hi in row:
-            if hi == 0:
-                lits.append((True, "eq", None, i))
-                continue
             if hi != _UNBOUNDED:
-                lits.append((True, "xn", hi, i))
+                lits.append((True, hi, i))
             if lo > 0:
-                lits.append((False, "xn", lo - 1, i))
+                lits.append((False, lo - 1, i))
         lit_rows.append([ids.setdefault(lit, len(ids)) for lit in lits])
-    nodes = [_literal_formula((pol, kind, n, terms[i])) for pol, kind, n, i in ids]
+    nodes = []
+    for pol, n, i in ids:
+        atom = Eq(terms[i], Term.zero(field)) if pol and n == 0 else Xn(n, terms[i])
+        nodes.append(atom if pol else Not(atom))
     return _balanced(Or, [
         _balanced(And, [nodes[i] for i in row])
         for row, minimal in zip(lit_rows, _minimal_rows(lit_rows))
         if minimal
     ])
-
-
-def _weight_intervals(lits):
-    """One conjunction of canonical literals as a map from each nonzero
-    term to its weight interval (lo, hi), hi possibly ``_UNBOUNDED``; None
-    when the literals contradict.  X^n(0) and 0 = 0 are true, so literals
-    on the zero term drop out and their negations kill the conjunction."""
-    box = {}
-    for pol, kind, n, term in lits:
-        if term.is_zero():
-            if not pol:
-                return None
-            continue
-        lo, hi = box.get(term, (0, _UNBOUNDED))
-        bound = 0 if kind == "eq" else n
-        if pol:
-            hi = min(hi, bound)
-        else:
-            lo = max(lo, bound + 1)
-        if lo > hi:
-            return None
-        box[term] = (lo, hi)
-    return box
 
 
 def _join_intervals(rows, nterms):

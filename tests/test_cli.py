@@ -7,6 +7,7 @@ import pytest
 from axisspace.cli import main
 from axisspace.context import dump_context
 from axisspace.fields import FieldCtx
+from axisspace.formula import eval_qf, parse_formula, print_formula
 from axisspace.model import rich_model
 
 Q = FieldCtx.rationals()
@@ -38,6 +39,39 @@ def test_decide_true_sentence():
 def test_decide_false_sentence():
     code, out, _ = run(["decide", "--field", "q", "--formula", "A x. (X2(x) -> X1(x))"])
     assert (code, out) == (0, "false\n")
+
+
+def test_decide_refuses_nesting_deeper_than_the_limit():
+    """3,000 leading ! or nested parentheses exhaust the parser's stack:
+    they are a syntax error (exit 2), not a raw RecursionError."""
+    from axisspace.formula import MAX_NESTING
+
+    for text in ("!" * 3000 + "X0(0)", "(" * 3000 + "X0(0)" + ")" * 3000):
+        code, out, err = run(["decide", "--field", "q", "--formula", text])
+        assert (code, out) == (2, "")
+        assert err.startswith("ERROR:FormulaSyntaxError:") and f"{MAX_NESTING} levels" in err
+    deeper = "!" * (MAX_NESTING + 1) + "X0(0)"
+    assert run(["decide", "--field", "q", "--formula", deeper])[0] == 2
+
+
+def test_formulas_at_the_nesting_limit_decide():
+    """At the limit a formula goes through parsing, _nnf, _eliminate_rec,
+    print_formula and eval_qf without a RecursionError."""
+    from axisspace.formula import MAX_NESTING
+
+    sentences = [
+        ("!" * (MAX_NESTING - 2) + "A x. (X1(x) -> X2(x))", MAX_NESTING % 2 == 0),
+        ("!" * (MAX_NESTING - 1) + "E x. X0(x)", MAX_NESTING % 2 == 1),
+    ]
+    for text, truth in sentences:
+        assert run(["decide", "--field", "q", "--formula", text]) == (0, f"{str(truth).lower()}\n", "")
+        assert print_formula(parse_formula(text, Q)).startswith("!" * (MAX_NESTING - 2))
+    for text in ("!" * MAX_NESTING + "X0(0)", "(" * MAX_NESTING + "X0(0)" + ")" * MAX_NESTING):
+        truth = MAX_NESTING % 2 == 0 or text.startswith("(")
+        assert run(["decide", "--field", "q", "--formula", text]) == (0, f"{str(truth).lower()}\n", "")
+        phi = parse_formula(text, Q)
+        assert eval_qf(phi, {}, Q) is truth
+        assert print_formula(phi).endswith("X0(0)")
 
 
 def test_qe_refuses_finite_field():

@@ -28,11 +28,10 @@ from axisspace.formula import (
     print_formula,
     true_formula,
 )
+from axisspace import qe
 from axisspace.model import in_Xn, rich_model, weight
 from axisspace.qe import (
     _balanced,
-    _dnf_literals,
-    _literal_formula,
     decide_sentence,
     eliminate_all,
     eliminate_exists,
@@ -239,9 +238,28 @@ def test_eliminate_all_idempotent_on_qf(M):
 INF = math.inf
 
 
+def _reference_dnf(phi):
+    """The disjuncts of an And/Or tree over atoms and negated atoms, each
+    a list of literals (polarity, kind, n, term) with the term scaled to
+    lead coefficient 1, products taken left-major."""
+    if isinstance(phi, And):
+        return [a + b for a in _reference_dnf(phi.lhs) for b in _reference_dnf(phi.rhs)]
+    if isinstance(phi, Or):
+        return _reference_dnf(phi.lhs) + _reference_dnf(phi.rhs)
+    pol, atom = (False, phi.child) if isinstance(phi, Not) else (True, phi)
+    if isinstance(atom, Eq):
+        kind, n, term = "eq", None, atom.lhs - atom.rhs
+    else:
+        kind, n, term = "xn", atom.n, atom.term
+    coeffs = [c for _, c in term.vars + term.consts]
+    if coeffs:
+        term = term.scale(Q.inv(coeffs[0]))
+    return [[(pol, kind, n, term)]]
+
+
 def _read_intervals(lits):
-    """One conjunction of canonical literals as a list of [term, lo, hi]
-    weight intervals in first-seen term order, or None when the literals
+    """One conjunction of literals as a list of [term, lo, hi] weight
+    intervals in first-seen term order, or None when the literals
     contradict.  A literal on the zero term (weight 0) is dropped when true."""
     box = []
     for pol, kind, n, t in lits:
@@ -263,16 +281,17 @@ def _read_intervals(lits):
     return sorted(box, key=lambda e: str(e[0]))
 
 
-def _interval_literals(row):
+def _interval_formulas(row):
+    """The printed literals of a row of [term, lo, hi] intervals."""
     lits = []
     for t, lo, hi in row:
         if hi == 0:
-            lits.append((True, "eq", None, t))
+            lits.append(Eq(t, Term.zero(Q)))
             continue
         if hi != INF:
-            lits.append((True, "xn", hi, t))
+            lits.append(Xn(hi, t))
         if lo >= 1:
-            lits.append((False, "xn", lo - 1, t))
+            lits.append(Not(Xn(lo - 1, t)))
     return lits
 
 
@@ -283,7 +302,7 @@ def _reference_simplify(phi):
     and a pairwise strict-subset filter.  Returns the formula, the number
     of disjuncts the subset filter dropped and the number the joins saved."""
     rows = []
-    for raw in _dnf_literals(phi):
+    for raw in _reference_dnf(phi):
         row = _read_intervals(raw)
         if row is None:
             continue
@@ -333,9 +352,9 @@ def _reference_simplify(phi):
                 rows, changed = joined_rows, True
     if [] in rows:
         return true_formula(Q), 0, before - len(rows)
-    disjuncts = [_interval_literals(row) for row in rows]
+    disjuncts = [_interval_formulas(row) for row in rows]
     kept = [d for d in disjuncts if not any(set(o) < set(d) for o in disjuncts)]
-    out = _balanced(Or, [_balanced(And, [_literal_formula(lit) for lit in d]) for d in kept])
+    out = _balanced(Or, [_balanced(And, d) for d in kept])
     return out, len(disjuncts) - len(kept), before - len(rows)
 
 
@@ -405,7 +424,7 @@ def _assert_merge_fixpoint(phi):
     overlapping or touching weight intervals on that one."""
     if phi == false_formula(Q):
         return
-    rows = [{t: (lo, hi) for t, lo, hi in _read_intervals(d)} for d in _dnf_literals(phi)]
+    rows = [{t: (lo, hi) for t, lo, hi in _read_intervals(d)} for d in _reference_dnf(phi)]
     for a, b in itertools.combinations(rows, 2):
         differ = [t for t in set(a) | set(b) if a.get(t, (0, INF)) != b.get(t, (0, INF))]
         if len(differ) == 1:
@@ -498,6 +517,58 @@ def test_three_x3_balls_agree_with_witness_search(M):
         assert truth == (witness_search(phi.body, "x", env, M) is not None)
         seen.add(truth)
     assert seen == {True, False}
+
+
+X0_PINNED = "E x. (X0(x + -1*$c0) & X1(x + -1*$c1) & X1(x + -1*$c2) & !X0(x + -1*$c3))"
+
+
+def test_x0_pins_the_witness_as_an_equation_does(M):
+    """X^0 = {0}, so X0(x - t) and x - t = 0 both pin x to t: they
+    eliminate by substitution to the same condition."""
+    pinned = parse_formula(X0_PINNED, Q)
+    equation = parse_formula(X0_PINNED.replace("X0(x + -1*$c0)", "x + -1*$c0 = 0"), Q)
+    out = eliminate_exists(pinned.body, "x")
+    text = print_formula(out)
+    assert text == print_formula(eliminate_exists(equation.body, "x"))
+    assert text == "(X1($c0 + -1*$c1) & (X1($c0 + -1*$c2) & !X0($c0 + -1*$c3)))"
+    rng = random.Random(1993)
+    seen = set()
+    for _ in range(24):
+        c0 = random_f_element(M, rng, max_axes=3)
+        env = {"$c0": c0}
+        for name in ("$c1", "$c2"):
+            env[name] = c0 + M.e(rng.randrange(5), 0) if rng.random() < 0.7 else random_f_element(M, rng)
+        env["$c3"] = c0 if rng.random() < 0.2 else random_f_element(M, rng)
+        truth = eval_qf(out, env, Q)
+        for phi in (pinned, equation):
+            assert truth == (witness_search(phi.body, "x", env, M) is not None), env
+        seen.add(truth)
+    assert seen == {True, False}
+
+
+def test_fallback_rows_hold_no_empty_interval_and_no_zero_term(monkeypatch):
+    """Rows prune as they form: a fallback candidate that agrees with a
+    parameter term bounds the zero term, which is true or kills the row at
+    once, and no row carries an empty weight interval."""
+    calls, rows = [], []
+    fallback = qe._fallback_condition
+
+    def recording(*args):
+        out = fallback(*args)
+        calls.append(args)
+        rows.extend(out)
+        return out
+
+    monkeypatch.setattr(qe, "_fallback_condition", recording)
+    rng = random.Random(3)
+    for _ in range(40):
+        params = rng.sample(["c0", "c1", "c2", "c3"], 4)
+        lits = [("" if rng.random() < 0.6 else "!") + f"X{rng.randrange(1, 3)}(x + -1*${p})" for p in params]
+        eliminate_exists(parse_formula(" & ".join(lits), Q), "x")
+    assert len(calls) >= 30 and len(rows) >= 1000
+    for row in rows:
+        for term, (lo, hi) in row:
+            assert not term.is_zero() and lo <= hi, (term, lo, hi)
 
 
 def _within(seconds, fn, *args):
