@@ -130,21 +130,21 @@ def _cmd_qftp(args, out):
     model = _load_model(args)
     names = args.names or sorted(model.constants)
     tuple_ = _tuple_of(model, ",".join(names)) if names else ()
-    print(qf_invariant(tuple_).to_text(), file=out)
+    print(qf_invariant(tuple_, model.field).to_text(), file=out)
 
 
 def _cmd_qfequiv(args, out):
     model = _load_model(args)
     left = _tuple_of(model, args.left)
     right = _tuple_of(model, args.right)
-    print("true" if qf_equiv(left, right) else "false", file=out)
+    print("true" if qf_equiv(left, right, model.field) else "false", file=out)
 
 
 def _cmd_iso(args, out):
     model = _load_model(args)
     left = _tuple_of(model, args.left)
     right = _tuple_of(model, args.right)
-    h = extend_to_hat(left, right)
+    h = extend_to_hat(left, right, model.field)
     for dom, img in zip(h.domain_generators, h.image_generators):
         print(f"{dom} -> {img}", file=out)
 

@@ -194,6 +194,14 @@ def false_formula(field: FieldCtx) -> Formula:
     return Not(true_formula(field))
 
 
+def _balanced(node, parts):
+    """``node`` (And or Or) over ``parts`` as a tree of depth log2(len)."""
+    if len(parts) == 1:
+        return parts[0]
+    mid = len(parts) // 2
+    return node(_balanced(node, parts[:mid]), _balanced(node, parts[mid:]))
+
+
 def is_quantifier_free(phi: Formula) -> bool:
     if isinstance(phi, (Eq, Xn)):
         return True
@@ -394,27 +402,27 @@ class _Parser:
             return (Exists if text == "E" else Forall)(vname, body)
         return self.implication()
 
+    # Chains are read in a loop and built balanced, so no walk runs out of stack.
     def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "arrow":
+        parts = [self.disjunction()]
+        while self.peek()[0] == "arrow":
             self.next()
-            right = self.implication()
-            return Or(Not(left), right)
-        return left
+            parts.append(self.disjunction())
+        return _balanced(Or, [Not(p) for p in parts[:-1]] + parts[-1:])
 
     def disjunction(self) -> Formula:
-        out = self.conjunction()
+        parts = [self.conjunction()]
         while self.peek()[1] == "|":
             self.next()
-            out = Or(out, self.conjunction())
-        return out
+            parts.append(self.conjunction())
+        return _balanced(Or, parts)
 
     def conjunction(self) -> Formula:
-        out = self.unary()
+        parts = [self.unary()]
         while self.peek()[1] == "&":
             self.next()
-            out = And(out, self.unary())
-        return out
+            parts.append(self.unary())
+        return _balanced(And, parts)
 
     def unary(self) -> Formula:
         kind, text, pos = self.peek()

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import ArityMismatch, DimensionMismatch, NotInF
-from .fields import FieldCtx, Scalar
+from .fields import FieldCtx, Scalar, check_same_field
 from .linalg import (
     Subspace,
     full_space,
@@ -36,7 +36,6 @@ from .linalg import (
     member,
     solve,
     subspace_from_generators,
-    subspace_sum,
 )
 from .model import ModelElement, SubspaceHandle, combine
 
@@ -110,8 +109,7 @@ def free_reduction(a: ModelElement, gens: Sequence[ModelElement]):
         return tuple(free.get(c, field.zero) for c in coords)
 
     vectors = [free_vector(g) for g in gens]
-    rows = [tuple(v[i] for v in vectors) for i in range(len(coords))]
-    return solve(field, vectors, free_vector(a)), kernel(field, rows, len(gens))
+    return solve(field, vectors, free_vector(a)), kernel(field, list(zip(*vectors)), len(gens))
 
 
 def axis_kernels(tuple_: Sequence[ModelElement]) -> dict:
@@ -130,22 +128,31 @@ def axis_kernels(tuple_: Sequence[ModelElement]) -> dict:
     return out
 
 
-def qf_invariant_mixed(tuple_: Sequence[ModelElement]) -> QfInvariant:
+def tuple_field(tuple_: Sequence[ModelElement], field: FieldCtx | None = None) -> FieldCtx:
+    """The field of the tuple's entries, checked against ``field`` when one
+    is given; the empty tuple takes ``field``, or Q when it is None."""
+    if field is None:
+        field = tuple_[0].field if tuple_ else FieldCtx.rationals()
+    for el in tuple_:
+        check_same_field(field, el.field)
+    return field
+
+
+def qf_invariant_mixed(tuple_: Sequence[ModelElement], field: FieldCtx | None = None) -> QfInvariant:
     """Invariant of an arbitrary tuple; elements may carry free parts.
 
     Each axis kernel is intersected with v_f and kept only when the axis
-    actually meets the image of v_f.  The empty tuple gets the arity-0
-    invariant over the rationals.
+    actually meets the image of v_f.  ``field`` is the field of the entries
+    (see :func:`tuple_field`).
     """
     tuple_ = tuple(tuple_)
-    field = tuple_[0].field if tuple_ else FieldCtx.rationals()
-    _, v_f = free_reduction(ModelElement.zero(field), tuple_)
+    _, v_f = free_reduction(ModelElement.zero(tuple_field(tuple_, field)), tuple_)
     kernels = [intersect(ker, v_f) for ker in axis_kernels(tuple_).values()]
     kernels = [ker for ker in kernels if ker != v_f]  # axes meeting the image of v_f
     return QfInvariant(len(tuple_), v_f, tuple(sorted(kernels, key=lambda s: s.key())))
 
 
-def qf_invariant(tuple_: Sequence[ModelElement]) -> QfInvariant:
+def qf_invariant(tuple_: Sequence[ModelElement], field: FieldCtx | None = None) -> QfInvariant:
     """Invariant of a tuple inside the span of the axes.
 
     Tuples with free parts are the business of the quantifier-elimination
@@ -154,7 +161,7 @@ def qf_invariant(tuple_: Sequence[ModelElement]) -> QfInvariant:
     for el in tuple_:
         if not el.in_F():
             raise NotInF(f"tuple entry has a free part: {el}")
-    return qf_invariant_mixed(tuple_)
+    return qf_invariant_mixed(tuple_, field)
 
 
 def g_of(inv: QfInvariant, V: Subspace) -> int:
@@ -164,12 +171,13 @@ def g_of(inv: QfInvariant, V: Subspace) -> int:
     return sum(1 for k in inv.kernels if k == V)
 
 
-def qf_equiv(a: Sequence[ModelElement], b: Sequence[ModelElement]) -> bool:
+def qf_equiv(a: Sequence[ModelElement], b: Sequence[ModelElement], field: FieldCtx | None = None) -> bool:
     """Equality of quantifier-free types, decided on the invariants."""
     a, b = tuple(a), tuple(b)
     if len(a) != len(b):
         raise ArityMismatch(f"tuples of lengths {len(a)} and {len(b)}")
-    return qf_invariant_mixed(a) == qf_invariant_mixed(b)
+    field = tuple_field(a + b, field)
+    return qf_invariant_mixed(a, field) == qf_invariant_mixed(b, field)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +228,7 @@ def g_via_inclusion_exclusion(
         for size in range(1, len(tests) + 1):
             sign = 1 if size % 2 == 1 else -1
             for subset in itertools.combinations(tests, size):
-                enlarged = subspace_sum(V, subspace_from_generators(field, list(subset), n))
+                enlarged = subspace_from_generators(field, V.basis + subset, n)
                 count += sign * (weights(enlarged) - w_v)
     return count >= r
 
@@ -248,17 +256,19 @@ def weights_oracle_via_witness(tuple_: Sequence[ModelElement]) -> Callable[[Subs
     The image subspace is generated by pushing a basis of U through the
     tuple; its weight is certified by a single generic element produced with
     :func:`axisspace.model.witness_star`, so the data used is exactly what a
-    quantifier-free type provides over an infinite field.
+    quantifier-free type provides over an infinite field.  Each distinct
+    U is answered once; the answers live as long as the oracle.
     """
     from .model import weight, witness_star
 
     fa = LinearMapFa(tuple(tuple_))
+    memo: dict = {}
 
     def weights(U: Subspace) -> int:
-        gens = [apply_fa(fa, row) for row in U.basis]
-        gens = [g for g in gens if not g.is_zero()]
-        if not gens:
-            return 0
-        return weight(witness_star(SubspaceHandle(tuple(gens))))
+        w = memo.get(U)
+        if w is None:
+            gens = [g for g in (apply_fa(fa, row) for row in U.basis) if not g.is_zero()]
+            w = memo[U] = weight(witness_star(SubspaceHandle(tuple(gens)))) if gens else 0
+        return w
 
     return weights

@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .errors import FragmentExhausted, NotInF, NotQfEquivalent, TargetNotRich
 from .fields import FieldCtx
-from .invariant import axis_kernels, free_reduction
+from .invariant import axis_kernels, free_reduction, tuple_field
 from .model import (
     Model,
     ModelElement,
@@ -103,7 +103,7 @@ class PartialIso:
 # ---------------------------------------------------------------------------
 
 
-def extend_to_hat(a: Sequence[ModelElement], b: Sequence[ModelElement]) -> PartialIso:
+def extend_to_hat(a: Sequence[ModelElement], b: Sequence[ModelElement], field: FieldCtx | None = None) -> PartialIso:
     """Extend a_i -> b_i to an isomorphism of the hulls of the spans.
 
     Both tuples must lie in the axis span and have equal invariants;
@@ -111,7 +111,7 @@ def extend_to_hat(a: Sequence[ModelElement], b: Sequence[ModelElement]) -> Parti
     the arity and the field together with the multiset of per-axis
     projection kernels, so those are what is compared.  The axis bijection is canonical: axes are
     grouped by their projection kernel and matched in axis-index order
-    inside each group.
+    inside each group; ``field`` is as in :func:`~axisspace.invariant.tuple_field`.
     """
     a, b = tuple(a), tuple(b)
     for el in a + b:
@@ -119,6 +119,7 @@ def extend_to_hat(a: Sequence[ModelElement], b: Sequence[ModelElement]) -> Parti
             raise NotInF(f"hull extension needs tuples in the axis span, got {el}")
     if len(a) != len(b) or (a and a[0].field != b[0].field):
         raise NotQfEquivalent("tuples of different arities or over different fields")
+    field = tuple_field(a + b, field)
     groups_a: dict = {}
     groups_b: dict = {}
     for groups, t in ((groups_a, a), (groups_b, b)):
@@ -127,8 +128,7 @@ def extend_to_hat(a: Sequence[ModelElement], b: Sequence[ModelElement]) -> Parti
     if set(groups_a) != set(groups_b) or any(len(groups_a[k]) != len(groups_b[k]) for k in groups_a):
         raise NotQfEquivalent("projection-kernel multisets do not match")
     if not a:
-        return PartialIso.empty(FieldCtx.rationals())
-    field = a[0].field
+        return PartialIso.empty(field)
 
     sigma = {}
     for key in groups_a:
@@ -186,7 +186,7 @@ def _step(f: PartialIso, a: ModelElement, source: Model, target: Model):
     # hull of the axis-span part of the domain
     u = [combine(field, coeffs, D) for coeffs in vf.basis]
     u_img = [combine(field, coeffs, E) for coeffs in vf.basis]
-    hat = extend_to_hat(u, u_img)
+    hat = extend_to_hat(u, u_img, field)
     combined = PartialIso(
         field,
         tuple(D) + hat.domain_generators,

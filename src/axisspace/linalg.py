@@ -3,15 +3,24 @@
 Vectors are tuples of canonical scalars.  A :class:`Subspace` is always held
 in reduced row-echelon form with pivot columns strictly increasing, so two
 subspaces are equal as sets exactly when they are structurally equal.
+
+:func:`rref` works on integer rows over Q (each row is scaled to integers
+once, kept primitive by dividing out the gcd of its entries and divided by
+its pivot only when the result is built) and on residues reduced ``% p``
+over GF(p).  :func:`kernel` and :func:`intersect` are one elimination each,
+of ``[M^T | I]`` and of Zassenhaus's rows ``(u | u)``, ``(v | 0)``; the rows
+with a pivot in the right half are the canonical basis of the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
-from .fields import FieldCtx, Scalar, check_same_field
+from .fields import FieldCtx, check_same_field
 
 Vector = tuple  # tuple of Scalar
 
@@ -20,51 +29,55 @@ def vec(field: FieldCtx, entries: Iterable) -> Vector:
     return tuple(field.of(x) for x in entries)
 
 
-def zero_vec(field: FieldCtx, n: int) -> Vector:
-    return (field.zero,) * n
-
-
-def vec_add(field: FieldCtx, a: Vector, b: Vector) -> Vector:
-    if len(a) != len(b):
-        raise DimensionMismatch(f"vector lengths {len(a)} vs {len(b)}")
-    return tuple(field.add(x, y) for x, y in zip(a, b))
-
-
-def vec_scale(field: FieldCtx, c: Scalar, a: Vector) -> Vector:
-    return tuple(field.mul(c, x) for x in a)
-
-
-def is_zero_vec(field: FieldCtx, a: Vector) -> bool:
-    return all(field.is_zero(x) for x in a)
+def _primitive(row: list) -> list:
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def rref(field: FieldCtx, rows: Sequence[Vector]) -> tuple[list[Vector], list[int]]:
-    """Reduced row-echelon form; returns (nonzero rows, pivot columns)."""
-    m = [list(r) for r in rows]
-    if not m:
+    """Reduced row-echelon form; returns (nonzero rows, pivot columns).
+    Over Q, int entries are accepted; the rows returned are canonical."""
+    if not rows:
         return [], []
-    ncols = len(m[0])
-    for r in m:
+    ncols = len(rows[0])
+    for r in rows:
         if len(r) != ncols:
             raise DimensionMismatch("ragged matrix")
+    p = None if field.is_infinite else field.p
+    if p is None:
+        m = []
+        for r in rows:
+            den = lcm(*(x.denominator for x in r))
+            m.append(_primitive([x.numerator * (den // x.denominator) for x in r]))
+    else:
+        m = [[x % p for x in r] for r in rows]
     pivots: list[int] = []
-    row = 0
+    done = 0
     for col in range(ncols):
-        pivot = next((r for r in range(row, len(m)) if not field.is_zero(m[r][col])), None)
-        if pivot is None:
+        pick = next((i for i in range(done, len(m)) if m[i][col]), None)
+        if pick is None:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = field.inv(m[row][col])
-        m[row] = [field.mul(inv, x) for x in m[row]]
-        for r in range(len(m)):
-            if r != row and not field.is_zero(m[r][col]):
-                f = m[r][col]
-                m[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[r], m[row])]
+        m[done], m[pick] = m[pick], m[done]
+        top = m[done]
+        lead = top[col]
+        if p is not None:
+            inv = pow(lead, -1, p)
+            top = m[done] = [x * inv % p for x in top]
+        for i, r in enumerate(m):
+            c = r[col]
+            if c and i != done:
+                if p is None:
+                    m[i] = _primitive([lead * x - c * y for x, y in zip(r, top)])
+                else:
+                    m[i] = [(x - c * y) % p for x, y in zip(r, top)]
         pivots.append(col)
-        row += 1
-        if row == len(m):
+        done += 1
+        if done == len(m):
             break
-    return [tuple(r) for r in m[:row]], pivots
+    if p is not None:
+        return [tuple(r) for r in m[:done]], pivots
+    zero = field.zero
+    return [tuple(Fraction(x, r[col]) if x else zero for x in r) for r, col in zip(m, pivots)], pivots
 
 
 @dataclass(frozen=True)
@@ -149,41 +162,25 @@ def kernel(field: FieldCtx, rows: Sequence[Vector], ncols: int) -> Subspace:
     for r in rows:
         if len(r) != ncols:
             raise DimensionMismatch("matrix row length != declared column count")
-    reduced, pivots = rref(field, rows)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    gens = []
-    for fc in free_cols:
-        sol = [field.zero] * ncols
-        sol[fc] = field.one
-        for row, pc in zip(reduced, pivots):
-            sol[pc] = field.neg(row[fc])
-        gens.append(tuple(sol))
-    return subspace_from_generators(field, gens, ncols)
+    one, zero = field.one, field.zero
+    aug = [tuple(r[j] for r in rows) + tuple(one if i == j else zero for i in range(ncols)) for j in range(ncols)]
+    return _right_half(field, aug, len(rows), ncols)
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Exact intersection via the kernel of the stacked coefficient system."""
+    """Exact intersection by Zassenhaus's elimination of (u | u) and (v | 0)."""
     check_same_field(a.field, b.field)
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("intersection of subspaces of different ambient spaces")
-    field = a.field
-    if a.is_zero() or b.is_zero():
-        return zero_space(field, a.ambient_dim)
-    # columns: coefficients on a.basis then on b.basis; rows: ambient coordinates
-    na, nb = a.dim, b.dim
-    rows = []
-    for coord in range(a.ambient_dim):
-        rows.append(tuple([a.basis[i][coord] for i in range(na)] +
-                          [field.neg(b.basis[j][coord]) for j in range(nb)]))
-    ker = kernel(field, rows, na + nb)
-    gens = []
-    for combo in ker.basis:
-        v = zero_vec(field, a.ambient_dim)
-        for i in range(na):
-            v = vec_add(field, v, vec_scale(field, combo[i], a.basis[i]))
-        gens.append(v)
-    return subspace_from_generators(field, gens, a.ambient_dim)
+    n = a.ambient_dim
+    zeros = (a.field.zero,) * n
+    return _right_half(a.field, [u + u for u in a.basis] + [v + zeros for v in b.basis], n, n)
+
+
+def _right_half(field: FieldCtx, rows: list, split: int, n: int) -> Subspace:
+    """Span of the right halves of the reduced rows with a pivot right of ``split``."""
+    reduced, pivots = rref(field, rows)
+    return Subspace(field, n, tuple(r[split:] for r, col in zip(reduced, pivots) if col >= split))
 
 
 def solve(field: FieldCtx, rows: Sequence[Vector], rhs: Vector) -> Vector | None:
@@ -192,15 +189,11 @@ def solve(field: FieldCtx, rows: Sequence[Vector], rhs: Vector) -> Vector | None
     Returns the canonical solution with free coefficients zero, or None.
     """
     if not rows:
-        return () if is_zero_vec(field, rhs) else None
-    ncols = len(rows[0])
-    if len(rhs) != ncols:
+        return () if not any(rhs) else None
+    if any(len(r) != len(rhs) for r in rows):
         raise DimensionMismatch("right-hand side length mismatch")
     # Augment: transpose system A^T x = rhs with A rows as columns.
-    aug = []
-    for coord in range(ncols):
-        aug.append(tuple([row[coord] for row in rows] + [rhs[coord]]))
-    reduced, pivots = rref(field, aug)
+    reduced, pivots = rref(field, [col + (b,) for col, b in zip(zip(*rows), rhs)])
     n = len(rows)
     sol = [field.zero] * n
     for row, pc in zip(reduced, pivots):

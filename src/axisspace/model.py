@@ -525,15 +525,9 @@ def span_membership(a: ModelElement, handle: SubspaceHandle) -> tuple:
 
 def tuple_kernel(elements: Sequence[ModelElement], field: FieldCtx) -> Subspace:
     """Kernel {c : sum_i c_i elements_i = 0} as a subspace of K^len."""
-    if not elements:
-        return kernel(field, [], 0)
     vectors, _ = to_coordinate_vectors(field, list(elements))
     # rows of the linear map K^n -> M are the coordinates
-    ncols = len(elements)
-    rows = []
-    for coord in range(len(vectors[0])):
-        rows.append(tuple(vectors[i][coord] for i in range(ncols)))
-    return kernel(field, rows, ncols)
+    return kernel(field, list(zip(*vectors)), len(elements))
 
 
 def span_basis(handle: SubspaceHandle, field: FieldCtx) -> list:

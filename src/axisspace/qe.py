@@ -68,6 +68,7 @@ from .formula import (
     Or,
     Term,
     Xn,
+    _balanced,
     eval_qf,
     eval_term,
     false_formula,
@@ -224,13 +225,6 @@ def _dnf_literals(phi: Formula) -> list:
         return _bound(term, 0, n) if pol else _bound(term, n + 1, _UNBOUNDED)
 
     return rows(_nnf(phi))
-
-
-def _balanced(node, parts):
-    if len(parts) == 1:
-        return parts[0]
-    mid = len(parts) // 2
-    return node(_balanced(node, parts[:mid]), _balanced(node, parts[mid:]))
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,7 @@ def conjugacy_witness(a: ModelElement, b: ModelElement, fragment: SubspaceHandle
     dom = tuple(gens) + tuple(x for x, _ in pairs)
     img = tuple(gens) + tuple(y for _, y in pairs)
     iso = PartialIso(field, dom, img)  # raises NotQfEquivalent on bad relations
-    if not qf_equiv(dom, img):
+    if not qf_equiv(dom, img, field):
         raise NotSameType("support matching does not preserve the invariant")
     if iso.apply(a) != b:
         raise NotSameType("matched supports do not carry a to b")

@@ -1,5 +1,9 @@
 """Seeded random generators shared by the quantifier-elimination tests and
-the acceptance suite."""
+the acceptance suite, and a time budget for tests of slow inputs."""
+
+import signal
+
+import pytest
 
 from axisspace.fields import FieldCtx
 from axisspace.formula import And, Eq, Exists, Not, Or, Term, Xn
@@ -70,3 +74,18 @@ def random_param_env(model, rng, params, max_weight=2):
     for p in params:
         env["$" + p] = random_f_element(model, rng, max_axes=max_weight)
     return env
+
+
+def within(seconds, fn, *args):
+    """fn(*args), failing the test once it has run for ``seconds``."""
+
+    def stop(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

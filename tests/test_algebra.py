@@ -2,10 +2,12 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from randgen import within
 
 from axisspace.errors import DimensionMismatch, NotPrime
 from axisspace.fields import FieldCtx
@@ -14,6 +16,7 @@ from axisspace.linalg import (
     intersect,
     kernel,
     member,
+    rref,
     solve,
     subspace_from_generators,
     subspace_sum,
@@ -194,6 +197,143 @@ def test_solve_finds_combination():
     sol = solve(Q, rows, vec(Q, (2, 3, 5)))
     assert sol == (Q.of(2), Q.of(3))
     assert solve(Q, rows, vec(Q, (0, 0, 1))) is None
+
+
+# ---------------------------------------------------------------------------
+# differential: rref, kernel, intersect and solve against naive Gauss-Jordan
+# ---------------------------------------------------------------------------
+
+
+def _reference_rref(field, rows):
+    """Textbook Gauss-Jordan on field scalars: the pivot row is scaled to
+    a leading one and cleared from every other row."""
+    m = [[field.of(x) for x in r] for r in rows]
+    pivots, done = [], 0
+    for col in range(len(m[0]) if m else 0):
+        pick = next((r for r in range(done, len(m)) if not field.is_zero(m[r][col])), None)
+        if pick is None:
+            continue
+        m[done], m[pick] = m[pick], m[done]
+        inv = field.inv(m[done][col])
+        m[done] = [field.mul(inv, x) for x in m[done]]
+        for r in range(len(m)):
+            f = m[r][col]
+            if r != done and not field.is_zero(f):
+                m[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[r], m[done])]
+        pivots.append(col)
+        done += 1
+    return [tuple(r) for r in m[:done]], pivots
+
+
+def _reference_kernel(field, rows, ncols):
+    """Null space from the free columns of the reduced matrix, re-spanned."""
+    reduced, pivots = _reference_rref(field, rows)
+    gens = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        sol = [field.zero] * ncols
+        sol[free] = field.one
+        for row, pc in zip(reduced, pivots):
+            sol[pc] = field.neg(row[free])
+        gens.append(sol)
+    return tuple(_reference_rref(field, gens)[0])
+
+
+def _reference_intersect(field, a, b):
+    """The a-part of the kernel of the coefficient system [a^T | -b^T]."""
+    n = a.ambient_dim
+    rows = [[u[k] for u in a.basis] + [field.neg(v[k]) for v in b.basis] for k in range(n)]
+    gens = []
+    for combo in _reference_kernel(field, rows, a.dim + b.dim):
+        x = [field.zero] * n
+        for c, u in zip(combo, a.basis):
+            x = [field.add(s, field.mul(c, y)) for s, y in zip(x, u)]
+        gens.append(x)
+    return tuple(_reference_rref(field, gens)[0])
+
+
+def _reference_solve(field, rows, rhs):
+    n = len(rows)
+    reduced, pivots = _reference_rref(field, [[r[k] for r in rows] + [rhs[k]] for k in range(len(rhs))])
+    if n in pivots:
+        return None
+    sol = [field.zero] * n
+    for row, pc in zip(reduced, pivots):
+        sol[pc] = row[n]
+    return tuple(sol)
+
+
+def _random_matrix(rng, field, nrows, ncols):
+    """Rows of random entries, zero rows, repeated rows and combinations of
+    earlier rows; over Q the entries mix denominators and ints."""
+
+    def entry():
+        if not field.is_infinite:
+            return rng.randrange(field.p)
+        if rng.random() < 0.3:
+            return rng.randint(-5, 5)  # a plain int
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+    rows = []
+    for _ in range(nrows):
+        roll = rng.random()
+        if roll < 0.1:
+            rows.append((0,) * ncols if field.is_infinite else (field.zero,) * ncols)
+        elif roll < 0.2 and rows:
+            rows.append(rng.choice(rows))
+        elif roll < 0.4 and len(rows) >= 2:
+            u, v = rng.sample(rows, 2)
+            c, d = field.of(entry() or 1), field.of(entry())
+            rows.append(tuple(field.add(field.mul(c, field.of(x)), field.mul(d, field.of(y))) for x, y in zip(u, v)))
+        else:
+            rows.append(tuple(entry() for _ in range(ncols)))
+    return rows
+
+
+def _assert_canonical_scalars(field, vectors):
+    for v in vectors:
+        for x in v:
+            if field.is_infinite:
+                assert type(x) is Fraction
+            else:
+                assert type(x) is int and 0 <= x < field.p
+
+
+SHAPES = [(0, 3), (1, 1), (2, 2), (3, 3), (4, 4), (2, 6), (3, 7), (6, 2), (7, 3), (5, 5), (1, 5), (5, 1), (3, 0)]
+
+
+@pytest.mark.parametrize("field", [Q, GF2, FieldCtx.prime_field(3), GF5, FieldCtx.prime_field(7)], ids=str)
+def test_linear_algebra_matches_naive_gauss_jordan(field):
+    rng = random.Random(f"linalg:{field}")
+    cases = 40 if field.is_infinite else 12
+    for nrows, ncols in SHAPES:
+        for _ in range(cases):
+            rows = _random_matrix(rng, field, nrows, ncols)
+            reduced, pivots = rref(field, rows)
+            assert (reduced, pivots) == _reference_rref(field, rows)
+            _assert_canonical_scalars(field, reduced)
+            canon = [vec(field, r) for r in rows]
+            ker = kernel(field, canon, ncols)
+            assert ker.basis == _reference_kernel(field, canon, ncols)
+            _assert_canonical_scalars(field, ker.basis)
+            if nrows and ncols:
+                rhs = vec(field, rng.choice([rng.choice(rows), _random_matrix(rng, field, 1, ncols)[0]]))
+                assert solve(field, canon, rhs) == _reference_solve(field, canon, rhs)
+            a = subspace_from_generators(field, canon, ncols)
+            b = subspace_from_generators(field, [vec(field, r) for r in _random_matrix(rng, field, nrows, ncols)], ncols)
+            both = intersect(a, b)
+            assert both.basis == _reference_intersect(field, a, b)
+            _assert_canonical_scalars(field, both.basis)
+            assert intersect(b, a) == both
+            assert subspace_sum(a, b).dim + both.dim == a.dim + b.dim
+
+
+def test_rref_keeps_integer_rows_small():
+    """A dense 24 x 24 rational matrix reduces at once; without the row gcd
+    the integer rows double in length at every pivot."""
+    rng = random.Random(24)
+    rows = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(24)) for _ in range(24)]
+    reduced, pivots = within(10, rref, Q, rows)
+    assert (reduced, pivots) == _reference_rref(Q, rows)
 
 
 # ---------------------------------------------------------------------------

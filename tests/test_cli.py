@@ -74,6 +74,20 @@ def test_formulas_at_the_nesting_limit_decide():
         assert print_formula(phi).endswith("X0(0)")
 
 
+def test_long_flat_chains_decide_without_recursion_error():
+    """3,000 operands of one &, | or -> chain parse to a balanced tree, so
+    no later walk of the formula runs out of stack."""
+    n = 3000
+    sentences = [
+        (" & ".join(["X0(0)"] * n), "true"),
+        ("E x. (" + " & ".join(["X1(x)"] * n) + ")", "true"),
+        (" -> ".join(["X0(0)"] * n), "true"),
+        (" | ".join(["!X0(0)"] * n), "false"),
+    ]
+    for text, truth in sentences:
+        assert run(["decide", "--field", "q", "--formula", text]) == (0, truth + "\n", "")
+
+
 def test_qe_refuses_finite_field():
     code, out, err = run(["qe", "--field", "zp:3", "--formula", "E x. X1(x)"])
     assert code == 1

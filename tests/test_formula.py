@@ -68,6 +68,21 @@ def test_parse_unparenthesized_conjunction_in_scope():
     assert phi == Exists("x", And(Not(Xn(1, Term.var(Q, "x"))), Xn(2, Term.var(Q, "x"))))
 
 
+def test_flat_chains_parse_balanced_and_parentheses_keep_their_shape():
+    a, b, c, d = (Xn(i, Term.var(Q, "x")) for i in range(4))
+    assert parse_formula("X0(x) & X1(x) & X2(x) & X3(x)", Q) == And(And(a, b), And(c, d))
+    assert parse_formula("X0(x) | X1(x) | X2(x)", Q) == Or(a, Or(b, c))
+    assert parse_formula("X0(x) -> X1(x) -> X2(x) -> X3(x)", Q) == Or(Or(Not(a), Not(b)), Or(Not(c), d))
+    assert parse_formula("((X0(x) & X1(x)) & X2(x)) & X3(x)", Q) == And(And(And(a, b), c), d)
+    assert parse_formula("(X0(x) -> X1(x)) -> X2(x)", Q) == Or(Not(Or(Not(a), b)), c)
+
+    def depth(phi):
+        kids = [getattr(phi, k) for k in ("lhs", "rhs") if isinstance(phi, (And, Or))]
+        return 1 + max(map(depth, kids), default=0)
+
+    assert depth(parse_formula(" & ".join(["X1(x)"] * 3000), Q)) == 13
+
+
 def test_parse_rational_scalars():
     t = parse_term("1/2*x + -3/4*$c + y", Q)
     assert t == Term.make(Q, {"x": Q.of("1/2"), "y": 1}, {"c": Q.of("-3/4")})

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from axisspace.errors import ArityMismatch, NotInF
+from axisspace.errors import ArityMismatch, FieldMismatch, NotInF
 from axisspace.fields import FieldCtx
 from axisspace.invariant import (
     LinearMapFa,
@@ -228,6 +228,22 @@ def test_empty_tuple_has_no_candidates_and_zero_weights():
     assert weights_oracle_via_witness(())(zero_space(Q, 0)) == 0
 
 
+def test_empty_tuple_takes_the_callers_field():
+    """An arity-0 invariant lives over the field the caller names (Q when
+    none is named); a non-empty tuple over another field is refused."""
+    GF5 = FieldCtx.prime_field(5)
+    for invariant in (qf_invariant, qf_invariant_mixed):
+        inv = invariant((), GF5)
+        assert inv.arity == 0 and inv.v_f.field == GF5
+        assert inv != invariant(())
+        assert invariant(()) == invariant((), Q)
+        with pytest.raises(FieldMismatch):
+            invariant((rich_model(Q).e(0, 0),), GF5)
+    assert qf_equiv((), (), GF5)
+    with pytest.raises(FieldMismatch):
+        qf_equiv((rich_model(GF5).e(0, 0),), (rich_model(Q).e(0, 0),))
+
+
 def test_g_ie_agrees_with_g_of_on_random_tuples(M):
     rng = random.Random(97)
     for _ in range(120):
@@ -240,6 +256,42 @@ def test_g_ie_agrees_with_g_of_on_random_tuples(M):
             expected = g_of(inv, V)
             for r in range(0, expected + 2):
                 assert g_via_inclusion_exclusion(weights, V, r, cands) == (expected >= r)
+
+
+def test_weight_oracle_memo_answers_like_a_fresh_oracle(M, monkeypatch):
+    """The oracle answers each distinct subspace once, with the value a
+    fresh oracle gives, however often and in whatever order it is asked."""
+    import axisspace.model as model_mod
+
+    real = model_mod.witness_star
+    witnessed = []
+    monkeypatch.setattr(model_mod, "witness_star", lambda h: witnessed.append(h) or real(h))
+    rng = random.Random(53)
+    repeats = 0
+    for _ in range(40):
+        a = _random_tuple(M, rng)
+        weights = weights_oracle_via_witness(a)
+        asked = []
+
+        def counted(U):
+            asked.append(U)
+            return weights(U)
+
+        inv, cands = qf_invariant(a), kernel_candidates(a)
+        witnessed.clear()
+        for V in cands + [zero_space(Q, len(a)), full_space(Q, len(a))]:
+            for r in range(g_of(inv, V) + 2):
+                g_via_inclusion_exclusion(counted, V, r, cands)
+        assert len(witnessed) <= len(set(asked))
+        repeats += len(asked) - len(set(asked))
+        for U in asked[::-1] + asked[:3]:
+            assert weights(U) == weights_oracle_via_witness(a)(U)
+    assert repeats > 100
+
+    U = full_space(Q, 1)
+    one_axis = weights_oracle_via_witness((M.e(0, 0),))
+    two_axes = weights_oracle_via_witness((M.e(0, 0) + M.e(1, 0),))
+    assert [one_axis(U), two_axes(U), one_axis(U), two_axes(U)] == [1, 2, 1, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from axisspace.errors import NotQfEquivalent, TargetNotRich
+from axisspace.errors import FieldMismatch, NotQfEquivalent, TargetNotRich
 from axisspace.fields import FieldCtx
 from axisspace.invariant import LinearMapFa, apply_fa, qf_equiv
 from axisspace.iso import (
@@ -80,6 +80,14 @@ def test_extend_to_hat_rejects_arity_or_field_mismatch(M, make):
     a, b = make(M)
     with pytest.raises(NotQfEquivalent):
         extend_to_hat(a, b)
+
+
+def test_extend_to_hat_of_empty_tuples_takes_the_callers_field(M):
+    GF5 = FieldCtx.prime_field(5)
+    assert extend_to_hat((), ()).field == Q
+    assert extend_to_hat((), (), GF5) == PartialIso.empty(GF5)
+    with pytest.raises(FieldMismatch):
+        extend_to_hat((M.e(0, 0),), (M.e(1, 0),), GF5)
 
 
 def test_counterexample_pair_is_rejected():

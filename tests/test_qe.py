@@ -6,7 +6,6 @@ import itertools
 import math
 import os
 import random
-import signal
 import subprocess
 import sys
 
@@ -39,7 +38,7 @@ from axisspace.qe import (
     witness_search,
 )
 
-from randgen import random_element, random_exists_formula, random_f_element, random_param_env
+from randgen import random_element, random_exists_formula, random_f_element, random_param_env, within
 
 Q = FieldCtx.rationals()
 GF3 = FieldCtx.prime_field(3)
@@ -571,28 +570,13 @@ def test_fallback_rows_hold_no_empty_interval_and_no_zero_term(monkeypatch):
             assert not term.is_zero() and lo <= hi, (term, lo, hi)
 
 
-def _within(seconds, fn, *args):
-    """fn(*args), failing the test once it has run for ``seconds``."""
-
-    def stop(signum, frame):
-        pytest.fail(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, stop)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        return fn(*args)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def test_eight_binary_disjunctions_eliminate_to_true():
     """The disjunct that takes every ``!X2`` has no positive literal, so a
     fresh free coordinate satisfies it: the condition is true.  The DNF has
     256 disjuncts."""
     body = " & ".join(f"(X1(x + -1*$c{i}) | !X2(x + $d{i}))" for i in range(8))
     phi = parse_formula(f"E x. ({body})", Q)
-    assert _within(10, eliminate_exists, phi.body, "x") == true_formula(Q)
+    assert within(10, eliminate_exists, phi.body, "x") == true_formula(Q)
 
 
 def test_four_independent_axes_sentence():
@@ -601,7 +585,7 @@ def test_four_independent_axes_sentence():
         [f"X1({v}) & !X0({v})" for v in vs] + [f"!X1({a} + {b})" for a, b in itertools.combinations(vs, 2)]
     )
     sigma = parse_formula(f"A x0. A x1. A x2. A x3. (({hyp}) -> !(1*x0 + 2*x1 + 3*x2 + -4*x3 = 0))", Q)
-    assert _within(10, decide_sentence, sigma) is True
+    assert within(10, decide_sentence, sigma) is True
 
 
 # true: x = -e0 - 2*e2 - 2*e4, y = 0, z = 2*e0 + 2*e2 + 2*e4 satisfies it
