@@ -8,17 +8,24 @@ direction.  :func:`witness_search` enumerates exactly these shapes against
 evaluated parameters and checks every candidate by evaluation, so a returned
 witness is correct unconditionally.
 
-:func:`eliminate_exists` runs the same case analysis symbolically.  Three
-exact engines cover a disjunct: substitution when weight 0 (an equation or
-``X0``) pins the witness; a trivial condition when no upper bound
-constrains it (a fresh free coordinate satisfies every lower bound in a
-rich model); and level-profile enumeration over the differences of the parameter terms, which
-reduces truth to finitely many weight levels, asserted through sumset atoms
-on explicit scalar combinations.  Profiles with one direction (all
-differences proportional) are solved in closed form for any number of terms;
-two independent directions go through an exact axis-type count enumeration.
-Disjuncts with three or more independent directions fall back to a sound
-anchored-template approximation.
+:func:`eliminate_exists` runs the same case analysis symbolically, one
+disjunct at a time, over the weight intervals of x - t for its parameter
+terms t.  Weight 0 (an equation or ``X0``) pins the witness, so x = t is
+substituted.  With no upper bound, a fresh free coordinate satisfies every
+lower bound.  Otherwise the differences of the terms from an anchor term
+bounded above decide.  When they span at most two directions, the axis
+census of :func:`_two_direction_condition` is exact for any number of
+terms: a witness can agree on an axis only with terms whose difference
+that axis kills, so truth depends on the number of axes of each kind,
+which is linear in finitely many weight levels, asserted through sumset
+atoms on explicit scalar combinations.  That covers every disjunct with at
+most two other symbols, so every sentence with at most three variables is
+decided exactly.  Three or more directions go to a sound anchored-template
+approximation that can miss witnesses, so a verdict on a sentence with
+four or more variables can be wrong.  The census does not carry over: an
+axis can then kill a whole plane of differences, every two-direction
+sub-span needs its own scalar-menu disjunction to pin its level, and the
+output multiplies.
 
 Every atom bounds one integer, the weight of its term: the number of axes
 the term meets, infinite outside the axis span.  ``t = 0`` is ``X0(t)``
@@ -31,8 +38,7 @@ lo <= w(term) <= hi (hi possibly infinite); ``[frozenset()]`` is true and
 ``[]`` is false.  :func:`_bound` makes every one-term condition and folds
 the zero term; :func:`_all` intersects intervals term by term and drops a
 box as soon as one is empty; :func:`_any` joins lists.  The DNF of an
-input formula and every engine's output are built with them.  The engines
-emit one box per feasible level of a term.
+input formula and every engine's output are built with them.
 
 Every elimination ends in :func:`_simplify_rows`, which joins boxes that
 agree on every term but one and hold touching intervals on it, term by
@@ -77,6 +83,7 @@ from .formula import (
     print_formula,
     true_formula,
 )
+from .linalg import rref
 from .model import Model, ModelElement
 
 
@@ -440,209 +447,200 @@ def _eliminate_disjunct(box, var: str, field: FieldCtx) -> list:
 
     # no upper bound: a fresh free coordinate defeats every lower one
     anchor = next((i for i, (_, hi) in enumerate(spans) if hi != _UNBOUNDED), None)
-    others = [i for i in range(len(terms)) if i != anchor]
-    if anchor is None or not others:
+    if anchor is None or len(terms) == 1:
         return params
 
-    diffs = [terms[i] - terms[anchor] for i in others]
+    order = [anchor] + [i for i in range(len(terms)) if i != anchor]
+    terms, spans = [terms[i] for i in order], [spans[i] for i in order]
+    # a level past which every level is feasible or none is
     cap = sum(hi for _, hi in spans if hi != _UNBOUNDED) + max([0] + [lo - 1 for lo, _ in spans]) + 2
-    gammas = _collinear(diffs)
-    if gammas is not None:
-        direction, coeffs = gammas
-        cond = _collinear_condition(direction, coeffs, anchor, others, spans, cap, field)
-    elif len(others) == 2:
-        cond = _two_direction_condition(diffs, anchor, others, spans, cap, field)
-    else:
-        cond = _fallback_condition(diffs, anchor, others, spans, cap, field)
-    return _all([params, cond])
+    rank = _difference_rank(terms)
+    if rank <= 2:
+        return _all([params, _two_direction_condition(terms, spans, cap, rank)])
+    return _all([params, _fallback_condition([t - terms[0] for t in terms[1:]], spans, cap)])
 
 
-def _collinear(diffs):
-    """If all difference terms are proportional, the common direction and
-    the coefficient of each difference along it; None otherwise."""
-    leads, directions = zip(*map(_canonical, diffs))
-    if any(d != directions[0] for d in directions):
-        return None
-    return directions[0], list(leads)
+def _difference_rank(terms) -> int:
+    """The dimension of the span of the differences t - terms[0]."""
+    coeffs = [dict(t.vars) | {"$" + name: c for name, c in t.consts} for t in terms]
+    keys = sorted(set().union(*coeffs))
+    rows = [[row.get(k, 0) - coeffs[0].get(k, 0) for k in keys] for row in coeffs[1:]]
+    return len(rref(terms[0].field, rows)[0])
 
 
-def _collinear_condition(direction, coeffs, anchor, others, spans, cap, field) -> list:
-    """All differences lie along one direction e: with L the level of e,
-    the witness weights are w_i = L - q_i + r with one q per distinct
-    coefficient and sum q <= L, so feasibility is arithmetic per level."""
-    gamma = {anchor: field.zero}
-    for i, c in zip(others, coeffs):
-        gamma[i] = c
-    classes: dict = {}
-    for i, g in gamma.items():
-        classes.setdefault(g, []).append(i)
-    class_spans = [
-        (max(spans[i][0] for i in members), min(spans[i][1] for i in members))
-        for members in classes.values()
-    ]
-    r_max = max((u for _, u in class_spans if u != _UNBOUNDED), default=0) + 1
-
-    def feasible(level: int) -> bool:
-        for r in range(r_max + 1):
-            need = 0
-            ok = True
-            for lower, upper in class_spans:
-                lo_q = max(0, level + r - upper)
-                hi_q = level + r - lower
-                if hi_q < lo_q or lo_q > level:
-                    ok = False
-                    break
-                need += lo_q
-            if ok and need <= level:
-                return True
-        return False
-
-    disjuncts = [_bound(direction, level, level) for level in range(cap + 1) if feasible(level)]
-    if all(spans[i][1] == _UNBOUNDED for i in others) and feasible(cap + 1):
-        disjuncts.append(_bound(direction, cap + 1, _UNBOUNDED))
-    return _any(disjuncts)
+# -- the axis census: differences in at most two directions ------------------
 
 
-# -- two independent directions ---------------------------------------------
+def _two_direction_condition(terms, spans, cap, rank) -> list:
+    """Exact condition for parameter terms t_0, the anchor, bounded above,
+    and t_1..t_n whose differences span ``rank`` <= 2 directions, with
+    w(x - t_j) in spans[j].
 
+    With y = x - t_0 in the axis span, w(x - t_j) counts the axes where y
+    and t_j - t_0 differ, plus fresh axes of y.  Two terms agree on an
+    axis exactly when it kills the direction of their difference, and in
+    two dimensions an axis kills at most one direction.  So every axis the
+    differences meet is of the kind of one direction w, where the terms
+    fall into classes along w, or generic, where no two agree.  D - w(w)
+    axes are of kind w, for D the axes the differences meet: the census
+    (:func:`_census`) is linear in the levels w(w) and D.  With one
+    direction every axis is generic and D is its level; with two, D is
+    pinned by sumset atoms on u + k*v (:func:`_menu_bound`).  A direction
+    along which only terms bounded below pair up counts as generic.
 
-_TYPE_OPTIONS = {
-    # axis type -> candidate contribution vectors ([b!=0], [b!=pi_u], [b!=pi_v])
-    "n10": ((0, 1, 0), (1, 0, 1), (1, 1, 1)),
-    "n01": ((0, 0, 1), (1, 1, 0), (1, 1, 1)),
-    "n11": ((0, 1, 1), (1, 0, 0), (1, 1, 1)),
-    "n1x": ((0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1)),
-}
-
-
-def _counts_feasible(counts: tuple, lowers: tuple, uppers: tuple, r_max: int) -> bool:
-    """Axis-by-axis reachability of a weight triple inside the intervals."""
-    clip = tuple((u if u != _UNBOUNDED else l) + 1 for l, u in zip(lowers, uppers))
-    states = {(0, 0, 0)}
-    for type_name, count in zip(("n10", "n01", "n11", "n1x"), counts):
-        options = _TYPE_OPTIONS[type_name]
-        for _ in range(count):
-            nxt = set()
-            for s in states:
-                for o in options:
-                    t = tuple(min(c, s[d] + o[d]) for d, c in enumerate(clip))
-                    # drop states that already exceed a hard upper bound
-                    if all(t[d] <= uppers[d] for d in range(3)):
-                        nxt.add(t)
-            states = nxt
-            if not states:
-                return False
-    for r in range(r_max + 1):
-        for s in states:
-            w = tuple(s[d] + r for d in range(3))
-            if all(lowers[d] <= w[d] <= uppers[d] for d in range(3)):
-                return True
-    return False
-
-
-def _two_direction_condition(diffs, anchor, others, spans, cap, field) -> list:
-    """Exact condition for two independent difference directions.
-
-    The profile of (u, v) relevant to witness weights is the axis census:
-    how many axes carry u only, v only, equal components, and unequal
-    components.  Those counts are linear in the levels of u, v, u - v and
-    of the span, each of which is pinned by sumset atoms (the span level
-    through scalar combinations u + lambda v over a menu larger than the
-    number of possibly-critical values).
-
-    A term constrained only from below saturates: every witness stays within
-    the anchor bound a0, so its distance to the term is at least
-    level - a0, and once the level reaches lower + a0 the constraint holds
-    automatically and the term drops out of the profile.  Branching over
-    which lower-only terms have saturated keeps every range tight.
+    A term j bounded only from below saturates once w(t_j - t_0) >= lo_j
+    + a0, a0 the anchor bound: then every witness keeps it.  With one
+    direction, levels run to ``cap`` and the next stands for all above.
+    With two, each basis term bounded only from below is either saturated
+    and dropped, or below the threshold, which keeps every level finite;
+    basis terms bounded above are chosen first.
     """
-    u, v = diffs
-    i1, i2 = others
-    a0 = spans[anchor][1]
-    terms = {i1: u, i2: v}
-    unbounded = [i for i in (i1, i2) if spans[i][1] == _UNBOUNDED]
-    thr = {i: spans[i][0] + a0 for i in unbounded}
+    field = terms[0].field
+    a0 = spans[0][1]
+    directions = {}
 
-    def rng_bound(i):
-        # finite-branch level range for term i (exclusive upper end)
-        if spans[i][1] != _UNBOUNDED:
-            return a0 + spans[i][1] + 1
-        return thr[i]
+    def direction(j, k):
+        # the difference t_k - t_j scaled to lead 1
+        if (j, k) not in directions:
+            directions[j, k] = _canonical(terms[k] - terms[j])[1]
+        return directions[j, k]
 
-    branches = []
-    for k in range(len(unbounded) + 1):
-        for S in itertools.combinations(unbounded, k):
-            assertions = _all([_bound(terms[i], thr[i], _UNBOUNDED) for i in S])
-            residual = [i for i in (i1, i2) if i not in S]
-            if not residual:
-                cond = [frozenset()]
-            elif len(residual) == 1:
-                j = residual[0]
-                cond = _collinear_condition(terms[j], [field.one], 0, [1], [spans[anchor], spans[j]], cap, field)
-            else:
-                cond = _pair_profiles_condition(
-                    u, v,
-                    (spans[anchor], spans[i1], spans[i2]),
-                    (rng_bound(i1), rng_bound(i2)),
-                    field,
-                )
-            branches.append(_all([assertions, cond]))
-    return _any(branches)
+    def condition(rows, rank) -> list:
+        if rank == 0:
+            return [frozenset()]
+        lows, highs = zip(*(spans[i] for i in rows))
+        if rank == 1:
+            # two terms bounded above bound D, else D = cap + 1 stands for all above
+            top = min(sum(sorted(highs)[:2]), cap + 1)
+            e = direction(0, rows[1])
+            return _any(_bound(e, D, _UNBOUNDED if D > cap else D) for (D,) in _census((), lows, highs, (), top))
+        ordered = sorted(rows[1:], key=lambda i: spans[i][1] == _UNBOUNDED)
+        a = ordered[0]
+        b = next(i for i in ordered if direction(0, i) != direction(0, a))
+        below = [i for i in sorted((a, b)) if spans[i][1] == _UNBOUNDED]
+        branches = []
+        for size in range(len(below) + 1):
+            for saturated in itertools.combinations(below, size):
+                assertions = _all([_bound(terms[i] - terms[0], spans[i][0] + a0, _UNBOUNDED) for i in saturated])
+                if saturated:
+                    rest = [i for i in rows if i not in saturated]
+                    cond = condition(rest, _difference_rank([terms[i] for i in rest]))
+                else:
+                    cond = census(rows, lows, highs, below)
+                branches.append(_all([assertions, cond]))
+        return _any(branches)
 
+    def census(rows, lows, highs, below) -> list:
+        # a basis term below its saturation threshold bounds its level by it
+        limit = {(0, i): a0 + spans[i][0] - 1 for i in below}
+        along = {}  # direction -> the pairs of positions in rows along it
+        for (p, j), (q, k) in itertools.combinations(enumerate(rows), 2):
+            along.setdefault(direction(j, k), []).append((p, q))
+        dirs = [w for w, pairs in along.items() if any(min(highs[p], highs[q]) != _UNBOUNDED for p, q in pairs)]
+        classes, budgets = [], []
+        for w in dirs:
+            cls = list(range(len(rows)))
+            for p, q in along[w]:
+                cls[q] = min(cls[q], cls[p])
+            classes.append(tuple(cls))
+            budgets.append(min(limit.get((rows[p], rows[q]), highs[p] + highs[q]) for p, q in along[w]))
+        profiles = _census(tuple(classes), lows, highs, tuple(budgets), _UNBOUNDED)
+        # the anchor differences along the first two directions
+        u, v = (terms[next(i for i in rows[1:] if direction(0, i) == w)] - terms[0] for w in dirs[:2])
+        size = max((min(p[0], p[1]) + 1 for p in profiles), default=0)
+        combos = [_canonical(u + v.scale(field.of(k)))[1] for k in range(1, size + 1)]
+        return _any(
+            _all([_bound(w, L, L) for w, L in zip(dirs, levels)] + [_menu_bound(combos[: min(levels[0], levels[1]) + 1], D, D)])
+            for *levels, D in profiles
+        )
 
-def _pair_profiles_condition(u, v, spans3, ranges, field) -> list:
-    (l0, a0), (l1, a1), (l2, a2) = spans3
-    profiles = _feasible_profiles(
-        (l0, l1, l2), (a0, a1, a2), ranges[0], ranges[1]
-    )
-    return _any(
-        _all([_bound(u, A, A), _bound(v, B, B), _bound(u - v, C, C), _menu_bound(u, v, D, D, min(A, B) + 1, field)])
-        for A, B, C, D in profiles
-    )
+    return condition(list(range(len(terms))), rank)
 
 
 @lru_cache(maxsize=4096)
-def _feasible_profiles(lowers, uppers, range_a, range_b):
-    """All feasible level profiles (A, B, C, D) with A < range_a, B < range_b."""
-    r_max = max([x for x in uppers if x != _UNBOUNDED] + [0]) + 1
-    out = []
-    for A in range(range_a):
-        for B in range(range_b):
-            for C in range(abs(A - B), min(A + B, uppers[1] + uppers[2]) + 1):
-                for D in range(max(A, B, C), (A + B + C) // 2 + 1):
-                    counts = (D - B, D - A, D - C, A + B + C - 2 * D)
-                    if any(c < 0 for c in counts):
-                        continue
-                    if _counts_feasible(counts, lowers, uppers, r_max):
-                        out.append((A, B, C, D))
-    return tuple(out)
+def _census(classes, lows, highs, budgets, top):
+    """The feasible level profiles (L_1, ..., L_p, D) of an axis census,
+    sorted, with L_w <= budgets[w] and D <= top.
+
+    ``classes[w]`` names each term's class along direction w; D - L_w axes
+    are of kind w, the others generic, where each term is its own class.
+    On each axis a witness agrees with one class or takes a fresh value,
+    adding 1 to the weight of every term it does not agree with; fresh
+    axes add 1 to all.  A profile is feasible when some choice puts every
+    weight in [lows, highs].  A weight bounded only below never suffers
+    from growing, so a class with no term bounded above is never worth
+    agreeing with.  The direction kinds are walked axis by axis; generic
+    and fresh axes are counted in closed form.
+    """
+    m = len(lows)
+    options = [
+        {tuple(int(c != k) for c in cls) for k, hi in zip(cls, highs) if hi != _UNBOUNDED} | {(1,) * m}
+        for cls in classes
+    ]
+    # a weight past a lower-only bound is as good as at it
+    clip = tuple(hi + 1 if hi != _UNBOUNDED else lo for lo, hi in zip(lows, highs))
+    fresh = range(min(hi for hi in highs if hi != _UNBOUNDED) + 1)
+    counts = [0] * (len(classes) + 1)  # axes per kind, generic last
+    found = []
+
+    def fits(state, generic) -> bool:
+        # r fresh axes; the witness agrees with term j on max(0, w_j - hi_j) generic axes
+        return any(
+            all(s + generic + r >= lo for s, lo in zip(state, lows))
+            and sum(max(0, s + generic + r - hi) for s, hi in zip(state, highs)) <= generic
+            for r in fresh
+        )
+
+    def walk(kind, states, total):
+        # every count of this kind that keeps the levels in budget
+        while total <= top and all(total - n <= cap for n, cap in zip(counts, budgets)):
+            if kind == len(classes):
+                if any(fits(s, counts[kind]) for s in states):
+                    found.append(tuple(total - n for n in counts[:-1]) + (total,))
+            else:
+                walk(kind + 1, states, total)
+                states = {
+                    t
+                    for s in states
+                    for o in options[kind]
+                    for t in [tuple(min(c, x + y) for c, x, y in zip(clip, s, o))]
+                    if all(x <= hi for x, hi in zip(t, highs))
+                }
+                if not states:
+                    break
+            total += 1
+            counts[kind] += 1
+        counts[kind] = 0
+
+    walk(0, {(0,) * m}, 0)
+    return tuple(sorted(found))
 
 
-def _menu_bound(s: Term, sigma: Term, lo, hi, size: int, field: FieldCtx) -> list:
+def _menu_bound(combos, lo, hi) -> list:
     """lo <= w(s + lambda * sigma) <= hi for a generic scalar lambda,
-    through the menu lambda = 1..size: every combination is at most hi (one
-    row) and some combination at least lo (one column).  A generic
-    combination realizes the union of the axes, and a menu longer than the
-    number of axes where a combination can cancel contains a generic entry."""
-    combos = [s + sigma.scale(field.of(k)) for k in range(1, size + 1)]
+    through ``combos``, the terms s + k * sigma for k = 1..size: every
+    combination is at most hi (one row) and some combination at least lo
+    (one column).  A generic combination realizes the union of the axes,
+    and a menu longer than the number of axes where a combination can
+    cancel contains a generic entry."""
     return _all([_bound(c, 0, hi) for c in combos] + [_any([_bound(c, lo, _UNBOUNDED) for c in combos])])
 
 
 # -- sound fallback for three or more directions -----------------------------
 
 
-def _fallback_condition(diffs, anchor, others, spans, cap, field) -> list:
-    """Anchored-template approximation for disjuncts beyond the exact
-    engines: witnesses of the shapes t_anchor + nu*u_j + (fresh axes), plus
-    the fresh-coordinate perturbation of a single difference.  Sound by
-    construction; completeness for these rare disjuncts is not claimed."""
+def _fallback_condition(diffs, spans, cap) -> list:
+    """Anchored-template approximation for differences spanning three or
+    more directions, with spans[0] the anchor's: witnesses of the shapes
+    t_anchor + nu*u_j + (fresh axes), plus the fresh-coordinate
+    perturbation of a single difference.  Sound by construction;
+    completeness is not claimed."""
+    field = diffs[0].field
     menu = [field.of(k) for k in (0, 1, -1, 2, -2)]
     zero = Term.zero(field)
-    gamma = {anchor: zero}
-    for i, d in zip(others, diffs):
-        gamma[i] = d
+    gamma = [zero] + diffs
     candidates = []
-    for base in [zero] + diffs:
+    for base in gamma:
         for nu in menu:
             for r in range(cap + 1):
                 candidates.append((base.scale(nu), r, None))
@@ -650,12 +648,12 @@ def _fallback_condition(diffs, anchor, others, spans, cap, field) -> list:
     out = []
     for displacement, r, sigma in candidates:
         conds = []
-        for i, g in gamma.items():
-            lo, hi = spans[i]
+        for g, (lo, hi) in zip(gamma, spans):
             if sigma is None:
                 conds.append(_bound(displacement - g, lo - r, hi - r))
             else:
-                conds.append(_menu_bound(displacement - g, sigma, lo, hi, cap + 1, field))
+                combos = [displacement - g + sigma.scale(field.of(k)) for k in range(1, cap + 2)]
+                conds.append(_menu_bound(combos, lo, hi))
         out.append(_all(conds))
     return _any(out)
 
