@@ -19,6 +19,7 @@ One result per line on stdout; diagnostics go to stderr as
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .context import field_from_token, load_context
@@ -38,7 +39,10 @@ from .model import SubspaceHandle, descriptor_iso, rich_model, weight_of_subspac
 from .qe import decide_sentence, eliminate_all
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs more
+    than a small ``decide``, and ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="axisspace", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

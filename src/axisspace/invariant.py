@@ -17,7 +17,8 @@ This module owns the three computations the rest of the library builds on:
 v_f together with the free-part reduction of an element against generators
 (:func:`free_reduction`), and the per-axis projection kernels
 (:func:`axis_kernels`).  ``iso`` and ``typespace`` call them rather than
-recomputing either.
+recomputing either.  All three read the coordinate matrix of the tuple map
+from :func:`map_rows`, built once per tuple.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ from .fields import FieldCtx, Scalar, check_same_field
 from .linalg import (
     Subspace,
     full_space,
-    intersect,
     kernel,
     member,
-    solve,
+    solve_augmented,
     subspace_from_generators,
 )
 from .model import ModelElement, SubspaceHandle, combine
@@ -90,6 +90,29 @@ class QfInvariant:
         return f"arity={self.arity} v_f={rows(self.v_f)} kernels={ker}"
 
 
+def map_rows(tuple_: Sequence[ModelElement], field: FieldCtx):
+    """The coordinate matrix of the tuple map, one row per coordinate the
+    tuple meets; a row holds the entries' values at that coordinate.
+
+    Returns (axis -> the rows of that axis's coordinates, in axis order;
+    the rows of the free coordinates).
+    """
+    n = len(tuple_)
+    axis_rows: dict = {}
+    free_rows: dict = {}
+    for i, el in enumerate(tuple_):
+        for rows, part in ((axis_rows, el.axis_part), (free_rows, el.free_part)):
+            for key, c in part:
+                row = rows.get(key)
+                if row is None:
+                    row = rows[key] = [field.zero] * n
+                row[i] = c
+    blocks: dict = {}
+    for key in sorted(axis_rows):
+        blocks.setdefault(key[0], []).append(tuple(axis_rows[key]))
+    return blocks, [tuple(row) for row in free_rows.values()]
+
+
 def free_reduction(a: ModelElement, gens: Sequence[ModelElement]):
     """Reduce ``a`` against ``gens`` to the axis span.
 
@@ -101,15 +124,9 @@ def free_reduction(a: ModelElement, gens: Sequence[ModelElement]):
     coefficient vectors whose combination has no free part.
     """
     gens = tuple(gens)
-    field = a.field
-    coords = sorted({c for el in gens + (a,) for c, _ in el.free_part})
-
-    def free_vector(el: ModelElement):
-        free = el.free_dict()
-        return tuple(free.get(c, field.zero) for c in coords)
-
-    vectors = [free_vector(g) for g in gens]
-    return solve(field, vectors, free_vector(a)), kernel(field, list(zip(*vectors)), len(gens))
+    field, n = a.field, len(gens)
+    _, free_rows = map_rows(gens + (a,), field)  # [free(gens) | free(a)]
+    return solve_augmented(field, free_rows, n), kernel(field, [row[:n] for row in free_rows], n)
 
 
 def axis_kernels(tuple_: Sequence[ModelElement]) -> dict:
@@ -119,13 +136,8 @@ def axis_kernels(tuple_: Sequence[ModelElement]) -> dict:
     if not tuple_:
         return {}
     field = tuple_[0].field
-    out = {}
-    for axis in sorted({axis for el in tuple_ for axis in el.axes()}):
-        parts = [el.coords_on_axis(axis) for el in tuple_]
-        coords = sorted({c for part in parts for c in part})
-        rows = [tuple(part.get(c, field.zero) for part in parts) for c in coords]
-        out[axis] = kernel(field, rows, len(tuple_))
-    return out
+    blocks, _ = map_rows(tuple_, field)
+    return {axis: kernel(field, rows, len(tuple_)) for axis, rows in blocks.items()}
 
 
 def tuple_field(tuple_: Sequence[ModelElement], field: FieldCtx | None = None) -> FieldCtx:
@@ -141,15 +153,21 @@ def tuple_field(tuple_: Sequence[ModelElement], field: FieldCtx | None = None) -
 def qf_invariant_mixed(tuple_: Sequence[ModelElement], field: FieldCtx | None = None) -> QfInvariant:
     """Invariant of an arbitrary tuple; elements may carry free parts.
 
-    Each axis kernel is intersected with v_f and kept only when the axis
-    actually meets the image of v_f.  ``field`` is the field of the entries
-    (see :func:`tuple_field`).
+    v_f is the kernel of the rows of the tuple map on the free coordinates.
+    The kernel of an axis inside v_f, ker(pi_axis o f) cap v_f, is the
+    kernel of that axis's rows stacked on the free rows, so each costs one
+    elimination over the k columns of the arity; it is kept only when the
+    axis meets the image of v_f, that is when it is smaller than v_f.
+    ``field`` is the field of the entries (see :func:`tuple_field`).
     """
     tuple_ = tuple(tuple_)
-    _, v_f = free_reduction(ModelElement.zero(tuple_field(tuple_, field)), tuple_)
-    kernels = [intersect(ker, v_f) for ker in axis_kernels(tuple_).values()]
+    field = tuple_field(tuple_, field)
+    n = len(tuple_)
+    blocks, free_rows = map_rows(tuple_, field)
+    v_f = kernel(field, free_rows, n)
+    kernels = [kernel(field, rows + free_rows, n) for rows in blocks.values()]
     kernels = [ker for ker in kernels if ker != v_f]  # axes meeting the image of v_f
-    return QfInvariant(len(tuple_), v_f, tuple(sorted(kernels, key=lambda s: s.key())))
+    return QfInvariant(n, v_f, tuple(sorted(kernels, key=lambda s: s.key())))
 
 
 def qf_invariant(tuple_: Sequence[ModelElement], field: FieldCtx | None = None) -> QfInvariant:

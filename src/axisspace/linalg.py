@@ -193,8 +193,20 @@ def solve(field: FieldCtx, rows: Sequence[Vector], rhs: Vector) -> Vector | None
     if any(len(r) != len(rhs) for r in rows):
         raise DimensionMismatch("right-hand side length mismatch")
     # Augment: transpose system A^T x = rhs with A rows as columns.
-    reduced, pivots = rref(field, [col + (b,) for col, b in zip(zip(*rows), rhs)])
-    n = len(rows)
+    return solve_augmented(field, [col + (b,) for col, b in zip(zip(*rows), rhs)], len(rows))
+
+
+def solve_augmented(field: FieldCtx, aug: Sequence[Vector], n: int) -> Vector | None:
+    """The canonical solution x of A x = b (free coefficients zero), or
+    None, given the rows of the augmented matrix [A | b] with n unknowns.
+
+    The solution reads off the reduced form of the rows, which depends on
+    their span only: row order and zero rows do not change it.
+    """
+    for r in aug:
+        if len(r) != n + 1:
+            raise DimensionMismatch("augmented row length != unknowns + 1")
+    reduced, pivots = rref(field, aug)
     sol = [field.zero] * n
     for row, pc in zip(reduced, pivots):
         if pc == n:  # pivot in the augmented column: inconsistent

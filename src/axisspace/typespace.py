@@ -19,16 +19,15 @@ from dataclasses import dataclass
 
 from .errors import NotSameType
 from .fields import FieldCtx
-from .invariant import free_reduction, qf_equiv
+from .invariant import free_reduction, map_rows, qf_equiv
 from .iso import PartialIso
-from .linalg import solve
+from .linalg import solve_augmented
 from .model import (
     ModelElement,
     SubspaceHandle,
     combine,
     proj_axis,
     span_membership,
-    to_coordinate_vectors,
     weight,
 )
 
@@ -90,34 +89,33 @@ def classify(a: ModelElement, fragment: SubspaceHandle) -> TypeDescriptor:
 def _min_weight_in_coset(c0: ModelElement, f_basis: list, field: FieldCtx):
     """Minimize weight(c0 - v) over the span of f_basis.
 
-    Enumerates candidate support sets by size: the weight is s exactly when
-    some v matches c0 on all axes outside a chosen s-element set and no
-    smaller set works.  Returns (min weight, the canonical v attaining it).
+    Enumerates candidate support sets ("keep sets") by size, then
+    lexicographically: the weight is s exactly when some v matches c0 on
+    all axes outside a chosen s-element set and no smaller set works.
+    Returns (min weight, the canonical v attaining it: the canonical
+    solution of the matching system of the first keep set that works).
+
+    An axis that c0 meets and no element of f_basis meets is forced: v is 0
+    there, so c0 - v never vanishes on it and every keep set that works
+    holds it.  Only the movable axes, those f_basis meets, are enumerated,
+    with the forced ones added to each keep set.  Adding one fixed set to
+    keep sets of equal size does not change their lexicographic order (the
+    least element of the symmetric difference decides it), so the first
+    keep set that works, and hence v, is the one the enumeration over all
+    axes would find.
     """
-    axes = sorted(set(c0.axes()) | {ax for b in f_basis for ax in b.axes()})
-    if not f_basis:
-        return weight(c0), ModelElement.zero(field)
-    for s in range(len(axes) + 1):
-        for keep in itertools.combinations(axes, s):
-            v = _solve_axis_match(c0, f_basis, [ax for ax in axes if ax not in keep], field)
-            if v is not None:
+    n = len(f_basis)
+    # one row per coordinate: the values of f_basis there, then c0's value
+    blocks, _ = map_rows(f_basis + [c0], field)
+    movable = sorted({ax for b in f_basis for ax in b.axes()})
+    for s in range(len(movable)):
+        for keep in itertools.combinations(movable, s):
+            matched = [row for axis in movable if axis not in keep for row in blocks[axis]]
+            coeffs = solve_augmented(field, matched, n)
+            if coeffs is not None:
+                v = combine(field, coeffs, f_basis)
                 return weight(c0 - v), v
-    return weight(c0), ModelElement.zero(field)
-
-
-def _solve_axis_match(c0: ModelElement, f_basis: list, match_axes: list, field: FieldCtx):
-    """Element v of the span of f_basis with proj(v) = proj(c0) on each of
-    match_axes, or None; canonical solution of the linear system."""
-    shadows = []
-    for el in [c0] + f_basis:
-        parts = {k: val for k, val in el.axis_part if k[0] in match_axes}
-        shadows.append(ModelElement(field, tuple(sorted(parts.items())), ()))
-    vectors, _ = to_coordinate_vectors(field, shadows)
-    target, basis_rows = vectors[0], vectors[1:]
-    coeffs = solve(field, basis_rows, target)
-    if coeffs is None:
-        return None
-    return combine(field, coeffs, f_basis)
+    return weight(c0), ModelElement.zero(field)  # keeping every axis: v = 0
 
 
 def conjugacy_witness(a: ModelElement, b: ModelElement, fragment: SubspaceHandle) -> PartialIso:

@@ -88,6 +88,23 @@ def test_long_flat_chains_decide_without_recursion_error():
         assert run(["decide", "--field", "q", "--formula", text]) == (0, truth + "\n", "")
 
 
+def test_one_process_answers_after_a_usage_error(capsys):
+    """The parser is built once per process; a usage error on it leaves
+    later calls with the right answers and exit codes."""
+    from axisspace.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["decide", "--field", "q"])  # --formula is required
+    assert exc.value.code == 2
+    assert "--formula" in capsys.readouterr().err
+    assert run(["decide", "--field", "q", "--formula", "A x. (X1(x) -> X2(x))"]) == (0, "true\n", "")
+    assert run(["qe", "--field", "q", "--formula", "E x. (X1(x + -1*$c) & X1(x + -1*$d))"]) == (
+        0, "X2($c + -1*$d)\n", "")
+    assert run(["decide", "--field", "q", "--formula", "A x. (X2(x) -> X1(x))"]) == (0, "false\n", "")
+    assert run(["decide", "--field", "q", "--formula", "X1(x"])[0] == 2
+
+
 def test_qe_refuses_finite_field():
     code, out, err = run(["qe", "--field", "zp:3", "--formula", "E x. X1(x)"])
     assert code == 1

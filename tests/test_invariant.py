@@ -9,6 +9,7 @@ from axisspace.errors import ArityMismatch, FieldMismatch, NotInF
 from axisspace.fields import FieldCtx
 from axisspace.invariant import (
     LinearMapFa,
+    QfInvariant,
     apply_fa,
     g_of,
     g_via_inclusion_exclusion,
@@ -18,8 +19,16 @@ from axisspace.invariant import (
     qf_invariant_mixed,
     weights_oracle_via_witness,
 )
-from axisspace.linalg import full_space, subspace_from_generators, vec, zero_space
-from axisspace.model import SubspaceHandle, rich_model, weight, weight_of_subspace
+from axisspace.linalg import full_space, intersect, subspace_from_generators, vec, zero_space
+from axisspace.model import (
+    ModelElement,
+    SubspaceHandle,
+    combine,
+    rich_model,
+    tuple_kernel,
+    weight,
+    weight_of_subspace,
+)
 
 Q = FieldCtx.rationals()
 GF2 = FieldCtx.prime_field(2)
@@ -146,6 +155,81 @@ def test_invariant_serialization_golden(M):
     assert qf_invariant(a).to_text() == "arity=2 v_f={(1,0),(0,1)} kernels=[{};{(0,1)}]"
     b = (M.e(0, 0) + M.fe(0),)
     assert qf_invariant_mixed(b).to_text() == "arity=1 v_f={} kernels=[]"
+
+
+def _reference_invariant(tuple_, field):
+    """v_f as the kernel of the entries' free parts, and the kernel of the
+    projections onto each axis intersected with it by Zassenhaus's
+    elimination; each kernel is a ``tuple_kernel``."""
+
+    def kernel_of(parts):
+        return tuple_kernel([ModelElement(field, axis_part, free_part) for axis_part, free_part in parts], field)
+
+    v_f = kernel_of(((), el.free_part) for el in tuple_)
+    kernels = []
+    for axis in sorted({ax for el in tuple_ for ax in el.axes()}):
+        ker = kernel_of((tuple(p for p in el.axis_part if p[0][0] == axis), ()) for el in tuple_)
+        kernels.append(intersect(ker, v_f))
+    kernels = [ker for ker in kernels if ker != v_f]
+    return QfInvariant(len(tuple_), v_f, tuple(sorted(kernels, key=lambda s: s.key())))
+
+
+def _mixed_tuple(model, rng, arity):
+    """Entries on axes 0..4 with a free part half the time; half the time
+    the last entry's free part is a combination of the others', so that
+    v_f is neither 0 nor everything."""
+    field = model.field
+    out = []
+    for _ in range(arity):
+        parts = {}
+        for axis in rng.sample(range(5), rng.randrange(0, 4)):
+            for coord in rng.sample(range(2), rng.randint(1, 2)):
+                parts[(axis, coord)] = rng.randint(-3, 3) if field.is_infinite else rng.randrange(field.p)
+        free = {}
+        if rng.random() < 0.5:
+            free[rng.randrange(3)] = rng.choice([1, 2, -1])
+        out.append(model.element(parts, free))
+    if arity > 1 and rng.random() < 0.5:
+        mix = combine(field, [rng.randint(-2, 2) for _ in out[:-1]], out[:-1])
+        out[-1] = model.element(out[-1].axis_part, mix.free_part)
+    return tuple(out)
+
+
+def _automorphic_image(model, rng, tuple_):
+    """The tuple moved by an automorphism: axes permuted and each rescaled,
+    free coordinates permuted."""
+    field = model.field
+    axes = rng.sample(range(5), 5)
+    scale = [field.of(rng.choice([1, 2, 3])) for _ in range(5)]
+    frees = rng.sample(range(3), 3)
+    return tuple(
+        model.element(
+            {(axes[axis], coord): field.mul(scale[axis], c) for (axis, coord), c in el.axis_part},
+            {frees[coord]: c for coord, c in el.free_part},
+        )
+        for el in tuple_
+    )
+
+
+@pytest.mark.parametrize("field", [Q, GF2, FieldCtx.prime_field(5)], ids=["Q", "GF2", "GF5"])
+def test_mixed_invariant_matches_intersection_of_kernels_with_v_f(field):
+    """The stacked-kernel invariant equals the one built by intersecting
+    each axis kernel with v_f, as text and in qf_equiv verdicts, on seeded
+    tuples with and without free parts."""
+    model = rich_model(field)
+    rng = random.Random(59)
+    verdicts = set()
+    for _ in range(150):
+        arity = rng.randint(1, 4)
+        a = _mixed_tuple(model, rng, arity)
+        b = _automorphic_image(model, rng, a) if rng.random() < 0.5 else _mixed_tuple(model, rng, arity)
+        ref_a, ref_b = _reference_invariant(a, field), _reference_invariant(b, field)
+        assert qf_invariant_mixed(a).to_text() == ref_a.to_text()
+        assert qf_invariant_mixed(b) == ref_b
+        verdict = qf_equiv(a, b)
+        assert verdict == (ref_a == ref_b)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,25 @@ import pytest
 from axisspace.errors import NotSameType
 from axisspace.fields import FieldCtx
 from axisspace.invariant import qf_equiv
-from axisspace.model import SubspaceHandle, rich_model, weight
-from axisspace.typespace import GenericFree, Realized, SumType, classify, conjugacy_witness
+from axisspace.linalg import solve
+from axisspace.model import (
+    ModelElement,
+    SubspaceHandle,
+    combine,
+    rich_model,
+    span_membership,
+    to_coordinate_vectors,
+    tuple_kernel,
+    weight,
+)
+from axisspace.typespace import (
+    GenericFree,
+    Realized,
+    SumType,
+    _min_weight_in_coset,
+    classify,
+    conjugacy_witness,
+)
 
 Q = FieldCtx.rationals()
 
@@ -83,6 +100,102 @@ def test_classify_coset_is_canonical(M, fragment):
     a = M.e(8, 0) + M.e(9, 0)
     b = M.e(10, 0) + M.e(11, 0)
     assert classify(a, fragment) == classify(b, fragment)
+
+
+# ---------------------------------------------------------------------------
+# differential: the coset search against the enumeration over every axis
+# ---------------------------------------------------------------------------
+
+
+def _reference_min_weight_in_coset(c0, f_basis, field):
+    """Every subset of the axes c0 or f_basis meet, by size and then
+    lexicographically; each solves its own system on shadow elements that
+    keep only the matched axes."""
+    axes = sorted(set(c0.axes()) | {ax for b in f_basis for ax in b.axes()})
+    if not f_basis:
+        return weight(c0), ModelElement.zero(field)
+    for s in range(len(axes) + 1):
+        for keep in itertools.combinations(axes, s):
+            shadows = [
+                ModelElement(field, tuple((k, c) for k, c in el.axis_part if k[0] not in keep), ())
+                for el in [c0] + f_basis
+            ]
+            vectors, _ = to_coordinate_vectors(field, shadows)
+            coeffs = solve(field, vectors[1:], vectors[0])
+            if coeffs is not None:
+                v = combine(field, coeffs, f_basis)
+                return weight(c0 - v), v
+    raise AssertionError("keeping every axis always works")
+
+
+def _reference_classify(a, fragment):
+    field = a.field
+    gens = list(fragment.generators)
+    if span_membership(a, fragment) is not None:
+        return Realized(a)
+    frees = [ModelElement(field, (), el.free_part) for el in gens + [a]]
+    vectors, _ = to_coordinate_vectors(field, frees)
+    free_coeffs, vf = solve(field, vectors[:-1], vectors[-1]), tuple_kernel(frees[:-1], field)
+    if free_coeffs is None:
+        return GenericFree()
+    m0 = combine(field, free_coeffs, gens)
+    n, v = _reference_min_weight_in_coset(a - m0, [combine(field, row, gens) for row in vf.basis], field)
+    return SumType(n, m0 + v)
+
+
+def _axis_element(model, rng, axes):
+    """An element on one or two coordinates of each of ``axes``."""
+    field = model.field
+    parts = {}
+    for axis in axes:
+        for coord in rng.sample(range(3), rng.randint(1, 2)):
+            c = rng.randint(-3, 3) if field.is_infinite else rng.randrange(field.p)
+            parts[(axis, coord)] = c
+    return model.element(parts)
+
+
+@pytest.mark.parametrize("field", [Q, FieldCtx.prime_field(5)], ids=["Q", "GF5"])
+def test_coset_search_matches_enumeration_over_every_axis(field):
+    """(n, coset) equal the all-axes search exactly, on cosets whose c0
+    shares axes with the fragment part and also meets axes of its own."""
+    model = rich_model(field)
+    rng = random.Random(23)
+    moved = 0
+    for _ in range(150):
+        f_basis = [_axis_element(model, rng, rng.sample(range(5), rng.randint(1, 4)))
+                   for _ in range(rng.randint(0, 3))]
+        shared = combine(field, [rng.randint(-2, 2) for _ in f_basis], f_basis)
+        c0 = shared + _axis_element(model, rng, rng.sample(range(8), rng.randint(0, 3)))
+        got = _min_weight_in_coset(c0, f_basis, field)
+        assert got == _reference_min_weight_in_coset(c0, f_basis, field)
+        moved += not got[1].is_zero()
+    assert moved >= 50
+
+
+@pytest.mark.parametrize("field", [Q, FieldCtx.prime_field(5)], ids=["Q", "GF5"])
+def test_classify_matches_enumeration_over_every_axis(field):
+    """Seeded fragments whose generators carry free parts, and elements
+    that meet the fragment's axes: classify gives the reference's
+    descriptor, SumType (n, coset) included."""
+    model = rich_model(field)
+    rng = random.Random(41)
+    kinds = {Realized: 0, GenericFree: 0, SumType: 0}
+    for _ in range(120):
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            g = _axis_element(model, rng, rng.sample(range(5), rng.randint(1, 3)))
+            if rng.random() < 0.5:
+                g = g + model.fe(rng.randrange(2), rng.choice([1, 2, -1]))
+            gens.append(g)
+        fragment = SubspaceHandle(tuple(gens))
+        a = combine(field, [rng.randint(-2, 2) for _ in gens], gens)
+        a = a + _axis_element(model, rng, rng.sample(range(7), rng.randint(0, 3)))
+        if rng.random() < 0.2:
+            a = a + model.fe(rng.randrange(3))
+        t = classify(a, fragment)
+        assert t == _reference_classify(a, fragment)
+        kinds[type(t)] += 1
+    assert kinds[SumType] >= 60 and kinds[Realized] and kinds[GenericFree]
 
 
 # ---------------------------------------------------------------------------
