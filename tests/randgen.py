@@ -69,6 +69,38 @@ def random_exists_formula(rng, n_params=2, max_x_atoms=3, max_index=4):
     return Exists(var, tree), params
 
 
+def random_nested_formula(rng):
+    """Text of a random formula over the parameters $c0 and $c1 with two or
+    three nested quantifiers, over x, y and z from the outside in.
+
+    The innermost matrix joins two literals by &, | or ->.  Each level is
+    E or A, is negated a third of the time, and most often meets a literal
+    over the variables bound outside it through &, | or -> (either way
+    round).  Atoms are X0..X2 of small integer terms, or equations; a
+    fifth of the literals are negated.
+    """
+    variables = ["x", "y", "z"][: rng.randint(2, 3)]
+
+    def term(scope):
+        parts = [f"{rng.choice([1, 1, -1, 2])}*{v}" for v in scope if rng.random() < 0.4]
+        parts += [f"{rng.choice([1, -1, 2, -2])}*$c{i}" for i in range(2) if rng.random() < 0.8]
+        return " + ".join(parts) or "0"
+
+    def literal(scope):
+        atom = f"{term(scope)} = 0" if rng.random() < 0.15 else f"X{rng.randint(0, 2)}({term(scope)})"
+        return "!" + atom if rng.random() < 0.2 else atom
+
+    body = f"{literal(variables)} {rng.choice(['&', '|', '->'])} {literal(variables)}"
+    for depth in reversed(range(len(variables))):
+        body = f"{rng.choice('EA')} {variables[depth]}. ({body})"
+        if rng.random() < 0.3:
+            body = "!" + body
+        if rng.random() < 0.8:
+            other = literal(variables[:depth])
+            body = rng.choice([f"({other}) {op} ({body})" for op in ("&", "|", "->")] + [f"({body}) -> ({other})"])
+    return body
+
+
 def random_param_env(model, rng, params, max_weight=2):
     env = {}
     for p in params:

@@ -38,7 +38,14 @@ from axisspace.qe import (
     witness_search,
 )
 
-from randgen import random_element, random_exists_formula, random_f_element, random_param_env, within
+from randgen import (
+    random_element,
+    random_exists_formula,
+    random_f_element,
+    random_nested_formula,
+    random_param_env,
+    within,
+)
 
 Q = FieldCtx.rationals()
 GF3 = FieldCtx.prime_field(3)
@@ -233,6 +240,30 @@ def test_eliminate_all_idempotent_on_qf(M):
     assert out == simplify(phi)
     assert eliminate_all(out) == out
 
+
+
+NESTED_DIGEST = ("a6c57207812cf3ac26722882844854792261c0c1", 1846)
+
+
+def _nested_texts():
+    """eliminate_all's printed conditions on 80 seeded nested formulas."""
+    rng = random.Random(1)
+    return [print_formula(eliminate_all(parse_formula(random_nested_formula(rng), Q))) for _ in range(80)]
+
+
+def test_nested_elimination_prints_the_same_under_any_hash_seed():
+    """Formulas with two or three alternating quantifiers, some under a
+    negation or an implication: the joined printed conditions are pinned,
+    and print the same under other hash seeds."""
+    texts = _nested_texts()
+    assert sum(text not in ("0 = 0", "!(0 = 0)") for text in texts) == 56
+    joined = "\n".join(texts)
+    assert (hashlib.sha1(joined.encode()).hexdigest(), len(joined)) == NESTED_DIGEST
+    code = "import hashlib; from test_qe import _nested_texts; print(hashlib.sha1(chr(10).join(_nested_texts()).encode()).hexdigest())"
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True, text=True).stdout
+        assert out == NESTED_DIGEST[0] + "\n"
 
 INF = math.inf
 
