@@ -30,20 +30,25 @@ output multiplies.
 Every atom bounds one integer, the weight of its term: the number of axes
 the term meets, infinite outside the axis span.  ``t = 0`` is ``X0(t)``
 (X^0 = {0}): both bound w(t) above by 0, and their negations bound it
-below by 1.  So a condition is one thing from the input DNF to the
-printer: a list of distinct boxes in first-seen order, read as their
-disjunction.  A box is a frozenset of pairs (term, (lo, hi)), one per
-nonzero term scaled to lead coefficient 1, read as the conjunction of
-lo <= w(term) <= hi (hi possibly infinite); ``[frozenset()]`` is true and
-``[]`` is false.  :func:`_bound` makes every one-term condition and folds
-the zero term; :func:`_all` intersects intervals term by term and drops a
-box as soon as one is empty; :func:`_any` joins lists.  The DNF of an
-input formula and every engine's output are built with them.
+below by 1.  So a condition is one thing from the input to the printer,
+across any nesting of quantifiers: a list of distinct boxes in
+first-seen order, read as their disjunction.  A box is a frozenset of
+pairs (term, (lo, hi)), one per nonzero term scaled to lead coefficient
+1, read as the conjunction of lo <= w(term) <= hi (hi possibly
+infinite); ``[frozenset()]`` is true and ``[]`` is false.
+:func:`_bound` makes every one-term condition and folds the zero term;
+:func:`_all` intersects intervals term by term and drops a box as soon
+as one is empty; :func:`_any` joins lists.  One walk,
+:func:`_dnf_literals`, builds the boxes of a formula with them and
+eliminates each quantifier where it stands, innermost first: (forall x)
+phi is not (exists x) not phi, and the negation of a condition is the
+product, box by box, of the disjunctions of its negated literals.
 
-Every elimination ends in :func:`_simplify_rows`, which joins boxes that
-agree on every term but one and hold touching intervals on it, term by
-term in the order of the terms' printed text, until nothing joins.  So
+Each elimination's boxes are reduced (:func:`_reduced`): boxes that agree
+on every term but one and hold touching intervals on it are joined, term
+by term in the order of the terms' printed text, until nothing joins, so
 runs of levels print as one interval ``Xhi(t) & !X(lo-1)(t)``.
+:func:`_simplify_rows` prints the one output formula.
 
 Everything refuses finite fields: the theory is incomplete there and the
 level calculus loses its generic-scalar arguments.
@@ -69,6 +74,7 @@ from .formula import (
     And,
     Eq,
     Exists,
+    Forall,
     Formula,
     Not,
     Or,
@@ -80,7 +86,6 @@ from .formula import (
     false_formula,
     free_symbols,
     is_quantifier_free,
-    print_formula,
     true_formula,
 )
 from .linalg import rref
@@ -128,20 +133,6 @@ def instantiate_template(template: WitnessTemplate, model: Model, used: Sequence
 # ---------------------------------------------------------------------------
 # weight boxes: the one form of a condition
 # ---------------------------------------------------------------------------
-
-
-def _nnf(phi: Formula, positive: bool = True) -> Formula:
-    if isinstance(phi, (Eq, Xn)):
-        return phi if positive else Not(phi)
-    if isinstance(phi, Not):
-        return _nnf(phi.child, not positive)
-    if isinstance(phi, And):
-        parts = (_nnf(phi.lhs, positive), _nnf(phi.rhs, positive))
-        return And(*parts) if positive else Or(*parts)
-    if isinstance(phi, Or):
-        parts = (_nnf(phi.lhs, positive), _nnf(phi.rhs, positive))
-        return Or(*parts) if positive else And(*parts)
-    raise NotQuantifierFree(f"quantifier inside a quantifier-free context: {print_formula(phi)}")
 
 
 # the weight of an element outside the axis span
@@ -217,21 +208,54 @@ def _any(parts) -> list:
     return list(rows)
 
 
+def _atom(term: Term, n, positive: bool) -> list:
+    """w(term) <= n, or its negation w(term) >= n + 1."""
+    return _bound(term, 0, n) if positive else _bound(term, n + 1, _UNBOUNDED)
+
+
+def _literals(entries):
+    """The printed literals of entries (key, lo, hi), in order: (True, hi,
+    key) when hi is finite, then (False, lo - 1, key) when lo >= 1."""
+    for key, lo, hi in entries:
+        if hi != _UNBOUNDED:
+            yield True, hi, key
+        if lo > 0:
+            yield False, lo - 1, key
+
+
+def _negate(rows) -> list:
+    """The negation of a condition: per box, the disjunction of its
+    negated literals in printed order (terms by their text), multiplied
+    out box by box."""
+
+    def negated(box):
+        entries = sorted(((t, lo, hi) for t, (lo, hi) in box), key=lambda entry: str(entry[0]))
+        return _any(_atom(t, n, not pol) for pol, n, t in _literals(entries))
+
+    return _all(negated(box) for box in rows)
+
+
 def _dnf_literals(phi: Formula) -> list:
-    """Disjunctive normal form: the boxes of ``phi``.  ``t = 0`` and
-    ``Xn(t)`` bound w(t) above by 0 and n, their negations below by 1
-    and n + 1."""
+    """The boxes of ``phi``, every quantifier eliminated.  The walk
+    carries the polarity that negations flip.  ``t = 0`` and ``Xn(t)``
+    bound w(t) above by 0 and n, their negations below by 1 and n + 1.
+    (forall x) psi takes the boxes of not psi, and the condition of the
+    quantifier is negated where its polarity differs from the context's."""
 
-    def rows(psi: Formula) -> list:
-        if isinstance(psi, And):
-            return _all([rows(psi.lhs), rows(psi.rhs)])
-        if isinstance(psi, Or):
-            return _any([rows(psi.lhs), rows(psi.rhs)])
-        pol, atom = (False, psi.child) if isinstance(psi, Not) else (True, psi)
-        term, n = (atom.lhs - atom.rhs, 0) if isinstance(atom, Eq) else (atom.term, atom.n)
-        return _bound(term, 0, n) if pol else _bound(term, n + 1, _UNBOUNDED)
+    def rows(psi: Formula, positive: bool) -> list:
+        if isinstance(psi, Not):
+            return rows(psi.child, not positive)
+        if isinstance(psi, (And, Or)):
+            parts = [rows(psi.lhs, positive), rows(psi.rhs, positive)]
+            return _all(parts) if isinstance(psi, And) == positive else _any(parts)
+        if isinstance(psi, (Exists, Forall)):
+            exists = isinstance(psi, Exists)
+            cond = _reduce_rows(_exists_rows(rows(psi.body, exists), psi.var, _formula_field(psi)))
+            return cond if exists == positive else _negate(cond)
+        term, n = (psi.lhs - psi.rhs, 0) if isinstance(psi, Eq) else (psi.term, psi.n)
+        return _atom(term, n, positive)
 
-    return rows(_nnf(phi))
+    return rows(phi, True)
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +303,7 @@ def _search_disjunct(box, phi, var, env, model: Model):
     lows = {i: lo for i, (lo, _) in enumerate(spans) if lo > 0}
 
     used = list(env.values()) + terms
-    free_classes: list = []
-    for t in terms:
-        if t.free_part not in free_classes:
-            free_classes.append(t.free_part)
+    free_classes = list(dict.fromkeys(t.free_part for t in terms))
     axes = sorted({axis for t in terms for axis in {a for (a, _), _ in t.axis_part}})
     comp_table = {
         axis: [
@@ -291,13 +312,7 @@ def _search_disjunct(box, phi, var, env, model: Model):
         ]
         for axis in axes
     }
-    menus = {}
-    for axis in axes:
-        values = []
-        for comp in comp_table[axis]:
-            if comp not in values:
-                values.append(comp)
-        menus[axis] = values
+    menus = {axis: list(dict.fromkeys(comps)) for axis, comps in comp_table.items()}
 
     def verify(x: ModelElement):
         full_env = dict(env)
@@ -307,7 +322,7 @@ def _search_disjunct(box, phi, var, env, model: Model):
     def matches(i: int, chosen_fp) -> bool:
         return terms[i].free_part == chosen_fp
 
-    for chosen_fp in list(free_classes) + [None]:  # None = fresh free direction
+    for chosen_fp in free_classes + [None]:  # None = fresh free direction
         if chosen_fp is None and pos_xn:
             continue  # an upper bound forces agreement on the free block
         if chosen_fp is not None and any(not matches(i, chosen_fp) for i in pos_xn):
@@ -407,7 +422,12 @@ def eliminate_exists(phi: Formula, var: str) -> Formula:
     _require_infinite(field)
     if not is_quantifier_free(phi):
         raise NotQuantifierFree("eliminate_exists expects a quantifier-free matrix")
-    disjuncts = _dnf_literals(phi)
+    return _simplify_rows(field, _exists_rows(_dnf_literals(phi), var, field))
+
+
+def _exists_rows(disjuncts, var: str, field: FieldCtx) -> list:
+    """The condition of (exists var) over the boxes ``disjuncts``: the
+    disjunction of each one's condition (:func:`_eliminate_disjunct`)."""
     conds = [None] * len(disjuncts)
     # one true disjunct makes the condition true; disjuncts with few upper
     # bounds are cheap to eliminate and the likely true ones, so they go
@@ -415,8 +435,8 @@ def eliminate_exists(phi: Formula, var: str) -> Formula:
     for i in sorted(range(len(disjuncts)), key=lambda i: sum(hi != _UNBOUNDED for _, (_, hi) in disjuncts[i])):
         conds[i] = _eliminate_disjunct(disjuncts[i], var, field)
         if conds[i] == [frozenset()]:
-            return true_formula(field)
-    return _simplify_rows(field, _any(conds))
+            return conds[i]
+    return _any(conds)
 
 
 def _split(box, var: str, field: FieldCtx):
@@ -664,57 +684,58 @@ def _fallback_condition(diffs, spans, cap) -> list:
 
 
 def simplify(phi: Formula) -> Formula:
-    """Disjunctive normal form of ``phi`` with constant folding, interval
-    joins and deduplication: the boxes of ``phi`` (see
+    """Disjunctive normal form of a quantifier-free ``phi`` with constant
+    folding, interval joins and deduplication: the boxes of ``phi`` (see
     :func:`_dnf_literals`) go through :func:`_simplify_rows`, as every
     elimination's boxes do directly."""
+    if not is_quantifier_free(phi):
+        raise NotQuantifierFree("simplify expects a quantifier-free formula")
     return _simplify_rows(_formula_field(phi), _dnf_literals(phi))
 
 
 def _simplify_rows(field: FieldCtx, rows) -> Formula:
-    """A condition, distinct boxes, as a formula with interval joins.
-
-    A box that is true makes the formula true, and no boxes make it false.
-    Boxes that agree on every term but one and hold overlapping or
-    touching intervals on it are joined, term by term in the order of
-    their printed text, until nothing joins (see :func:`_join_intervals`).
-
-    Each interval prints as at most two literals: ``t = 0`` when hi = 0,
-    else ``Xhi(t)`` when hi is finite and ``!X(lo-1)(t)`` when lo >= 1,
-    terms in the order of their printed text.  A disjunct whose literal
-    set strictly contains another disjunct's is dropped (see
-    :func:`_minimal_rows`).  The output holds one node per distinct
+    """A condition as a formula, reduced by :func:`_reduced`.  Each
+    interval prints as at most two literals (see :func:`_literals`):
+    ``t = 0`` when hi = 0, else ``Xhi(t)`` when hi is finite and
+    ``!X(lo-1)(t)`` when lo >= 1.  The output holds one node per distinct
     literal (its atom, or a ``Not`` over an atom of its own), shared by
-    every disjunct that contains it.
-    """
+    every disjunct that contains it."""
+    terms, rows = _reduced(rows)
     if not rows:
         return false_formula(field)
-    if not all(rows):
-        return true_formula(field)
-    terms = sorted({t for box in rows for t, _ in box}, key=str)
-    tid = {t: i for i, t in enumerate(terms)}
-    rows = _join_intervals([tuple(sorted((tid[t], lo, hi) for t, (lo, hi) in box)) for box in rows], len(terms))
-    if () in rows:
+    if rows == [()]:
         return true_formula(field)
     ids = {}
-    lit_rows = []
-    for row in rows:
-        lits = []
-        for i, lo, hi in row:
-            if hi != _UNBOUNDED:
-                lits.append((True, hi, i))
-            if lo > 0:
-                lits.append((False, lo - 1, i))
-        lit_rows.append([ids.setdefault(lit, len(ids)) for lit in lits])
+    lit_rows = [[ids.setdefault(lit, len(ids)) for lit in _literals(row)] for row in rows]
     nodes = []
     for pol, n, i in ids:
         atom = Eq(terms[i], Term.zero(field)) if pol and n == 0 else Xn(n, terms[i])
         nodes.append(atom if pol else Not(atom))
-    return _balanced(Or, [
-        _balanced(And, [nodes[i] for i in row])
-        for row, minimal in zip(lit_rows, _minimal_rows(lit_rows))
-        if minimal
-    ])
+    return _balanced(Or, [_balanced(And, [nodes[i] for i in row]) for row in lit_rows])
+
+
+def _reduce_rows(rows) -> list:
+    """A condition reduced by :func:`_reduced`, as boxes."""
+    terms, rows = _reduced(rows)
+    return [frozenset((terms[i], (lo, hi)) for i, lo, hi in row) for row in rows]
+
+
+def _reduced(rows):
+    """A condition, distinct boxes, as (terms, rows): the terms in the
+    order of their printed text, each box a tuple of (term id, lo, hi)
+    sorted by id, ``[()]`` if true.  Intervals are joined (see
+    :func:`_join_intervals`) and non-minimal rows dropped (see
+    :func:`_minimal_rows`)."""
+    if not rows:
+        return [], []
+    if not all(rows):
+        return [], [()]
+    terms = sorted({t for box in rows for t, _ in box}, key=str)
+    tid = {t: i for i, t in enumerate(terms)}
+    rows = _join_intervals([tuple(sorted((tid[t], lo, hi) for t, (lo, hi) in box)) for box in rows], len(terms))
+    if () in rows:
+        return [], [()]
+    return terms, [row for row, minimal in zip(rows, _minimal_rows(rows)) if minimal]
 
 
 def _join_intervals(rows, nterms):
@@ -769,13 +790,15 @@ def _join_intervals(rows, nterms):
 
 
 def _minimal_rows(rows):
-    """For distinct rows of distinct literal ids, whether each row strictly
-    contains no other row.
+    """For distinct rows, whether the literals of each (see
+    :func:`_literals`) strictly contain no other row's.
 
-    Each row becomes the bitmask of its ids and is filed under its rarest
-    id.  A row can contain only rows filed under one of its own ids, so it
-    is compared with those alone rather than with every row.
+    Each row becomes the bitmask of its literal ids and is filed under its
+    rarest id.  A row can contain only rows filed under one of its own ids,
+    so it is compared with those alone rather than with every row.
     """
+    ids = {}
+    rows = [[ids.setdefault(lit, len(ids)) for lit in _literals(row)] for row in rows]
     masks = [sum(1 << i for i in row) for row in rows]
     count = Counter(i for row in rows for i in row)
     filed = {}
@@ -789,47 +812,21 @@ def _minimal_rows(rows):
 
 def eliminate_all(phi: Formula) -> Formula:
     """Quantifier-free equivalent over rich models, eliminating innermost
-    quantifiers first; universal quantifiers go through double negation."""
+    quantifiers first (see :func:`_dnf_literals`)."""
     field = _formula_field(phi)
     _require_infinite(field)
-    return simplify(_eliminate_rec(phi))
-
-
-def _eliminate_rec(phi: Formula) -> Formula:
-    if isinstance(phi, (Eq, Xn)):
-        return phi
-    if isinstance(phi, Not):
-        return Not(_eliminate_rec(phi.child))
-    if isinstance(phi, (And, Or)):
-        return type(phi)(_eliminate_rec(phi.lhs), _eliminate_rec(phi.rhs))
-    body = _eliminate_rec(phi.body)
-    if isinstance(phi, Exists):
-        return eliminate_exists(body, phi.var)
-    return Not(eliminate_exists(Not(body), phi.var))
+    return _simplify_rows(field, _dnf_literals(phi))
 
 
 def decide_sentence(phi: Formula) -> bool:
-    """Decide a sentence: eliminate all quantifiers, then evaluate the
-    quantifier-free result where every closed term is zero (the trivial
-    substructure embeds in every model)."""
+    """Decide a sentence: eliminate all quantifiers.  Every term of a
+    sentence's condition is closed, hence zero and folded by
+    :func:`_bound`, so the condition is true or false."""
     symbols = free_symbols(phi)
     if symbols:
         raise FreeSymbolsPresent(f"not a sentence; free symbols {sorted(symbols)}")
-    field = _formula_field(phi)
-    _require_infinite(field)
-    qf = eliminate_all(phi)
-    return _eval_closed(qf)
-
-
-def _eval_closed(phi: Formula) -> bool:
-    if isinstance(phi, Eq):
-        return (phi.lhs - phi.rhs).is_zero()
-    if isinstance(phi, Xn):
-        return phi.term.is_zero()
-    if isinstance(phi, Not):
-        return not _eval_closed(phi.child)
-    if isinstance(phi, And):
-        return _eval_closed(phi.lhs) and _eval_closed(phi.rhs)
-    if isinstance(phi, Or):
-        return _eval_closed(phi.lhs) or _eval_closed(phi.rhs)
-    raise NotQuantifierFree("quantifier survived elimination")
+    _require_infinite(_formula_field(phi))
+    rows = _dnf_literals(phi)
+    if rows not in ([], [frozenset()]):
+        raise NotQuantifierFree("elimination left a condition on a sentence")
+    return bool(rows)

@@ -55,8 +55,9 @@ def test_decide_refuses_nesting_deeper_than_the_limit():
 
 
 def test_formulas_at_the_nesting_limit_decide():
-    """At the limit a formula goes through parsing, _nnf, _eliminate_rec,
-    print_formula and eval_qf without a RecursionError."""
+    """At the limit a formula goes through parsing, the elimination walk
+    of qe._dnf_literals, print_formula and eval_qf without a
+    RecursionError."""
     from axisspace.formula import MAX_NESTING
 
     sentences = [

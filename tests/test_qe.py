@@ -10,8 +10,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from axisspace.errors import FieldNotInfinite, FreeSymbolsPresent
+from axisspace.errors import FieldNotInfinite, FreeSymbolsPresent, NotQuantifierFree
 from axisspace.fields import FieldCtx
 from axisspace.formula import (
     And,
@@ -170,12 +172,12 @@ def test_grid_oracle_no_false_negatives(M):
 def test_eliminate_equation_is_true(M):
     phi = parse_formula("E x. (x + -1*$c = 0)", Q)
     out = eliminate_all(phi)
-    assert _always_true(out, M)
+    assert eval_qf(out, {}, Q)
 
 
 def test_eliminate_membership_is_true(M):
     phi = parse_formula("E x. (X1(x) & !X0(x))", Q)
-    assert _always_true(eliminate_all(phi), M)
+    assert eval_qf(eliminate_all(phi), {}, Q)
 
 
 def test_eliminate_keeps_free_symbols_subset(M):
@@ -215,7 +217,7 @@ def test_eliminate_agreement_random(M):
         assert free_symbols(out) <= {"$" + p for p in params}
         for _ in range(8):
             env = random_param_env(M, rng, params)
-            truth = eval_qf(out, env, Q) if params else _closed_eval(out, M)
+            truth = eval_qf(out, env, Q)
             found = witness_search(phi.body, "x", env, M) is not None
             assert truth == found, print_formula(phi)
         formulas += 1
@@ -259,7 +261,10 @@ def test_nested_elimination_prints_the_same_under_any_hash_seed():
     assert sum(text not in ("0 = 0", "!(0 = 0)") for text in texts) == 56
     joined = "\n".join(texts)
     assert (hashlib.sha1(joined.encode()).hexdigest(), len(joined)) == NESTED_DIGEST
-    code = "import hashlib; from test_qe import _nested_texts; print(hashlib.sha1(chr(10).join(_nested_texts()).encode()).hexdigest())"
+    code = (
+        "import hashlib; from test_qe import _nested_texts; "
+        "print(hashlib.sha1(chr(10).join(_nested_texts()).encode()).hexdigest())"
+    )
     for seed in ("1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(sys.path))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True, text=True).stdout
@@ -448,6 +453,45 @@ def test_simplify_is_equivalent_and_idempotent_on_planted_dnfs(M):
             env = _random_env(M, rng)
             assert eval_qf(out, env, Q) == eval_qf(phi, env, Q), print_formula(phi)
 
+
+
+def test_quantifier_free_entry_points_refuse_quantifiers(M):
+    phi = parse_formula("E x. X1(x)", Q)
+    for call in (
+        lambda: simplify(phi),
+        lambda: eliminate_exists(phi, "x"),
+        lambda: witness_search(phi, "x", {}, M),
+    ):
+        with pytest.raises(NotQuantifierFree):
+            call()
+
+
+# three independent terms: every weight vector is some element's
+BOX_TERMS = [Term.var(Q, name) for name in ("x", "y", "z")]
+WEIGHTS = list(range(6)) + [INF]
+
+
+def _box_strategy():
+    interval = st.tuples(st.integers(0, 4), st.sampled_from([0, 1, 2, 3, 4, INF])).filter(
+        lambda span: span[0] <= span[1] and span != (0, INF)
+    )
+    return st.dictionaries(st.integers(0, 2), interval, max_size=3).map(
+        lambda spans: frozenset((BOX_TERMS[i], span) for i, span in spans.items())
+    )
+
+
+def _holds(rows, weights):
+    return any(all(lo <= weights[BOX_TERMS.index(t)] <= hi for t, (lo, hi) in box) for box in rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_box_strategy(), max_size=6, unique=True))
+def test_negate_holds_exactly_where_no_box_does(boxes):
+    rows = qe._reduce_rows(boxes)
+    negated = qe._negate(rows)
+    for weights in itertools.product(WEIGHTS, repeat=3):
+        assert _holds(rows, weights) == _holds(boxes, weights)
+        assert _holds(negated, weights) != _holds(rows, weights), weights
 
 def _assert_merge_fixpoint(phi):
     """No two disjuncts of phi agree on every term but one and hold
@@ -732,18 +776,3 @@ def test_decide_two_independent_axes():
 def test_decide_x2_not_contained_in_x1():
     assert not decide_sentence(parse_formula("A x. (X2(x) -> X1(x))", Q))
 
-
-# ---------------------------------------------------------------------------
-# helpers
-# ---------------------------------------------------------------------------
-
-
-def _always_true(phi, model):
-    """A closed or constant formula that evaluates true."""
-    return _closed_eval(phi, model)
-
-
-def _closed_eval(phi, model):
-    from axisspace.qe import _eval_closed
-
-    return _eval_closed(phi)
