@@ -5,6 +5,7 @@ import pickle
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +116,67 @@ def test_parse_errors_carry_positions():
 def test_terms_normalize_zero_coefficients():
     t = parse_term("x + -1*x", Q)
     assert t.is_zero()
+
+
+GF5 = FieldCtx.prime_field(5)
+
+
+def _scalars(field):
+    ints = st.integers(min_value=-6, max_value=6)
+    if field.is_infinite:
+        return st.builds(lambda n, d: field.of(Fraction(n, d)), ints, st.integers(min_value=1, max_value=4))
+    return ints.map(field.of)
+
+
+def _made_terms(field):
+    def entries(names):
+        return st.lists(st.tuples(st.sampled_from(names), _scalars(field)), max_size=3)
+
+    return st.builds(lambda vs, cs: Term.make(field, dict(vs), dict(cs)), entries(["x", "y", "z"]), entries(["c", "d"]))
+
+
+def _dict_sum(field, *summands):
+    """The sum of s*t over the (s, t) ``summands``, added up in plain
+    dicts and normalised once by ``Term.make``."""
+    sums = ({}, {})
+    for s, t in summands:
+        for acc, part in zip(sums, (t.vars, t.consts)):
+            for name, c in part:
+                acc[name] = acc.get(name, 0) + s * c
+    return Term.make(field, *sums)
+
+
+@st.composite
+def _arith_cases(draw):
+    field = draw(st.sampled_from([Q, GF5]))
+    a, b = draw(_made_terms(field)), draw(_made_terms(field))
+    if draw(st.booleans()):
+        # b repeats a scaled, so sums and differences cancel entries of a
+        b = _dict_sum(field, (draw(_scalars(field)), a), (1, b))
+    return field, a, b, draw(_scalars(field)), draw(st.sampled_from(["x", "y", "z", "w"]))
+
+
+def _assert_same_term(got, want):
+    assert (got.field, got.vars, got.consts) == (want.field, want.vars, want.consts)
+    assert [type(c) for _, c in got.vars + got.consts] == [type(c) for _, c in want.vars + want.consts]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_arith_cases())
+def test_term_arithmetic_equals_make_over_dict_sums(case):
+    """Over Q and GF(5), every arithmetic operation on terms gives, tuple
+    for tuple, what Term.make gives on the same sums done in dicts."""
+    field, a, b, s, name = case
+    zero = Term.zero(field)
+    _assert_same_term(a + b, _dict_sum(field, (1, a), (1, b)))
+    _assert_same_term(a - b, _dict_sum(field, (1, a), (-1, b)))
+    _assert_same_term(a.scale(s), _dict_sum(field, (s, a)))
+    _assert_same_term(a.scale(field.zero), zero)
+    _assert_same_term(a - a, zero)
+    _assert_same_term(a + a.scale(field.of(-1)), zero)
+    rest = Term.make(field, {k: c for k, c in a.vars if k != name}, dict(a.consts))
+    _assert_same_term(a.drop_var(name), rest)
+    _assert_same_term(a.substitute_var(name, b), _dict_sum(field, (1, rest), (a.coeff_of_var(name), b)))
 
 
 def test_term_hash_is_structural_and_survives_pickling_across_processes():
