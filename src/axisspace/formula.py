@@ -23,7 +23,7 @@ from typing import Mapping, Union
 
 from .errors import FormulaSyntaxError, NotQuantifierFree, UnboundSymbol
 from .fields import FieldCtx, Scalar
-from .model import ModelElement, in_Xn
+from .model import ModelElement, combine, in_Xn
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +58,12 @@ class Term:
 
     @staticmethod
     def make(field: FieldCtx, vars: Mapping = (), consts: Mapping = ()) -> "Term":
+        """The term with coefficients ``vars`` and ``consts``, maps from
+        names to scalars in any form ``field.of`` accepts: every scalar is
+        coerced, zeros are dropped and names sorted.  This is the way in for
+        untrusted input (the parser, :meth:`var`, :meth:`const`);
+        arithmetic on terms goes through :meth:`combine`, which keeps the
+        canonical form its operands already have."""
         return Term(field, _nonzero_sorted(field, vars), _nonzero_sorted(field, consts))
 
     @staticmethod
@@ -78,32 +84,39 @@ class Term:
     def coeff_of_var(self, name: str) -> Scalar:
         return dict(self.vars).get(name, self.field.zero)
 
-    def __add__(self, other: "Term") -> "Term":
+    def combine(self, s: Scalar, other: "Term") -> "Term":
+        """self + s*other for a scalar ``s`` in canonical form: one merge
+        of the two sorted entry tuples, so no scalar is coerced again and
+        nothing is sorted."""
         f = self.field
-        v = dict(self.vars)
-        for k, c in other.vars:
-            v[k] = f.add(v.get(k, f.zero), c)
-        c_ = dict(self.consts)
-        for k, c in other.consts:
-            c_[k] = f.add(c_.get(k, f.zero), c)
-        return Term.make(f, v, c_)
+        if f.is_zero(s) or other.is_zero():
+            return self
+        return Term(f, _merged(f, self.vars, s, other.vars), _merged(f, self.consts, s, other.consts))
+
+    def __add__(self, other: "Term") -> "Term":
+        return self.combine(self.field.one, other)
+
+    def __sub__(self, other: "Term") -> "Term":
+        f = self.field
+        return self.combine(f.neg(f.one), other)
 
     def scale(self, c) -> "Term":
         f = self.field
         c = f.of(c)
-        return Term.make(f, {k: f.mul(c, x) for k, x in self.vars}, {k: f.mul(c, x) for k, x in self.consts})
-
-    def __sub__(self, other: "Term") -> "Term":
-        return self + other.scale(self.field.of(-1))
+        if f.is_zero(c):
+            return Term.zero(f)
+        # a nonzero multiple keeps every entry nonzero and in order
+        mul = f.mul
+        return Term(f, tuple((k, mul(c, x)) for k, x in self.vars), tuple((k, mul(c, x)) for k, x in self.consts))
 
     def drop_var(self, name: str) -> "Term":
-        return Term.make(self.field, {k: c for k, c in self.vars if k != name}, dict(self.consts))
+        return Term(self.field, tuple(entry for entry in self.vars if entry[0] != name), self.consts)
 
     def substitute_var(self, name: str, replacement: "Term") -> "Term":
         c = self.coeff_of_var(name)
         if self.field.is_zero(c):
             return self
-        return self.drop_var(name) + replacement.scale(c)
+        return self.drop_var(name).combine(c, replacement)
 
     def symbols(self) -> set:
         return {k for k, _ in self.vars} | {"$" + k for k, _ in self.consts}
@@ -131,6 +144,29 @@ def _nonzero_sorted(field: FieldCtx, pairs: Mapping) -> tuple:
         if not field.is_zero(c):
             out.append((k, c))
     return tuple(sorted(out))
+
+
+def _merged(field: FieldCtx, a: tuple, s: Scalar, b: tuple) -> tuple:
+    """a + s*b for (name, scalar) tuples sorted by name and a nonzero
+    scalar s, in one pass over both; entries that cancel are dropped."""
+    if not b:
+        return a
+    mul = field.mul
+    out = []
+    i, n = 0, len(a)
+    for name, c in b:
+        while i < n and a[i][0] < name:
+            out.append(a[i])
+            i += 1
+        if i < n and a[i][0] == name:
+            c = field.add(a[i][1], mul(s, c))
+            i += 1
+            if not field.is_zero(c):
+                out.append((name, c))
+        else:
+            out.append((name, mul(s, c)))
+    out.extend(a[i:])
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -247,38 +283,52 @@ def substitute(phi: Formula, name: str, replacement: Term) -> Formula:
 
 
 def eval_term(term: Term, env: Mapping, field: FieldCtx) -> ModelElement:
-    out = ModelElement.zero(field)
-    for name, c in term.vars:
+    elements = []
+    for name, _ in term.vars:
         if name not in env:
             raise UnboundSymbol(f"variable {name!r} not in environment")
-        out = out + env[name].scale(c)
-    for name, c in term.consts:
+        elements.append(env[name])
+    for name, _ in term.consts:
         key = "$" + name
         if key not in env:
             raise UnboundSymbol(f"constant ${name} not in environment")
-        out = out + env[key].scale(c)
-    return out
+        elements.append(env[key])
+    return combine(field, [c for _, c in term.vars + term.consts], elements)
 
 
 def eval_qf(phi: Formula, env: Mapping, field: FieldCtx | None = None) -> bool:
     """Evaluate a quantifier-free formula under an environment mapping
-    variables and '$'-prefixed constants to model elements."""
+    variables and '$'-prefixed constants to model elements.
+
+    Connectives short-circuit left to right, and each distinct atom is
+    decided once per call: a QE output shares one node per literal across
+    all its disjuncts."""
     if field is None:
         try:
             field = next(iter(env.values())).field
         except StopIteration:
             raise UnboundSymbol("cannot infer the field from an empty environment; pass field=")
-    if isinstance(phi, Eq):
-        return eval_term(phi.lhs - phi.rhs, env, field).is_zero()
-    if isinstance(phi, Xn):
-        return in_Xn(eval_term(phi.term, env, field), phi.n)
-    if isinstance(phi, Not):
-        return not eval_qf(phi.child, env, field)
-    if isinstance(phi, And):
-        return eval_qf(phi.lhs, env, field) and eval_qf(phi.rhs, env, field)
-    if isinstance(phi, Or):
-        return eval_qf(phi.lhs, env, field) or eval_qf(phi.rhs, env, field)
-    raise NotQuantifierFree(f"quantifier in quantifier-free evaluation: {print_formula(phi)}")
+    atoms = {}
+
+    def holds(psi: Formula) -> bool:
+        if isinstance(psi, (Eq, Xn)):
+            truth = atoms.get(psi)
+            if truth is None:
+                if isinstance(psi, Eq):
+                    truth = eval_term(psi.lhs - psi.rhs, env, field).is_zero()
+                else:
+                    truth = in_Xn(eval_term(psi.term, env, field), psi.n)
+                atoms[psi] = truth
+            return truth
+        if isinstance(psi, Not):
+            return not holds(psi.child)
+        if isinstance(psi, And):
+            return holds(psi.lhs) and holds(psi.rhs)
+        if isinstance(psi, Or):
+            return holds(psi.lhs) or holds(psi.rhs)
+        raise NotQuantifierFree(f"quantifier in quantifier-free evaluation: {print_formula(psi)}")
+
+    return holds(phi)
 
 
 # ---------------------------------------------------------------------------

@@ -248,7 +248,8 @@ def combine(field: FieldCtx, coeffs: Iterable, elements: Iterable[ModelElement])
             continue
         for part, acc in ((el.axis_part, axis_part), (el.free_part, free_part)):
             for k, v in part:
-                acc[k] = field.add(acc.get(k, field.zero), field.mul(c, v))
+                v = field.mul(c, v)
+                acc[k] = field.add(acc[k], v) if k in acc else v
     return ModelElement(
         field,
         tuple(sorted((k, v) for k, v in axis_part.items() if not field.is_zero(v))),

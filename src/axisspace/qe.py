@@ -139,12 +139,14 @@ def instantiate_template(template: WitnessTemplate, model: Model, used: Sequence
 _UNBOUNDED = math.inf
 
 
-def _canonical(term: Term):
-    """(lead, term / lead) for a nonzero term: its first coefficient and
-    the term scaled to make that coefficient 1."""
+def _canonical(term: Term) -> Term:
+    """A term scaled to make its first coefficient 1, the zero term as it
+    is: the key of every weight bound (weights are scale invariant)."""
+    if term.is_zero():
+        return term
     lead = (term.vars or term.consts)[0][1]
     field = term.field
-    return lead, term if lead == field.one else term.scale(field.inv(lead))
+    return term if lead == field.one else term.scale(field.inv(lead))
 
 
 def _bound(term: Term, lo, hi) -> list:
@@ -157,7 +159,7 @@ def _bound(term: Term, lo, hi) -> list:
         return []
     if term.is_zero() or (lo == 0 and hi == _UNBOUNDED):
         return [frozenset()]
-    return [frozenset([(_canonical(term)[1], (lo, hi))])]
+    return [frozenset([(_canonical(term), (lo, hi))])]
 
 
 def _meet(a: frozenset, b: frozenset):
@@ -240,7 +242,14 @@ def _dnf_literals(phi: Formula) -> list:
     carries the polarity that negations flip.  ``t = 0`` and ``Xn(t)``
     bound w(t) above by 0 and n, their negations below by 1 and n + 1.
     (forall x) psi takes the boxes of not psi, and the condition of the
-    quantifier is negated where its polarity differs from the context's."""
+    quantifier is negated where its polarity differs from the context's.
+    A quantifier's condition is reduced (:func:`_reduce_rows`) before it
+    is negated or combined.  The condition of a quantifier at the top,
+    under negations alone, is the result as the engines give it: the
+    printer reduces it, and a sentence's condition is true or false."""
+    top = phi
+    while isinstance(top, Not):
+        top = top.child
 
     def rows(psi: Formula, positive: bool) -> list:
         if isinstance(psi, Not):
@@ -250,8 +259,10 @@ def _dnf_literals(phi: Formula) -> list:
             return _all(parts) if isinstance(psi, And) == positive else _any(parts)
         if isinstance(psi, (Exists, Forall)):
             exists = isinstance(psi, Exists)
-            cond = _reduce_rows(_exists_rows(rows(psi.body, exists), psi.var, _formula_field(psi)))
-            return cond if exists == positive else _negate(cond)
+            cond = _exists_rows(rows(psi.body, exists), psi.var, _formula_field(psi))
+            if exists == positive:
+                return cond if psi is top else _reduce_rows(cond)
+            return _negate(_reduce_rows(cond))
         term, n = (psi.lhs - psi.rhs, 0) if isinstance(psi, Eq) else (psi.term, psi.n)
         return _atom(term, n, positive)
 
@@ -522,7 +533,7 @@ def _two_direction_condition(terms, spans, cap, rank) -> list:
     def direction(j, k):
         # the difference t_k - t_j scaled to lead 1
         if (j, k) not in directions:
-            directions[j, k] = _canonical(terms[k] - terms[j])[1]
+            directions[j, k] = _canonical(terms[k] - terms[j])
         return directions[j, k]
 
     def condition(rows, rank) -> list:
@@ -568,7 +579,7 @@ def _two_direction_condition(terms, spans, cap, rank) -> list:
         # the anchor differences along the first two directions
         u, v = (terms[next(i for i in rows[1:] if direction(0, i) == w)] - terms[0] for w in dirs[:2])
         size = max((min(p[0], p[1]) + 1 for p in profiles), default=0)
-        combos = [_canonical(u + v.scale(field.of(k)))[1] for k in range(1, size + 1)]
+        combos = [_canonical(u + v.scale(field.of(k))) for k in range(1, size + 1)]
         return _any(
             _all([_bound(w, L, L) for w, L in zip(dirs, levels)] + [_menu_bound(combos[: min(levels[0], levels[1]) + 1], D, D)])
             for *levels, D in profiles
@@ -656,25 +667,18 @@ def _fallback_condition(diffs, spans, cap) -> list:
     perturbation of a single difference.  Sound by construction;
     completeness is not claimed."""
     field = diffs[0].field
-    menu = [field.of(k) for k in (0, 1, -1, 2, -2)]
-    zero = Term.zero(field)
-    gamma = [zero] + diffs
-    candidates = []
-    for base in gamma:
-        for nu in menu:
-            for r in range(cap + 1):
-                candidates.append((base.scale(nu), r, None))
-        candidates.append((zero, 0, base))  # fresh coords on base's axes
+    gamma = [Term.zero(field)] + diffs
     out = []
-    for displacement, r, sigma in candidates:
-        conds = []
-        for g, (lo, hi) in zip(gamma, spans):
-            if sigma is None:
-                conds.append(_bound(displacement - g, lo - r, hi - r))
-            else:
-                combos = [displacement - g + sigma.scale(field.of(k)) for k in range(1, cap + 2)]
-                conds.append(_menu_bound(combos, lo, hi))
-        out.append(_all(conds))
+    for base in gamma:
+        for nu in (0, 1, -1, 2, -2):
+            # the bounded terms, the same at every level r
+            displacement = base.scale(field.of(nu))
+            terms = [_canonical(displacement - g) for g in gamma]
+            for r in range(cap + 1):
+                out.append(_all([_bound(t, lo - r, hi - r) for t, (lo, hi) in zip(terms, spans)]))
+        # fresh coordinates on base's axes
+        multiples = [base.scale(field.of(k)) for k in range(1, cap + 2)]
+        out.append(_all([_menu_bound([_canonical(m - g) for m in multiples], lo, hi) for g, (lo, hi) in zip(gamma, spans)]))
     return _any(out)
 
 

@@ -168,6 +168,9 @@ def test_term_arithmetic_equals_make_over_dict_sums(case):
     for tuple, what Term.make gives on the same sums done in dicts."""
     field, a, b, s, name = case
     zero = Term.zero(field)
+    _assert_same_term(a.combine(s, b), _dict_sum(field, (1, a), (s, b)))
+    _assert_same_term(a.combine(field.zero, b), a)
+    _assert_same_term(a.scale(s).combine(field.neg(s), a), zero)
     _assert_same_term(a + b, _dict_sum(field, (1, a), (1, b)))
     _assert_same_term(a - b, _dict_sum(field, (1, a), (-1, b)))
     _assert_same_term(a.scale(s), _dict_sum(field, (s, a)))
@@ -278,11 +281,19 @@ def test_eval_unbound_symbol(M):
         eval_qf(parse_formula("X1(x)", Q), {}, Q)
     with pytest.raises(UnboundSymbol):
         eval_qf(parse_formula("X1($c)", Q), {}, Q)
+    # connectives short-circuit left to right: an atom after the deciding one is never read
+    assert eval_qf(parse_formula("X0(0) | X1($missing)", Q), {}, Q)
+    with pytest.raises(UnboundSymbol):
+        eval_qf(parse_formula("X1($missing) | X0(0)", Q), {}, Q)
 
 
 def test_eval_rejects_quantifiers(M):
     with pytest.raises(NotQuantifierFree):
         eval_qf(parse_formula("E x. X1(x)", Q), {}, Q)
+    env = {"$c": M.e(0, 0)}
+    with pytest.raises(NotQuantifierFree):
+        eval_qf(parse_formula("X1($c) & (X1($c) | X0($c)) & E x. X1(x)", Q), env)
+    assert eval_qf(parse_formula("X1($c) | E x. X1(x)", Q), env)
 
 
 def test_eval_invariant_under_normalization(M):

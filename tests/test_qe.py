@@ -18,6 +18,7 @@ from axisspace.fields import FieldCtx
 from axisspace.formula import (
     And,
     Eq,
+    Forall,
     Not,
     Or,
     Term,
@@ -30,7 +31,7 @@ from axisspace.formula import (
     true_formula,
 )
 from axisspace import qe
-from axisspace.model import in_Xn, rich_model, weight
+from axisspace.model import ModelElement, in_Xn, rich_model, weight
 from axisspace.qe import (
     _balanced,
     decide_sentence,
@@ -573,6 +574,70 @@ def test_criterion_4_formula_prints_the_same_under_any_hash_seed():
     phi = parse_formula(BIG_FORMULA, Q)
     here = hashlib.sha1(print_formula(eliminate_exists(phi.body, "x")).encode()).hexdigest()
     assert digests == {here + "\n"}
+
+
+def _eval_per_node(phi, env):
+    """eval_qf's reference: every node decided where it stands, each term
+    summed up element by element."""
+    if isinstance(phi, Not):
+        return not _eval_per_node(phi.child, env)
+    if isinstance(phi, And):
+        return _eval_per_node(phi.lhs, env) and _eval_per_node(phi.rhs, env)
+    if isinstance(phi, Or):
+        return _eval_per_node(phi.lhs, env) or _eval_per_node(phi.rhs, env)
+    term, n = (phi.lhs - phi.rhs, 0) if isinstance(phi, Eq) else (phi.term, phi.n)
+    element = ModelElement.zero(Q)
+    for name, c in term.vars:
+        element = element + env[name].scale(c)
+    for name, c in term.consts:
+        element = element + env["$" + name].scale(c)
+    return in_Xn(element, n)
+
+
+def _wide_conjunction(rng, size):
+    """A conjunction of ``size`` literals [!]Xk(x + -1*$cj), k in 0..2,
+    over distinct parameters of $c0..$c3, as the qe-wide benchmark has."""
+    literals = [("!" if rng.random() < 0.4 else "") + f"X{rng.randrange(3)}(x + -1*$c{j})" for j in rng.sample(range(4), size)]
+    return "E x. (" + " & ".join(literals) + ")"
+
+
+def test_eval_qf_on_shared_outputs_agrees_with_an_unshared_tree(M):
+    """A QE output shares one node per literal across its disjuncts, and
+    eval_qf decides each distinct atom once per call.  Its truth equals
+    that of the output printed and parsed again (a tree with no shared
+    node) and that of a per-node reference."""
+    rng = random.Random(1105)
+    texts = [BIG_FORMULA] + [_wide_conjunction(rng, size) for size in (3, 4) for _ in range(8)]
+    seen = set()
+    for text in texts:
+        phi = parse_formula(text, Q)
+        out = eliminate_exists(phi.body, "x")
+        tree = parse_formula(print_formula(out), Q)
+        for _ in range(4):
+            env = {f"$c{i}": random_f_element(M, rng, max_axes=2, max_coord=1) for i in range(4)}
+            truth = eval_qf(out, env, Q)
+            assert truth == eval_qf(tree, env, Q) == _eval_per_node(out, env), text
+            seen.add(truth)
+    assert seen == {True, False}
+
+
+def test_eliminate_all_reduces_a_top_quantifier_once(monkeypatch):
+    """eliminate_all of (exists x) phi, or of its double negation not
+    (forall x) not phi, prints what eliminate_exists(phi, x) prints, and
+    reduces the condition once: in the printer."""
+    phi = parse_formula(BIG_FORMULA, Q)
+    expected = print_formula(eliminate_exists(phi.body, "x"))
+    reduced, calls = qe._reduced, []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return reduced(rows)
+
+    monkeypatch.setattr(qe, "_reduced", counted)
+    for sentence in (phi, Not(Forall("x", Not(phi.body)))):
+        calls.clear()
+        assert print_formula(eliminate_all(sentence)) == expected
+        assert len(calls) == 1
 
 
 def test_three_x3_balls_agree_with_witness_search(M):
