@@ -98,5 +98,5 @@ def load_context(text: str) -> Model:
         return model
     except ContextFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ContextFormatError(f"malformed context document: {exc}") from exc

@@ -142,5 +142,5 @@ class FieldCtx:
 
 
 def check_same_field(a: FieldCtx, b: FieldCtx) -> None:
-    if a != b:
+    if a is not b and a != b:
         raise FieldMismatch(f"mixed field contexts {a} and {b}")

@@ -22,7 +22,8 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from .errors import FormulaSyntaxError, NotQuantifierFree, UnboundSymbol
-from .fields import FieldCtx, Scalar
+from .fields import FieldCtx, Scalar, check_same_field
+from .linalg import _sparse, _sparse_axpy, _sparse_scale
 from .model import ModelElement, combine, in_Xn
 
 
@@ -60,11 +61,12 @@ class Term:
     def make(field: FieldCtx, vars: Mapping = (), consts: Mapping = ()) -> "Term":
         """The term with coefficients ``vars`` and ``consts``, maps from
         names to scalars in any form ``field.of`` accepts: every scalar is
-        coerced, zeros are dropped and names sorted.  This is the way in for
-        untrusted input (the parser, :meth:`var`, :meth:`const`);
-        arithmetic on terms goes through :meth:`combine`, which keeps the
-        canonical form its operands already have."""
-        return Term(field, _nonzero_sorted(field, vars), _nonzero_sorted(field, consts))
+        coerced, zeros are dropped and names sorted (``linalg._sparse``).
+        This is the way in for untrusted input (the parser, :meth:`var`,
+        :meth:`const`); arithmetic on terms goes through :meth:`combine`
+        and :meth:`scale`, which keep the canonical form their operands
+        already have."""
+        return Term(field, _sparse(field, vars), _sparse(field, consts))
 
     @staticmethod
     def zero(field: FieldCtx) -> "Term":
@@ -87,11 +89,13 @@ class Term:
     def combine(self, s: Scalar, other: "Term") -> "Term":
         """self + s*other for a scalar ``s`` in canonical form: one merge
         of the two sorted entry tuples, so no scalar is coerced again and
-        nothing is sorted."""
+        nothing is sorted.  Terms over different fields raise
+        FieldMismatch."""
         f = self.field
+        check_same_field(f, other.field)
         if f.is_zero(s) or other.is_zero():
             return self
-        return Term(f, _merged(f, self.vars, s, other.vars), _merged(f, self.consts, s, other.consts))
+        return Term(f, _sparse_axpy(f, self.vars, s, other.vars), _sparse_axpy(f, self.consts, s, other.consts))
 
     def __add__(self, other: "Term") -> "Term":
         return self.combine(self.field.one, other)
@@ -105,9 +109,7 @@ class Term:
         c = f.of(c)
         if f.is_zero(c):
             return Term.zero(f)
-        # a nonzero multiple keeps every entry nonzero and in order
-        mul = f.mul
-        return Term(f, tuple((k, mul(c, x)) for k, x in self.vars), tuple((k, mul(c, x)) for k, x in self.consts))
+        return Term(f, _sparse_scale(f, c, self.vars), _sparse_scale(f, c, self.consts))
 
     def drop_var(self, name: str) -> "Term":
         return Term(self.field, tuple(entry for entry in self.vars if entry[0] != name), self.consts)
@@ -134,39 +136,6 @@ class Term:
             text = " + ".join(parts) or "0"
             object.__setattr__(self, "_text", text)
         return text
-
-
-def _nonzero_sorted(field: FieldCtx, pairs: Mapping) -> tuple:
-    """(name, scalar) pairs in canonical form, sorted by name, zeros dropped."""
-    out = []
-    for k, c in dict(pairs).items():
-        c = field.of(c)
-        if not field.is_zero(c):
-            out.append((k, c))
-    return tuple(sorted(out))
-
-
-def _merged(field: FieldCtx, a: tuple, s: Scalar, b: tuple) -> tuple:
-    """a + s*b for (name, scalar) tuples sorted by name and a nonzero
-    scalar s, in one pass over both; entries that cancel are dropped."""
-    if not b:
-        return a
-    mul = field.mul
-    out = []
-    i, n = 0, len(a)
-    for name, c in b:
-        while i < n and a[i][0] < name:
-            out.append(a[i])
-            i += 1
-        if i < n and a[i][0] == name:
-            c = field.add(a[i][1], mul(s, c))
-            i += 1
-            if not field.is_zero(c):
-                out.append((name, c))
-        else:
-            out.append((name, mul(s, c)))
-    out.extend(a[i:])
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +511,10 @@ class _Parser:
                 raise FormulaSyntaxError("expected a denominator", dpos)
             if not self.field.is_infinite:
                 raise FormulaSyntaxError("fractional scalars are not prime-field syntax", dpos)
-            return self.field.of(Fraction(sign * value, int(dtext)))
+            den = int(dtext)
+            if den == 0:
+                raise FormulaSyntaxError("zero denominator", dpos)
+            return self.field.of(Fraction(sign * value, den))
         return self.field.of(sign * value)
 
     def atom(self) -> Term:

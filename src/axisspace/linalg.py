@@ -10,6 +10,15 @@ its pivot only when the result is built) and on residues reduced ``% p``
 over GF(p).  :func:`kernel` and :func:`intersect` are one elimination each,
 of ``[M^T | I]`` and of Zassenhaus's rows ``(u | u)``, ``(v | 0)``; the rows
 with a pivot in the right half are the canonical basis of the result.
+
+Sparse vectors -- a term's coefficients on its symbols, a model element's
+on its coordinates -- are tuples of ``(key, scalar)`` pairs sorted by key,
+every scalar canonical and nonzero, so equal vectors are equal tuples.
+:func:`_sparse` normalises a mapping, :func:`_sparse_axpy` computes
+``a + s*b`` in one merge of the sorted tuples (Knuth, TAOCP vol. 1,
+2.2.4) and :func:`_sparse_scale` multiplies by a nonzero scalar.  They
+are private because the benchmark's tracer wraps every public function
+and would time term arithmetic as ``linalg``'s.
 """
 
 from __future__ import annotations
@@ -17,16 +26,60 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch
-from .fields import FieldCtx, check_same_field
+from .fields import FieldCtx, Scalar, check_same_field
 
 Vector = tuple  # tuple of Scalar
 
 
 def vec(field: FieldCtx, entries: Iterable) -> Vector:
     return tuple(field.of(x) for x in entries)
+
+
+def _sparse(field: FieldCtx, pairs: Mapping) -> tuple:
+    """The sparse vector with the coefficients ``pairs``, a map from keys
+    to scalars in any form ``field.of`` accepts: coerced, zeros dropped,
+    sorted by key."""
+    out = []
+    for k, c in dict(pairs).items():
+        c = field.of(c)
+        if not field.is_zero(c):
+            out.append((k, c))
+    return tuple(sorted(out))
+
+
+def _sparse_axpy(field: FieldCtx, a: tuple, s: Scalar, b: tuple) -> tuple:
+    """a + s*b for sparse vectors and a nonzero canonical scalar s, in one
+    pass over both; entries that cancel are dropped."""
+    if not b:
+        return a
+    add, mul, is_zero = field.add, field.mul, field.is_zero
+    scaled = s != 1
+    out = []
+    i, n = 0, len(a)
+    for k, c in b:
+        if scaled:
+            c = mul(s, c)
+        while i < n and a[i][0] < k:
+            out.append(a[i])
+            i += 1
+        if i < n and a[i][0] == k:
+            c = add(a[i][1], c)
+            i += 1
+            if is_zero(c):
+                continue
+        out.append((k, c))
+    out.extend(a[i:])
+    return tuple(out)
+
+
+def _sparse_scale(field: FieldCtx, c: Scalar, a: tuple) -> tuple:
+    """c*a for a sparse vector and a nonzero canonical scalar c, which
+    keeps the order and every entry nonzero."""
+    mul = field.mul
+    return tuple((k, mul(c, x)) for k, x in a)
 
 
 def _primitive(row: list) -> list:

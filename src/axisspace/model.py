@@ -26,6 +26,9 @@ from .errors import (
 from .fields import FieldCtx, check_same_field
 from .linalg import (
     Subspace,
+    _sparse,
+    _sparse_axpy,
+    _sparse_scale,
     kernel,
     rref,
     solve,
@@ -127,8 +130,9 @@ class ModelElement:
     """Finite-support vector split into axis components and free coordinates.
 
     ``axis_part`` maps (axis, coordinate) to a nonzero scalar; ``free_part``
-    maps a free coordinate to a nonzero scalar.  Both are stored as sorted
-    tuples so equality and hashing are structural.
+    maps a free coordinate to a nonzero scalar.  Both are sparse vectors in
+    the sense of :mod:`linalg` (sorted tuples) so equality and hashing are
+    structural.
     """
 
     field: FieldCtx
@@ -139,21 +143,13 @@ class ModelElement:
 
     @staticmethod
     def make(field: FieldCtx, axis_part: Mapping = (), free_part: Mapping = ()) -> "ModelElement":
-        ap = tuple(sorted((k, field.of(v)) for k, v in dict(axis_part).items() if not field.is_zero(field.of(v))))
-        fp = tuple(sorted((k, field.of(v)) for k, v in dict(free_part).items() if not field.is_zero(field.of(v))))
-        return ModelElement(field, ap, fp)
+        return ModelElement(field, _sparse(field, axis_part), _sparse(field, free_part))
 
     @staticmethod
     def zero(field: FieldCtx) -> "ModelElement":
         return ModelElement(field, (), ())
 
     # -- views ------------------------------------------------------------
-
-    def axis_dict(self) -> dict:
-        return dict(self.axis_part)
-
-    def free_dict(self) -> dict:
-        return dict(self.free_part)
 
     def is_zero(self) -> bool:
         return not self.axis_part and not self.free_part
@@ -170,46 +166,30 @@ class ModelElement:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "ModelElement") -> "ModelElement":
-        check_same_field(self.field, other.field)
+    def _axpy(self, s, other: "ModelElement") -> "ModelElement":
+        """self + s*other for a nonzero scalar ``s`` in canonical form."""
         f = self.field
-        ap = self.axis_dict()
-        for k, v in other.axis_part:
-            s = f.add(ap.get(k, f.zero), v)
-            if f.is_zero(s):
-                ap.pop(k, None)
-            else:
-                ap[k] = s
-        fp = self.free_dict()
-        for k, v in other.free_part:
-            s = f.add(fp.get(k, f.zero), v)
-            if f.is_zero(s):
-                fp.pop(k, None)
-            else:
-                fp[k] = s
-        return ModelElement(self.field, tuple(sorted(ap.items())), tuple(sorted(fp.items())))
+        check_same_field(f, other.field)
+        ap = _sparse_axpy(f, self.axis_part, s, other.axis_part)
+        return ModelElement(f, ap, _sparse_axpy(f, self.free_part, s, other.free_part))
+
+    def __add__(self, other: "ModelElement") -> "ModelElement":
+        return self._axpy(self.field.one, other)
+
+    def __sub__(self, other: "ModelElement") -> "ModelElement":
+        f = self.field
+        return self._axpy(f.neg(f.one), other)
 
     def __neg__(self) -> "ModelElement":
         f = self.field
-        return ModelElement(
-            self.field,
-            tuple((k, f.neg(v)) for k, v in self.axis_part),
-            tuple((k, f.neg(v)) for k, v in self.free_part),
-        )
-
-    def __sub__(self, other: "ModelElement") -> "ModelElement":
-        return self + (-other)
+        return self.scale(f.neg(f.one))
 
     def scale(self, c) -> "ModelElement":
         f = self.field
         c = f.of(c)
         if f.is_zero(c):
-            return ModelElement.zero(self.field)
-        return ModelElement(
-            self.field,
-            tuple((k, f.mul(c, v)) for k, v in self.axis_part),
-            tuple((k, f.mul(c, v)) for k, v in self.free_part),
-        )
+            return ModelElement.zero(f)
+        return ModelElement(f, _sparse_scale(f, c, self.axis_part), _sparse_scale(f, c, self.free_part))
 
     def __rmul__(self, c) -> "ModelElement":
         return self.scale(c)
@@ -236,25 +216,20 @@ class ModelElement:
 def combine(field: FieldCtx, coeffs: Iterable, elements: Iterable[ModelElement]) -> ModelElement:
     """The linear combination sum_i coeffs[i] * elements[i] over ``field``.
 
-    Every layer that forms a scaled sum of model elements calls this; the
-    sum is accumulated coordinate by coordinate and normalized once.
+    Every layer that forms a scaled sum of model elements calls this.  The
+    sum is folded left to right, one ``linalg._sparse_axpy`` merge per
+    operand and part, so it stays sorted and free of zeros throughout.
+    Every operand's field is checked, also where its coefficient is zero.
     """
-    axis_part: dict = {}
-    free_part: dict = {}
+    axis_part: tuple = ()
+    free_part: tuple = ()
     for c, el in zip(coeffs, elements):
         check_same_field(field, el.field)
         c = field.of(c)
-        if field.is_zero(c):
-            continue
-        for part, acc in ((el.axis_part, axis_part), (el.free_part, free_part)):
-            for k, v in part:
-                v = field.mul(c, v)
-                acc[k] = field.add(acc[k], v) if k in acc else v
-    return ModelElement(
-        field,
-        tuple(sorted((k, v) for k, v in axis_part.items() if not field.is_zero(v))),
-        tuple(sorted((k, v) for k, v in free_part.items() if not field.is_zero(v))),
-    )
+        if not field.is_zero(c):
+            axis_part = _sparse_axpy(field, axis_part, c, el.axis_part)
+            free_part = _sparse_axpy(field, free_part, c, el.free_part)
+    return ModelElement(field, axis_part, free_part)
 
 
 class Model:
@@ -289,14 +264,12 @@ class Model:
         return ALEPH0 if self._tail_dim is not None else len(self._head_dims)
 
     def has_axis(self, axis: AxisId) -> bool:
-        return axis < len(self._head_dims) or self._tail_dim is not None
+        return axis >= 0 and (axis < len(self._head_dims) or self._tail_dim is not None)
 
     def axis_dim(self, axis: AxisId) -> CardinalSymbol:
-        if axis < len(self._head_dims):
-            return self._head_dims[axis]
-        if self._tail_dim is not None:
-            return self._tail_dim
-        raise FragmentExhausted(f"axis {axis} does not exist in this fragment")
+        if not self.has_axis(axis):
+            raise FragmentExhausted(f"axis {axis} does not exist in this model")
+        return self._head_dims[axis] if axis < len(self._head_dims) else self._tail_dim
 
     @property
     def is_rich(self) -> bool:
@@ -318,8 +291,7 @@ class Model:
 
     def fe(self, coord: int, c=1) -> ModelElement:
         """Basis element of a free coordinate."""
-        if self.descriptor.f_codim is not ALEPH0 and coord >= self.descriptor.f_codim:
-            raise FragmentExhausted(f"free coordinate {coord} exceeds codimension {self.descriptor.f_codim}")
+        self._check_free_coord(coord)
         return ModelElement.make(self.field, {}, {coord: c})
 
     def zero(self) -> ModelElement:
@@ -330,14 +302,18 @@ class Model:
         for (axis, coord), _ in el.axis_part:
             self._check_axis_coord(axis, coord)
         for coord, _ in el.free_part:
-            if self.descriptor.f_codim is not ALEPH0 and coord >= self.descriptor.f_codim:
-                raise FragmentExhausted(f"free coordinate {coord} exceeds codimension {self.descriptor.f_codim}")
+            self._check_free_coord(coord)
         return el
 
     def _check_axis_coord(self, axis: AxisId, coord: int) -> None:
         dim = self.axis_dim(axis)  # raises if the axis does not exist
-        if dim is not ALEPH0 and coord >= dim:
-            raise FragmentExhausted(f"coordinate {coord} exceeds dimension {dim} of axis {axis}")
+        if coord < 0 or (dim is not ALEPH0 and coord >= dim):
+            raise FragmentExhausted(f"coordinate {coord} outside dimension {dim} of axis {axis}")
+
+    def _check_free_coord(self, coord: int) -> None:
+        codim = self.descriptor.f_codim
+        if coord < 0 or (codim is not ALEPH0 and coord >= codim):
+            raise FragmentExhausted(f"free coordinate {coord} outside codimension {codim}")
 
     # -- fresh material, relative to explicit elements ---------------------
 
@@ -369,7 +345,7 @@ class Model:
     def fresh_free_coord(self, used: Iterable[ModelElement] = ()) -> int:
         taken = set()
         for el in used:
-            taken.update(el.free_dict().keys())
+            taken.update(coord for coord, _ in el.free_part)
         coord = next(c for c in range(len(taken) + 1) if c not in taken)
         if self.descriptor.f_codim is not ALEPH0 and coord >= self.descriptor.f_codim:
             raise FragmentExhausted("no fresh free coordinate available in this fragment")
@@ -419,7 +395,7 @@ def _require_in_F(a: ModelElement) -> None:
 def proj_axis(a: ModelElement, axis: AxisId) -> ModelElement:
     """Component of ``a`` on the given axis (zero if absent)."""
     _require_in_F(a)
-    return ModelElement.make(a.field, {(ax, c): v for (ax, c), v in a.axis_part if ax == axis})
+    return ModelElement(a.field, tuple(entry for entry in a.axis_part if entry[0][0] == axis), ())
 
 
 def support(a: ModelElement) -> set:
@@ -538,17 +514,18 @@ def span_basis(handle: SubspaceHandle, field: FieldCtx) -> list:
         return []
     vectors, table = to_coordinate_vectors(field, gens)
     rows, _ = rref(field, vectors)
+    # the table is sorted, so each part comes out in canonical order
     out = []
     for row in rows:
-        axis_part, free_part = {}, {}
+        axis_part, free_part = [], []
         for k, v in zip(table, row):
             if field.is_zero(v):
                 continue
             if k[0] == "a":
-                axis_part[(k[1], k[2])] = v
+                axis_part.append(((k[1], k[2]), v))
             else:
-                free_part[k[1]] = v
-        out.append(ModelElement(field, tuple(sorted(axis_part.items())), tuple(sorted(free_part.items()))))
+                free_part.append((k[1], v))
+        out.append(ModelElement(field, tuple(axis_part), tuple(free_part)))
     return out
 
 
@@ -576,11 +553,7 @@ def pi_A(a: ModelElement, handle: SubspaceHandle) -> ModelElement:
     _require_in_F(a)
     _require_handle_in_F(handle)
     axes = axes_of_subspace(handle)
-    field = a.field
-    out = ModelElement.zero(field)
-    for axis in sorted(axes):
-        out = out + proj_axis(a, axis)
-    return out
+    return ModelElement(a.field, tuple(entry for entry in a.axis_part if entry[0][0] in axes), ())
 
 
 def hull_hat(handle: SubspaceHandle) -> SubspaceHandle:

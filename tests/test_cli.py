@@ -1,6 +1,7 @@
 """Command-line front end: outputs, exit codes, error rendering."""
 
 import io
+import json
 
 import pytest
 
@@ -141,6 +142,25 @@ def test_parse_error_exit_code():
     code, out, err = run(["decide", "--field", "q", "--formula", "X1(x"])
     assert code == 2
     assert err.startswith("ERROR:FormulaSyntaxError:")
+
+
+def test_zero_denominator_is_a_syntax_error():
+    code, out, err = run(["qe", "--field", "q", "--formula", "E x. (x = 1/0*$c)"])
+    assert (code, out) == (2, "")
+    assert err.startswith("ERROR:FormulaSyntaxError:") and "denominator" in err
+
+
+def test_bad_context_constants_are_typed_errors(tmp_path, context_file):
+    """A zero denominator in a context scalar is a format error (exit 2);
+    a negative axis names no axis of the model (exit 1)."""
+    path = tmp_path / "bad.json"
+    for entry, want_code, kind in (([0, 0, "1/0"], 2, "ContextFormatError"), ([-1, 0, "1"], 1, "FragmentExhausted")):
+        doc = json.loads(open(context_file).read())
+        doc["constants"]["c"]["axis"] = [entry]
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["qftp", "--model", str(path), "c"])
+        assert (code, out) == (want_code, "")
+        assert err.startswith(f"ERROR:{kind}:")
 
 
 def test_unknown_constant_is_semantic_error(context_file):

@@ -1,9 +1,11 @@
 """Model-context serialization: bit-exact round-trips."""
 
+import json
+
 import pytest
 
 from axisspace.context import dump_context, field_from_token, load_context
-from axisspace.errors import ContextFormatError
+from axisspace.errors import ContextFormatError, FragmentExhausted
 from axisspace.fields import FieldCtx
 from axisspace.model import ALEPH0, canonical_model, make_descriptor, rich_model
 
@@ -62,3 +64,17 @@ def test_malformed_documents_rejected():
         load_context("{}")
     with pytest.raises(ContextFormatError):
         load_context('{"field": "q", "descriptor": {"f_codim": -1, "axis_census": []}}')
+
+
+def test_constants_with_zero_denominators_or_negative_indices_rejected():
+    doc = json.loads(dump_context(_sample_model()))
+    for entries, error in (
+        ({"axis": [[0, 0, "1/0"]]}, ContextFormatError),
+        ({"free": [[0, "-2/0"]]}, ContextFormatError),
+        ({"axis": [[-1, 0, "1"]]}, FragmentExhausted),
+        ({"axis": [[0, -1, "1"]]}, FragmentExhausted),
+        ({"free": [[-1, "1"]]}, FragmentExhausted),
+    ):
+        doc["constants"]["c"] = entries
+        with pytest.raises(error):
+            load_context(json.dumps(doc))

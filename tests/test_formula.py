@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from axisspace.errors import FormulaSyntaxError, NotQuantifierFree, UnboundSymbol
+from axisspace.errors import FieldMismatch, FormulaSyntaxError, NotQuantifierFree, UnboundSymbol
 from axisspace.fields import FieldCtx
 from axisspace.formula import (
     And,
@@ -29,7 +29,7 @@ from axisspace.formula import (
     print_formula,
     substitute,
 )
-from axisspace.model import rich_model
+from axisspace.model import ModelElement, SubspaceHandle, combine, pi_A, proj_axis, rich_model, span_basis
 
 Q = FieldCtx.rationals()
 GF3 = FieldCtx.prime_field(3)
@@ -135,15 +135,21 @@ def _made_terms(field):
     return st.builds(lambda vs, cs: Term.make(field, dict(vs), dict(cs)), entries(["x", "y", "z"]), entries(["c", "d"]))
 
 
+def _parts(v):
+    """The two sorted entry tuples of a term or a model element."""
+    return (v.vars, v.consts) if isinstance(v, Term) else (v.axis_part, v.free_part)
+
+
 def _dict_sum(field, *summands):
-    """The sum of s*t over the (s, t) ``summands``, added up in plain
-    dicts and normalised once by ``Term.make``."""
+    """The sum of s*v over the (s, v) ``summands``, terms or model
+    elements alike, added up in plain dicts and normalised once by the
+    type's ``make``."""
     sums = ({}, {})
-    for s, t in summands:
-        for acc, part in zip(sums, (t.vars, t.consts)):
-            for name, c in part:
-                acc[name] = acc.get(name, 0) + s * c
-    return Term.make(field, *sums)
+    for s, v in summands:
+        for acc, part in zip(sums, _parts(v)):
+            for key, c in part:
+                acc[key] = acc.get(key, 0) + s * c
+    return type(v).make(field, *sums)
 
 
 @st.composite
@@ -156,9 +162,11 @@ def _arith_cases(draw):
     return field, a, b, draw(_scalars(field)), draw(st.sampled_from(["x", "y", "z", "w"]))
 
 
-def _assert_same_term(got, want):
-    assert (got.field, got.vars, got.consts) == (want.field, want.vars, want.consts)
-    assert [type(c) for _, c in got.vars + got.consts] == [type(c) for _, c in want.vars + want.consts]
+def _assert_same(got, want):
+    """Equal tuple for tuple and scalar type for scalar type (terms or
+    model elements)."""
+    assert type(got) is type(want) and got.field == want.field and _parts(got) == _parts(want)
+    assert [type(c) for part in _parts(got) for _, c in part] == [type(c) for part in _parts(want) for _, c in part]
 
 
 @settings(max_examples=400, deadline=None)
@@ -168,18 +176,86 @@ def test_term_arithmetic_equals_make_over_dict_sums(case):
     for tuple, what Term.make gives on the same sums done in dicts."""
     field, a, b, s, name = case
     zero = Term.zero(field)
-    _assert_same_term(a.combine(s, b), _dict_sum(field, (1, a), (s, b)))
-    _assert_same_term(a.combine(field.zero, b), a)
-    _assert_same_term(a.scale(s).combine(field.neg(s), a), zero)
-    _assert_same_term(a + b, _dict_sum(field, (1, a), (1, b)))
-    _assert_same_term(a - b, _dict_sum(field, (1, a), (-1, b)))
-    _assert_same_term(a.scale(s), _dict_sum(field, (s, a)))
-    _assert_same_term(a.scale(field.zero), zero)
-    _assert_same_term(a - a, zero)
-    _assert_same_term(a + a.scale(field.of(-1)), zero)
+    _assert_same(a.combine(s, b), _dict_sum(field, (1, a), (s, b)))
+    _assert_same(a.combine(field.zero, b), a)
+    _assert_same(a.scale(s).combine(field.neg(s), a), zero)
+    _assert_same(a + b, _dict_sum(field, (1, a), (1, b)))
+    _assert_same(a - b, _dict_sum(field, (1, a), (-1, b)))
+    _assert_same(a.scale(s), _dict_sum(field, (s, a)))
+    _assert_same(a.scale(field.zero), zero)
+    _assert_same(a - a, zero)
+    _assert_same(a + a.scale(field.of(-1)), zero)
     rest = Term.make(field, {k: c for k, c in a.vars if k != name}, dict(a.consts))
-    _assert_same_term(a.drop_var(name), rest)
-    _assert_same_term(a.substitute_var(name, b), _dict_sum(field, (1, rest), (a.coeff_of_var(name), b)))
+    _assert_same(a.drop_var(name), rest)
+    _assert_same(a.substitute_var(name, b), _dict_sum(field, (1, rest), (a.coeff_of_var(name), b)))
+
+
+def _made_elements(field):
+    def entries(keys):
+        return st.lists(st.tuples(keys, _scalars(field)), max_size=4)
+
+    axis_keys = st.tuples(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=1))
+    return st.builds(
+        lambda ap, fp: ModelElement.make(field, dict(ap), dict(fp)),
+        entries(axis_keys),
+        entries(st.integers(min_value=0, max_value=2)),
+    )
+
+
+@st.composite
+def _element_cases(draw):
+    field = draw(st.sampled_from([Q, GF5]))
+    a, b = draw(_made_elements(field)), draw(_made_elements(field))
+    if draw(st.booleans()):
+        b = _dict_sum(field, (draw(_scalars(field)), a), (1, b))
+    return field, a, b, draw(_scalars(field)), draw(st.integers(min_value=0, max_value=3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_element_cases())
+def test_element_arithmetic_equals_make_over_dict_sums(case):
+    """Over Q and GF(5), every arithmetic operation on model elements, and
+    the projections, give, tuple for tuple, what ModelElement.make gives on
+    the same sums done in dicts; span_basis builds canonical rows."""
+    field, a, b, s, axis = case
+    zero = ModelElement.zero(field)
+    _assert_same(a + b, _dict_sum(field, (1, a), (1, b)))
+    _assert_same(a - b, _dict_sum(field, (1, a), (-1, b)))
+    _assert_same(-a, _dict_sum(field, (-1, a)))
+    _assert_same(a.scale(s), _dict_sum(field, (s, a)))
+    _assert_same(s * a, _dict_sum(field, (s, a)))
+    _assert_same(a.scale(field.zero), zero)
+    _assert_same(a - a, zero)
+    _assert_same(a + a.scale(field.of(-1)), zero)
+    _assert_same(combine(field, [s, 1, field.zero], [a, b, a]), _dict_sum(field, (s, a), (1, b)))
+    _assert_same(combine(field, [1, field.neg(s)], [a.scale(s), a.scale(field.zero)]), _dict_sum(field, (s, a)))
+    _assert_same(combine(field, [], []), zero)
+    fa, fb = (ModelElement(field, el.axis_part, ()) for el in (a, b))
+    on_axis = {k: c for k, c in fa.axis_part if k[0] == axis}
+    _assert_same(proj_axis(fa, axis), ModelElement.make(field, on_axis))
+    on_axes_of_b = {k: c for k, c in fa.axis_part if k[0] in fb.axes()}
+    _assert_same(pi_A(fa, SubspaceHandle.of(fb, b.scale(field.zero))), ModelElement.make(field, on_axes_of_b))
+    for row in span_basis(SubspaceHandle.of(a, b), field):
+        _assert_same(row, ModelElement.make(field, dict(row.axis_part), dict(row.free_part)))
+
+
+def test_term_arithmetic_rejects_mixed_fields():
+    """Terms over different fields do not combine, as model elements do
+    not, even with a zero coefficient; equal fields held in two objects
+    do."""
+    x, x5 = Term.var(Q, "x"), Term.var(GF5, "x")
+    for op in (
+        lambda: x + x5,
+        lambda: x - x5,
+        lambda: x + Term.zero(GF5),
+        lambda: x.combine(Q.zero, x5),
+        lambda: x.substitute_var("x", x5),
+    ):
+        with pytest.raises(FieldMismatch):
+            op()
+    with pytest.raises(FieldMismatch):
+        combine(Q, [0], [rich_model(GF5).e(0, 0)])
+    assert x + Term.var(FieldCtx.rationals(), "x") == Term.var(Q, "x", 2)
 
 
 def test_term_hash_is_structural_and_survives_pickling_across_processes():

@@ -67,6 +67,24 @@ def test_fragment_with_two_one_dim_axes():
         frag.fe(0)  # codimension zero
 
 
+def test_negative_indices_are_exhausted():
+    """A negative axis, coordinate or free coordinate names nothing, in a
+    fragment as in a rich model; it must not index from the end."""
+    frag = canonical_model(make_descriptor(0, {2: 1}), Q)
+    for model in (frag, rich_model(Q)):
+        assert not model.has_axis(-1)
+        for build in (
+            lambda: model.e(0, -1),
+            lambda: model.e(-1, 0),
+            lambda: model.fe(-1),
+            lambda: model.element({(-1, 0): 1}),
+            lambda: model.element({}, {-1: 1}),
+            lambda: model.axis_dim(-1),
+        ):
+            with pytest.raises(FragmentExhausted):
+                build()
+
+
 def test_rich_descriptor_satisfies_saturation_surrogate(M):
     # every axis infinite-dimensional, infinitely many axes, infinite codimension
     assert M.is_rich
