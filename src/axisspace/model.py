@@ -264,7 +264,7 @@ class Model:
         return ALEPH0 if self._tail_dim is not None else len(self._head_dims)
 
     def has_axis(self, axis: AxisId) -> bool:
-        return axis >= 0 and (axis < len(self._head_dims) or self._tail_dim is not None)
+        return type(axis) is int and axis >= 0 and (axis < len(self._head_dims) or self._tail_dim is not None)
 
     def axis_dim(self, axis: AxisId) -> CardinalSymbol:
         if not self.has_axis(axis):
@@ -306,11 +306,15 @@ class Model:
         return el
 
     def _check_axis_coord(self, axis: AxisId, coord: int) -> None:
+        if type(axis) is not int or type(coord) is not int:  # bool included
+            raise TypeError(f"axis and coordinate indices must be ints, not {axis!r}, {coord!r}")
         dim = self.axis_dim(axis)  # raises if the axis does not exist
         if coord < 0 or (dim is not ALEPH0 and coord >= dim):
             raise FragmentExhausted(f"coordinate {coord} outside dimension {dim} of axis {axis}")
 
     def _check_free_coord(self, coord: int) -> None:
+        if type(coord) is not int:
+            raise TypeError(f"free coordinate index must be an int, not {coord!r}")
         codim = self.descriptor.f_codim
         if coord < 0 or (codim is not ALEPH0 and coord >= codim):
             raise FragmentExhausted(f"free coordinate {coord} outside codimension {codim}")
@@ -474,10 +478,9 @@ def _coordinate_table(elements: Sequence[ModelElement]) -> list:
     return sorted(keys)
 
 
-def to_coordinate_vectors(field: FieldCtx, elements: Sequence[ModelElement], table=None):
+def to_coordinate_vectors(field: FieldCtx, elements: Sequence[ModelElement]):
     """Expand elements over a shared coordinate table; returns (vectors, table)."""
-    if table is None:
-        table = _coordinate_table(elements)
+    table = _coordinate_table(elements)
     index = {k: i for i, k in enumerate(table)}
     vectors = []
     for el in elements:

@@ -44,11 +44,13 @@ eliminates each quantifier where it stands, innermost first: (forall x)
 phi is not (exists x) not phi, and the negation of a condition is the
 product, box by box, of the disjunctions of its negated literals.
 
-Each elimination's boxes are reduced (:func:`_reduced`): boxes that agree
-on every term but one and hold touching intervals on it are joined, term
-by term in the order of the terms' printed text, until nothing joins, so
-runs of levels print as one interval ``Xhi(t) & !X(lo-1)(t)``.
-:func:`_simplify_rows` prints the one output formula.
+A block of like quantifiers is one elimination, box by box
+(:func:`_exists_rows`).  A condition is reduced (:func:`_reduced`) only
+before it is negated or eliminated again, and once when printed
+(:func:`_simplify_rows`): boxes that agree on every term but one and
+hold touching intervals on it are joined, term by term in the order of
+the terms' printed text, until nothing joins, so runs of levels print as
+one interval ``Xhi(t) & !X(lo-1)(t)``.
 
 Everything refuses finite fields: the theory is incomplete there and the
 level calculus loses its generic-scalar arguments.
@@ -241,32 +243,30 @@ def _dnf_literals(phi: Formula) -> list:
     """The boxes of ``phi``, every quantifier eliminated.  The walk
     carries the polarity that negations flip.  ``t = 0`` and ``Xn(t)``
     bound w(t) above by 0 and n, their negations below by 1 and n + 1.
-    (forall x) psi takes the boxes of not psi, and the condition of the
-    quantifier is negated where its polarity differs from the context's.
-    A quantifier's condition is reduced (:func:`_reduce_rows`) before it
-    is negated or combined.  The condition of a quantifier at the top,
-    under negations alone, is the result as the engines give it: the
-    printer reduces it, and a sentence's condition is true or false."""
-    top = phi
-    while isinstance(top, Not):
-        top = top.child
+    A block of like quantifiers takes the boxes of its matrix, or of its
+    negation under forall, and its condition is negated where its
+    polarity differs from the context's.  It is reduced only before it
+    is negated or, ``scoped`` by an outer quantifier, eliminated again."""
 
-    def rows(psi: Formula, positive: bool) -> list:
+    def rows(psi: Formula, positive: bool, scoped: bool) -> list:
         if isinstance(psi, Not):
-            return rows(psi.child, not positive)
+            return rows(psi.child, not positive, scoped)
         if isinstance(psi, (And, Or)):
-            parts = [rows(psi.lhs, positive), rows(psi.rhs, positive)]
+            parts = [rows(psi.lhs, positive, scoped), rows(psi.rhs, positive, scoped)]
             return _all(parts) if isinstance(psi, And) == positive else _any(parts)
         if isinstance(psi, (Exists, Forall)):
-            exists = isinstance(psi, Exists)
-            cond = _exists_rows(rows(psi.body, exists), psi.var, _formula_field(psi))
-            if exists == positive:
-                return cond if psi is top else _reduce_rows(cond)
-            return _negate(_reduce_rows(cond))
+            field, kind, variables = _formula_field(psi), type(psi), []
+            while isinstance(psi, kind):
+                variables, psi = variables + [psi.var], psi.body
+            exists = kind is Exists
+            cond = _exists_rows(rows(psi, exists, True), variables, field)
+            if scoped or exists != positive:
+                cond = _reduce_rows(cond)
+            return cond if exists == positive else _negate(cond)
         term, n = (psi.lhs - psi.rhs, 0) if isinstance(psi, Eq) else (psi.term, psi.n)
         return _atom(term, n, positive)
 
-    return rows(phi, True)
+    return rows(phi, True, False)
 
 
 # ---------------------------------------------------------------------------
@@ -433,18 +433,21 @@ def eliminate_exists(phi: Formula, var: str) -> Formula:
     _require_infinite(field)
     if not is_quantifier_free(phi):
         raise NotQuantifierFree("eliminate_exists expects a quantifier-free matrix")
-    return _simplify_rows(field, _exists_rows(_dnf_literals(phi), var, field))
+    return _simplify_rows(field, _exists_rows(_dnf_literals(phi), [var], field))
 
 
-def _exists_rows(disjuncts, var: str, field: FieldCtx) -> list:
-    """The condition of (exists var) over the boxes ``disjuncts``: the
-    disjunction of each one's condition (:func:`_eliminate_disjunct`)."""
+def _exists_rows(disjuncts, variables, field: FieldCtx) -> list:
+    """(exists v_1) ... (exists v_k) over the boxes ``disjuncts``, box by
+    box: each box's condition for v_k (:func:`_eliminate_disjunct`) is
+    reduced and eliminated for v_(k-1)..v_1 before the next box is taken."""
+    *outer, var = variables
     conds = [None] * len(disjuncts)
     # one true disjunct makes the condition true; disjuncts with few upper
     # bounds are cheap to eliminate and the likely true ones, so they go
     # first and spare the expensive ones
     for i in sorted(range(len(disjuncts)), key=lambda i: sum(hi != _UNBOUNDED for _, (_, hi) in disjuncts[i])):
-        conds[i] = _eliminate_disjunct(disjuncts[i], var, field)
+        cond = _eliminate_disjunct(disjuncts[i], var, field)
+        conds[i] = _exists_rows(_reduce_rows(cond), outer, field) if outer else cond
         if conds[i] == [frozenset()]:
             return conds[i]
     return _any(conds)

@@ -27,7 +27,6 @@ from .model import (
     SubspaceHandle,
     combine,
     proj_axis,
-    span_membership,
     weight,
 )
 
@@ -65,15 +64,13 @@ TypeDescriptor = object  # Realized | GenericFree | SumType
 def classify(a: ModelElement, fragment: SubspaceHandle) -> TypeDescriptor:
     """Type of ``a`` over the span of the fragment generators.
 
-    Realized when a is in the span; GenericFree when no translate by a
-    fragment element reaches the axis span; otherwise SumType(n, m) with n
-    the minimal weight of a - m over fragment translates m, and m the
-    canonical translate attaining it (first in generator order).
+    GenericFree when no translate by a fragment element reaches the axis
+    span; otherwise, for n the minimal weight of a - m over fragment
+    translates m and m the canonical one attaining it (first in generator
+    order), Realized when n = 0 (then a = m) and else SumType(n, m).
     """
     field = a.field
     gens = list(fragment.generators)
-    if span_membership(a, fragment) is not None:
-        return Realized(a)
     free_coeffs, vf = free_reduction(a, gens)
     if free_coeffs is None:
         return GenericFree()
@@ -83,7 +80,7 @@ def classify(a: ModelElement, fragment: SubspaceHandle) -> TypeDescriptor:
     # translates keeping a - m in the axis span: m0 + (fragment axis-span part)
     f_basis = [combine(field, row, gens) for row in vf.basis]
     n, v = _min_weight_in_coset(c0, f_basis, field)
-    return SumType(n, m0 + v)
+    return SumType(n, m0 + v) if n else Realized(a)
 
 
 def _min_weight_in_coset(c0: ModelElement, f_basis: list, field: FieldCtx):

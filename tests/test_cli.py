@@ -151,10 +151,15 @@ def test_zero_denominator_is_a_syntax_error():
 
 
 def test_bad_context_constants_are_typed_errors(tmp_path, context_file):
-    """A zero denominator in a context scalar is a format error (exit 2);
-    a negative axis names no axis of the model (exit 1)."""
+    """A zero denominator or a non-integer index in a context scalar is a
+    format error (exit 2); a negative axis names no axis of the model
+    (exit 1)."""
     path = tmp_path / "bad.json"
-    for entry, want_code, kind in (([0, 0, "1/0"], 2, "ContextFormatError"), ([-1, 0, "1"], 1, "FragmentExhausted")):
+    for entry, want_code, kind in (
+        ([0, 0, "1/0"], 2, "ContextFormatError"),
+        ([-1, 0, "1"], 1, "FragmentExhausted"),
+        ([1.5, 0, "1"], 2, "ContextFormatError"),
+    ):
         doc = json.loads(open(context_file).read())
         doc["constants"]["c"]["axis"] = [entry]
         path.write_text(json.dumps(doc))

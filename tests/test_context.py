@@ -74,6 +74,10 @@ def test_constants_with_zero_denominators_or_negative_indices_rejected():
         ({"axis": [[-1, 0, "1"]]}, FragmentExhausted),
         ({"axis": [[0, -1, "1"]]}, FragmentExhausted),
         ({"free": [[-1, "1"]]}, FragmentExhausted),
+        ({"axis": [[1.5, 0, "1"]]}, ContextFormatError),
+        ({"axis": [[0, 0.5, "1"]]}, ContextFormatError),
+        ({"axis": [[True, 0, "1"]]}, ContextFormatError),
+        ({"free": [[2.5, "1"]]}, ContextFormatError),
     ):
         doc["constants"]["c"] = entries
         with pytest.raises(error):

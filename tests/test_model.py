@@ -85,6 +85,29 @@ def test_negative_indices_are_exhausted():
                 build()
 
 
+def test_non_integer_indices_are_type_errors():
+    """An axis or coordinate index is an int; a float or a bool (an int
+    subclass) names nothing and must not become part of an element's name."""
+    frag = canonical_model(make_descriptor(0, {2: 1}), Q)
+    for model in (frag, rich_model(Q)):
+        assert not model.has_axis(0.5) and not model.has_axis(True)
+        with pytest.raises(FragmentExhausted):
+            model.axis_dim(0.5)
+        for build in (
+            lambda: model.e(0, 0.5),
+            lambda: model.e(1.5, 0),
+            lambda: model.e(True, 0),
+            lambda: model.e(0, False),
+            lambda: model.fe(2.5),
+            lambda: model.fe(True),
+            lambda: model.element({(1.5, 0): 1}),
+            lambda: model.element({(0, 1.0): 1}),
+            lambda: model.element({}, {True: 1}),
+        ):
+            with pytest.raises(TypeError):
+                build()
+
+
 def test_rich_descriptor_satisfies_saturation_surrogate(M):
     # every axis infinite-dimensional, infinitely many axes, infinite codimension
     assert M.is_rich

@@ -783,33 +783,56 @@ def test_five_term_rank_two_conjunction_within_budget():
     assert free_symbols(out) == {"$c0", "$c1"}
 
 
-def _random_xyz_matrix(rng):
+def _random_xyz_matrix(rng, variables):
     """A conjunction of 4-6 literals [!]Xk(form) on nonzero linear forms in
-    x, y, z with coefficients in -2..2 and k in 0..2."""
+    ``variables`` with coefficients in -2..2 and k in 0..2."""
     literals = []
     for _ in range(rng.randint(4, 6)):
-        coeffs = [0, 0, 0]
+        coeffs = [0] * len(variables)
         while not any(coeffs):
-            coeffs = [rng.randint(-2, 2) for _ in range(3)]
-        form = " + ".join(f"{c}*{v}" for c, v in zip(coeffs, "xyz") if c)
+            coeffs = [rng.randint(-2, 2) for _ in range(len(variables))]
+        form = " + ".join(f"{c}*{v}" for c, v in zip(coeffs, variables) if c)
         literals.append(("!" if rng.random() < 0.5 else "") + f"X{rng.randrange(3)}({form})")
     return " & ".join(literals)
 
 
-def test_exists_sentences_decide_alike_in_every_quantifier_order():
+@pytest.mark.parametrize(
+    "seed, count, variables, orders",
+    [
+        (5, 40, "xyz", lambda rng: itertools.permutations("xyz")),
+        (11, 25, "xyzw", lambda rng: [rng.sample("xyzw", 4) for _ in range(4)]),
+    ],
+    ids=["xyz-every-order", "xyzw-four-orders"],
+)
+def test_exists_sentences_decide_alike_in_every_quantifier_order(seed, count, variables, orders):
     """Permuting a block of existential quantifiers keeps a sentence's
     truth.  Each decision has a 10 s budget; a sentence over it fails."""
-    rng = random.Random(5)
+    rng = random.Random(seed)
     seen = set()
-    for _ in range(40):
-        matrix = _random_xyz_matrix(rng)
+    for _ in range(count):
+        matrix = _random_xyz_matrix(rng, variables)
         verdicts = {
-            order: within(10, decide_sentence, parse_formula(" ".join(f"E {v}." for v in order) + f" ({matrix})", Q))
-            for order in itertools.permutations("xyz")
+            tuple(order): within(10, decide_sentence, parse_formula(" ".join(f"E {v}." for v in order) + f" ({matrix})", Q))
+            for order in orders(rng)
         }
         assert len(set(verdicts.values())) == 1, (matrix, verdicts)
         seen |= set(verdicts.values())
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "E x. E y. (X2(x + -2*$c1) & !X0(-1*x + y + -2*$c0 + -2*$c1) & !X1(x + -2*$c0) & X2(-1*x + 2*y + -1*$c0 + $c1))",
+        "E x. (X2(x + -2*$c1) & !X1(x + -2*$c0) & E y. (!X0(-1*x + y + -2*$c0 + -2*$c1) & X2(-1*x + 2*y + -1*$c0 + $c1)))",
+    ],
+    ids=["block", "nested"],
+)
+def test_a_condition_is_reduced_before_it_is_eliminated_again(text):
+    """The boxes of y's elimination join into one box that x's elimination
+    makes true.  Eliminated again unreduced, they give an equivalent
+    condition of 81 KB that no longer prints as true."""
+    assert print_formula(eliminate_all(parse_formula(text, Q))) == "0 = 0"
 
 
 def test_forall_inclusion_sentence(M):
