@@ -13,7 +13,7 @@ from axisspace.iso import (
     extend_to_hat,
     fragment_isomorphism_game,
 )
-from axisspace.linalg import vec
+from axisspace.linalg import member, subspace_from_generators, vec
 from axisspace.model import (
     canonical_model,
     descriptor_iso,
@@ -47,6 +47,79 @@ def test_partial_iso_apply_is_linear(M):
     x = M.e(0, 0).scale(2) - M.e(1, 0).scale(5)
     assert f.apply(x) == M.e(2, 0).scale(2) - M.e(3, 0).scale(5)
     assert f.inverse().apply(f.apply(x)) == x
+
+
+def _dense(field, elements):
+    """Element-major vectors over the sorted coordinates the elements meet."""
+    keys = sorted({("a",) + k for el in elements for k, _ in el.axis_part}
+                  | {("f", k) for el in elements for k, _ in el.free_part})
+    out = []
+    for el in elements:
+        values = {("a",) + k: c for k, c in el.axis_part}
+        values.update((("f", k), c) for k, c in el.free_part)
+        out.append(tuple(values.get(k, field.zero) for k in keys))
+    return out
+
+
+def _reference_reduced(field, dom, img):
+    """The greedy loop: keep a generator when it leaves the span of the
+    generators kept before it."""
+    vectors = _dense(field, dom)
+    kept = []
+    for i, v in enumerate(vectors):
+        span = subspace_from_generators(field, [vectors[j] for j in kept], len(v))
+        if not member(v, span):
+            kept.append(i)
+    return tuple(dom[i] for i in kept), tuple(img[i] for i in kept)
+
+
+def _random_generators(model, rng):
+    """Zero generators, repeats, scaled combinations of earlier ones and
+    fresh elements, some with free parts."""
+    field = model.field
+    scalar = (lambda: rng.randint(-3, 3)) if field.is_infinite else (lambda: rng.randrange(field.p))
+    out = []
+    for _ in range(rng.randrange(0, 7)):
+        roll = rng.random()
+        if roll < 0.1:
+            out.append(model.zero())
+        elif roll < 0.2 and out:
+            out.append(rng.choice(out))
+        elif roll < 0.45 and out:
+            u, v = rng.choice(out), rng.choice(out)
+            out.append(u.scale(scalar() or 1) + v.scale(scalar()))
+        else:
+            parts = {(axis, rng.randrange(3)): scalar() for axis in rng.sample(range(5), rng.randrange(0, 3))}
+            free = {coord: scalar() for coord in rng.sample(range(3), rng.randrange(0, 2))}
+            out.append(model.element(parts, free))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("field", [Q, FieldCtx.prime_field(5)], ids=["Q", "GF5"])
+def test_reduced_keeps_the_generators_outside_earlier_spans(field):
+    """``reduced`` keeps, in order, exactly the generators outside the span
+    of the ones before them, with their images, and maps every original
+    generator as before."""
+    model = rich_model(field)
+    rng = random.Random(f"reduced:{field}")
+    dropped = 0
+    for _ in range(400):
+        dom = _random_generators(model, rng)
+        # the image: axes and free coordinates relabelled, each axis scaled
+        perm = dict(zip(range(5), rng.sample(range(5, 10), 5)))
+        scales = {axis: rng.choice([1, 2, 3]) for axis in range(5)}
+        img = tuple(
+            model.element({(perm[a], c): field.mul(field.of(scales[a]), v) for (a, c), v in el.axis_part},
+                          {k + 3: v for k, v in el.free_part})
+            for el in dom
+        )
+        f = PartialIso(field, dom, img)
+        g = f.reduced()
+        assert (g.domain_generators, g.image_generators) == _reference_reduced(field, dom, img)
+        for d, e in zip(dom, img):
+            assert g.apply(d) == e
+        dropped += len(g.domain_generators) < len(dom)
+    assert dropped >= 100  # the dependent case is exercised, not just the independent one
 
 
 # ---------------------------------------------------------------------------
