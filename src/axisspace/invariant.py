@@ -18,7 +18,8 @@ v_f together with the free-part reduction of an element against generators
 (:func:`free_reduction`), and the per-axis projection kernels
 (:func:`axis_kernels`).  ``iso`` and ``typespace`` call them rather than
 recomputing either.  All three read the coordinate matrix of the tuple map
-from :func:`map_rows`, built once per tuple.
+from :func:`axisspace.model.coordinate_rows`, the one builder of that
+matrix, once per tuple.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .linalg import (
     solve_augmented,
     subspace_from_generators,
 )
-from .model import ModelElement, SubspaceHandle, combine
+from .model import ModelElement, SubspaceHandle, combine, coordinate_rows
 
 
 @dataclass(frozen=True)
@@ -90,29 +91,6 @@ class QfInvariant:
         return f"arity={self.arity} v_f={rows(self.v_f)} kernels={ker}"
 
 
-def map_rows(tuple_: Sequence[ModelElement], field: FieldCtx):
-    """The coordinate matrix of the tuple map, one row per coordinate the
-    tuple meets; a row holds the entries' values at that coordinate.
-
-    Returns (axis -> the rows of that axis's coordinates, in axis order;
-    the rows of the free coordinates).
-    """
-    n = len(tuple_)
-    axis_rows: dict = {}
-    free_rows: dict = {}
-    for i, el in enumerate(tuple_):
-        for rows, part in ((axis_rows, el.axis_part), (free_rows, el.free_part)):
-            for key, c in part:
-                row = rows.get(key)
-                if row is None:
-                    row = rows[key] = [field.zero] * n
-                row[i] = c
-    blocks: dict = {}
-    for key in sorted(axis_rows):
-        blocks.setdefault(key[0], []).append(tuple(axis_rows[key]))
-    return blocks, [tuple(row) for row in free_rows.values()]
-
-
 def free_reduction(a: ModelElement, gens: Sequence[ModelElement]):
     """Reduce ``a`` against ``gens`` to the axis span.
 
@@ -123,9 +101,9 @@ def free_reduction(a: ModelElement, gens: Sequence[ModelElement]):
     ``gens``.  ``v_f`` is the membership subspace of ``gens``: the
     coefficient vectors whose combination has no free part.
     """
-    gens = tuple(gens)
     field, n = a.field, len(gens)
-    _, free_rows = map_rows(gens + (a,), field)  # [free(gens) | free(a)]
+    _, free_rows = coordinate_rows((*gens, a), field)  # [free(gens) | free(a)]
+    free_rows = list(free_rows.values())
     return solve_augmented(field, free_rows, n), kernel(field, [row[:n] for row in free_rows], n)
 
 
@@ -136,8 +114,8 @@ def axis_kernels(tuple_: Sequence[ModelElement]) -> dict:
     if not tuple_:
         return {}
     field = tuple_[0].field
-    blocks, _ = map_rows(tuple_, field)
-    return {axis: kernel(field, rows, len(tuple_)) for axis, rows in blocks.items()}
+    axis_rows, _ = coordinate_rows(tuple_, field)
+    return {axis: kernel(field, list(rows.values()), len(tuple_)) for axis, rows in axis_rows.items()}
 
 
 def tuple_field(tuple_: Sequence[ModelElement], field: FieldCtx | None = None) -> FieldCtx:
@@ -163,9 +141,10 @@ def qf_invariant_mixed(tuple_: Sequence[ModelElement], field: FieldCtx | None = 
     tuple_ = tuple(tuple_)
     field = tuple_field(tuple_, field)
     n = len(tuple_)
-    blocks, free_rows = map_rows(tuple_, field)
+    axis_rows, free_rows = coordinate_rows(tuple_, field)
+    free_rows = list(free_rows.values())
     v_f = kernel(field, free_rows, n)
-    kernels = [kernel(field, rows + free_rows, n) for rows in blocks.values()]
+    kernels = [kernel(field, list(rows.values()) + free_rows, n) for rows in axis_rows.values()]
     kernels = [ker for ker in kernels if ker != v_f]  # axes meeting the image of v_f
     return QfInvariant(n, v_f, tuple(sorted(kernels, key=lambda s: s.key())))
 

@@ -18,7 +18,10 @@ lying in the hull, and entirely fresh axes or free coordinates for the rest.
 The per-axis projection kernels, the membership subspace v_f and the
 free-part reduction used here are computed by :mod:`axisspace.invariant`
 (:func:`~axisspace.invariant.axis_kernels`,
-:func:`~axisspace.invariant.free_reduction`).
+:func:`~axisspace.invariant.free_reduction`).  They, span membership, the
+generators' linear relations and :meth:`PartialIso.reduced` all read the
+coordinate matrix of the generators built by
+:func:`axisspace.model.coordinate_rows`.
 """
 
 from __future__ import annotations
@@ -29,11 +32,14 @@ from typing import Sequence
 from .errors import FragmentExhausted, NotInF, NotQfEquivalent, TargetNotRich
 from .fields import FieldCtx
 from .invariant import axis_kernels, free_reduction, tuple_field
+from .linalg import rref
 from .model import (
     Model,
     ModelElement,
     SubspaceHandle,
+    _stacked,
     combine,
+    coordinate_rows,
     proj_axis,
     span_membership,
     tuple_kernel,
@@ -88,14 +94,15 @@ class PartialIso:
 
     def reduced(self) -> "PartialIso":
         """Same map on an independent generating subset; keeps spans stable
-        across iterated extension instead of letting presentations grow."""
-        kept_dom: list = []
-        kept_img: list = []
-        for d, e in zip(self.domain_generators, self.image_generators):
-            if span_membership(d, SubspaceHandle(tuple(kept_dom))) is None:
-                kept_dom.append(d)
-                kept_img.append(e)
-        return PartialIso(self.field, tuple(kept_dom), tuple(kept_img), self.axis_map)
+        across iterated extension instead of letting presentations grow.
+
+        The kept generators are the pivot columns of the domain's
+        coordinate matrix: in order, exactly those outside the span of the
+        generators before them."""
+        _, keep = rref(self.field, _stacked(*coordinate_rows(self.domain_generators, self.field)))
+        dom = tuple(self.domain_generators[i] for i in keep)
+        img = tuple(self.image_generators[i] for i in keep)
+        return PartialIso(self.field, dom, img, self.axis_map)
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +176,9 @@ def back_and_forth_step(f: PartialIso, a: ModelElement, source: Model, target: M
 def _step(f: PartialIso, a: ModelElement, source: Model, target: Model):
     field = f.field
     D, E = list(f.domain_generators), list(f.image_generators)
-    if f.contains(a):
-        return f, f.apply(a)
+    coeffs = span_membership(a, f.domain_handle())
+    if coeffs is not None:
+        return f, combine(field, coeffs, E)
 
     # case (i): the element brings a new free direction; any fresh free
     # coordinate on the other side matches it.

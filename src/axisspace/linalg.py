@@ -236,19 +236,6 @@ def _right_half(field: FieldCtx, rows: list, split: int, n: int) -> Subspace:
     return Subspace(field, n, tuple(r[split:] for r, col in zip(reduced, pivots) if col >= split))
 
 
-def solve(field: FieldCtx, rows: Sequence[Vector], rhs: Vector) -> Vector | None:
-    """One solution x of rows^T ... -- precisely: sum_i x_i * rows[i] = rhs.
-
-    Returns the canonical solution with free coefficients zero, or None.
-    """
-    if not rows:
-        return () if not any(rhs) else None
-    if any(len(r) != len(rhs) for r in rows):
-        raise DimensionMismatch("right-hand side length mismatch")
-    # Augment: transpose system A^T x = rhs with A rows as columns.
-    return solve_augmented(field, [col + (b,) for col, b in zip(zip(*rows), rhs)], len(rows))
-
-
 def solve_augmented(field: FieldCtx, aug: Sequence[Vector], n: int) -> Vector | None:
     """The canonical solution x of A x = b (free coefficients zero), or
     None, given the rows of the augmented matrix [A | b] with n unknowns.

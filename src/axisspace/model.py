@@ -9,6 +9,12 @@ of X, equivalently the elements of weight at most n without free part.
 Models are pure values: fresh axes and coordinates are computed relative to
 explicit element sets rather than allocated from mutable counters, so every
 operation here is a function and thread safety is trivial.
+
+The coordinate matrix of a tuple of elements, one row per coordinate the
+tuple meets, has one builder, :func:`coordinate_rows`.  Span membership,
+linear relations and canonical span bases here, v_f and the axis kernels
+in :mod:`axisspace.invariant`, the reduction of a partial isomorphism's
+presentation and the coset search of type classification all read it.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .linalg import (
     _sparse_scale,
     kernel,
     rref,
-    solve,
+    solve_augmented,
 )
 
 
@@ -469,67 +475,66 @@ class SubspaceHandle:
         return [g for g in self.generators if not g.is_zero()]
 
 
-def _coordinate_table(elements: Sequence[ModelElement]) -> list:
-    """Deterministic list of all coordinates touched by the elements."""
-    keys = set()
-    for el in elements:
-        keys.update(("a",) + k for k, _ in el.axis_part)
-        keys.update(("f", k) for k, _ in el.free_part)
-    return sorted(keys)
+def coordinate_rows(elements: Sequence[ModelElement], field: FieldCtx):
+    """The coordinate matrix of the map c -> sum_i c_i elements_i, one row
+    per coordinate the elements meet; a row holds their values there.
+
+    Returns (axis -> {coordinate: row}, free coordinate -> row), axes and
+    coordinates ascending.  Every linear question about model elements
+    reads this matrix: span membership, linear relations and span bases
+    here, v_f and the axis kernels in :mod:`axisspace.invariant`.  Each
+    element's field is checked against ``field``.
+    """
+    n = len(elements)
+    axis_cells: dict = {}
+    free_cells: dict = {}
+    for i, el in enumerate(elements):
+        check_same_field(field, el.field)
+        for cells, part in ((axis_cells, el.axis_part), (free_cells, el.free_part)):
+            for key, c in part:
+                row = cells.get(key)
+                if row is None:
+                    row = cells[key] = [field.zero] * n
+                row[i] = c
+    axis_rows: dict = {}
+    for axis, coord in sorted(axis_cells):
+        axis_rows.setdefault(axis, {})[coord] = tuple(axis_cells[axis, coord])
+    return axis_rows, {coord: tuple(free_cells[coord]) for coord in sorted(free_cells)}
 
 
-def to_coordinate_vectors(field: FieldCtx, elements: Sequence[ModelElement]):
-    """Expand elements over a shared coordinate table; returns (vectors, table)."""
-    table = _coordinate_table(elements)
-    index = {k: i for i, k in enumerate(table)}
-    vectors = []
-    for el in elements:
-        row = [field.zero] * len(table)
-        for k, v in el.axis_part:
-            row[index[("a",) + k]] = v
-        for k, v in el.free_part:
-            row[index[("f", k)]] = v
-        vectors.append(tuple(row))
-    return vectors, table
+def _stacked(axis_rows: dict, free_rows: dict) -> list:
+    """The rows of :func:`coordinate_rows` as one matrix, axis rows first."""
+    return [row for rows in axis_rows.values() for row in rows.values()] + list(free_rows.values())
 
 
 def span_membership(a: ModelElement, handle: SubspaceHandle) -> tuple:
     """Coefficients expressing ``a`` over the generators, or None."""
-    gens = list(handle.generators)
+    gens = handle.generators
     if not gens:
         return () if a.is_zero() else None
     field = gens[0].field
-    vectors, table = to_coordinate_vectors(field, gens + [a])
-    return solve(field, vectors[:-1], vectors[-1])
+    return solve_augmented(field, _stacked(*coordinate_rows((*gens, a), field)), len(gens))
 
 
 def tuple_kernel(elements: Sequence[ModelElement], field: FieldCtx) -> Subspace:
     """Kernel {c : sum_i c_i elements_i = 0} as a subspace of K^len."""
-    vectors, _ = to_coordinate_vectors(field, list(elements))
-    # rows of the linear map K^n -> M are the coordinates
-    return kernel(field, list(zip(*vectors)), len(elements))
+    return kernel(field, _stacked(*coordinate_rows(elements, field)), len(elements))
 
 
 def span_basis(handle: SubspaceHandle, field: FieldCtx) -> list:
     """Canonical basis of the span as model elements (RREF over coordinates)."""
-    gens = [g for g in handle.generators if not g.is_zero()]
+    gens = handle.nonzero_generators()
     if not gens:
         return []
-    vectors, table = to_coordinate_vectors(field, gens)
-    rows, _ = rref(field, vectors)
-    # the table is sorted, so each part comes out in canonical order
-    out = []
-    for row in rows:
-        axis_part, free_part = [], []
-        for k, v in zip(table, row):
-            if field.is_zero(v):
-                continue
-            if k[0] == "a":
-                axis_part.append(((k[1], k[2]), v))
-            else:
-                free_part.append((k[1], v))
-        out.append(ModelElement(field, tuple(axis_part), tuple(free_part)))
-    return out
+    axis_rows, free_rows = coordinate_rows(gens, field)
+    axis_keys = [(axis, coord) for axis, rows in axis_rows.items() for coord in rows]
+    reduced, _ = rref(field, list(zip(*_stacked(axis_rows, free_rows))))
+    k = len(axis_keys)
+
+    def part(keys, values):  # keys ascend, so the part is in canonical order
+        return tuple((key, v) for key, v in zip(keys, values) if not field.is_zero(v))
+
+    return [ModelElement(field, part(axis_keys, row[:k]), part(free_rows, row[k:])) for row in reduced]
 
 
 def _require_handle_in_F(handle: SubspaceHandle) -> None:

@@ -9,7 +9,9 @@ fragment, which :func:`conjugacy_witness` demonstrates explicitly.
 
 The reduction of an element to the axis span and the membership subspace
 v_f of the fragment generators come from
-:func:`axisspace.invariant.free_reduction`.
+:func:`axisspace.invariant.free_reduction`; the coset search solves its
+systems on the axis rows of :func:`axisspace.model.coordinate_rows`.  Both
+read the one coordinate matrix the library builds.
 """
 
 from __future__ import annotations
@@ -19,13 +21,14 @@ from dataclasses import dataclass
 
 from .errors import NotSameType
 from .fields import FieldCtx
-from .invariant import free_reduction, map_rows, qf_equiv
+from .invariant import free_reduction, qf_equiv
 from .iso import PartialIso
 from .linalg import solve_augmented
 from .model import (
     ModelElement,
     SubspaceHandle,
     combine,
+    coordinate_rows,
     proj_axis,
     weight,
 )
@@ -103,11 +106,11 @@ def _min_weight_in_coset(c0: ModelElement, f_basis: list, field: FieldCtx):
     """
     n = len(f_basis)
     # one row per coordinate: the values of f_basis there, then c0's value
-    blocks, _ = map_rows(f_basis + [c0], field)
+    axis_rows, _ = coordinate_rows(f_basis + [c0], field)
     movable = sorted({ax for b in f_basis for ax in b.axes()})
     for s in range(len(movable)):
         for keep in itertools.combinations(movable, s):
-            matched = [row for axis in movable if axis not in keep for row in blocks[axis]]
+            matched = [row for axis in movable if axis not in keep for row in axis_rows[axis].values()]
             coeffs = solve_augmented(field, matched, n)
             if coeffs is not None:
                 v = combine(field, coeffs, f_basis)

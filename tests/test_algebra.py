@@ -17,7 +17,7 @@ from axisspace.linalg import (
     kernel,
     member,
     rref,
-    solve,
+    solve_augmented,
     subspace_from_generators,
     subspace_sum,
     vec,
@@ -188,19 +188,25 @@ def test_member_agrees_with_exhaustive_enumeration(field, pmax):
 
 
 # ---------------------------------------------------------------------------
-# solve
+# solve_augmented
 # ---------------------------------------------------------------------------
+
+
+def _augmented(rows, rhs):
+    """[A | b] for the system sum_i x_i * rows[i] = rhs."""
+    return [col + (b,) for col, b in zip(zip(*rows), rhs)]
 
 
 def test_solve_finds_combination():
     rows = [vec(Q, (1, 0, 1)), vec(Q, (0, 1, 1))]
-    sol = solve(Q, rows, vec(Q, (2, 3, 5)))
+    sol = solve_augmented(Q, _augmented(rows, vec(Q, (2, 3, 5))), 2)
     assert sol == (Q.of(2), Q.of(3))
-    assert solve(Q, rows, vec(Q, (0, 0, 1))) is None
+    assert solve_augmented(Q, _augmented(rows, vec(Q, (0, 0, 1))), 2) is None
 
 
 # ---------------------------------------------------------------------------
-# differential: rref, kernel, intersect and solve against naive Gauss-Jordan
+# differential: rref, kernel, intersect and solve_augmented against naive
+# Gauss-Jordan
 # ---------------------------------------------------------------------------
 
 
@@ -317,7 +323,7 @@ def test_linear_algebra_matches_naive_gauss_jordan(field):
             _assert_canonical_scalars(field, ker.basis)
             if nrows and ncols:
                 rhs = vec(field, rng.choice([rng.choice(rows), _random_matrix(rng, field, 1, ncols)[0]]))
-                assert solve(field, canon, rhs) == _reference_solve(field, canon, rhs)
+                assert solve_augmented(field, _augmented(canon, rhs), nrows) == _reference_solve(field, canon, rhs)
             a = subspace_from_generators(field, canon, ncols)
             b = subspace_from_generators(field, [vec(field, r) for r in _random_matrix(rng, field, nrows, ncols)], ncols)
             both = intersect(a, b)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from axisspace.errors import BadDescriptor, FragmentExhausted, NoGenericWitness, NotInF, NotOnAxis
+from axisspace.errors import BadDescriptor, FieldMismatch, FragmentExhausted, NoGenericWitness, NotInF, NotOnAxis
 from axisspace.fields import FieldCtx
 from axisspace.linalg import subspace_from_generators
 from axisspace.model import (
@@ -23,8 +23,9 @@ from axisspace.model import (
     proj_axis,
     rich_model,
     span_basis,
+    span_membership,
     support,
-    to_coordinate_vectors,
+    tuple_kernel,
     weight,
     weight_of_subspace,
     witness_star,
@@ -258,9 +259,30 @@ def test_axis_independence(M):
     for _ in range(30):
         n = rng.randrange(1, 5)
         els = [_random_on_axis(M, rng, axis) for axis in range(n)]
-        vectors, _ = to_coordinate_vectors(Q, els)
+        keys = sorted({k for el in els for k, _ in el.axis_part})
+        vectors = [tuple(dict(el.axis_part).get(k, Q.zero) for k in keys) for el in els]
         V = subspace_from_generators(Q, vectors)
         assert V.dim == n
+
+
+def test_linear_questions_reject_mixed_fields():
+    """Span membership, apply, linear relations and classification refuse
+    elements over another field instead of answering silently."""
+    from axisspace.iso import PartialIso
+    from axisspace.typespace import classify
+
+    mq, m5 = rich_model(Q), rich_model(FieldCtx.prime_field(5))
+    g = mq.e(0, 0)
+    axis_part = (mq.e(0, 0) + mq.e(1, 0), mq.e(0, 1))
+    for question in (
+        lambda: span_membership(m5.e(0, 0, 3), SubspaceHandle.of(g)),
+        lambda: PartialIso(Q, (g,), (g,)).apply(m5.e(0, 0)),
+        lambda: tuple_kernel([g, m5.e(0, 0)], Q),
+        lambda: classify(m5.fe(0), SubspaceHandle(axis_part)),
+        lambda: classify(m5.fe(0), SubspaceHandle(axis_part + (mq.fe(0),))),
+    ):
+        with pytest.raises(FieldMismatch):
+            question()
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,13 @@ import pytest
 from axisspace.errors import NotSameType
 from axisspace.fields import FieldCtx
 from axisspace.invariant import qf_equiv
-from axisspace.linalg import solve
+from axisspace.linalg import kernel, solve_augmented
 from axisspace.model import (
     ModelElement,
     SubspaceHandle,
     combine,
     rich_model,
     span_membership,
-    to_coordinate_vectors,
-    tuple_kernel,
     weight,
 )
 from axisspace.typespace import (
@@ -107,6 +105,13 @@ def test_classify_coset_is_canonical(M, fragment):
 # ---------------------------------------------------------------------------
 
 
+def _reference_rows(field, elements):
+    """One row per coordinate the elements meet, holding their values there."""
+    entries = [dict(el.axis_part) | {("f", k): c for k, c in el.free_part} for el in elements]
+    keys = sorted(set().union(*entries), key=str)
+    return [tuple(e.get(k, field.zero) for e in entries) for k in keys]
+
+
 def _reference_min_weight_in_coset(c0, f_basis, field):
     """Every subset of the axes c0 or f_basis meet, by size and then
     lexicographically; each solves its own system on shadow elements that
@@ -118,10 +123,9 @@ def _reference_min_weight_in_coset(c0, f_basis, field):
         for keep in itertools.combinations(axes, s):
             shadows = [
                 ModelElement(field, tuple((k, c) for k, c in el.axis_part if k[0] not in keep), ())
-                for el in [c0] + f_basis
+                for el in f_basis + [c0]
             ]
-            vectors, _ = to_coordinate_vectors(field, shadows)
-            coeffs = solve(field, vectors[1:], vectors[0])
+            coeffs = solve_augmented(field, _reference_rows(field, shadows), len(f_basis))
             if coeffs is not None:
                 v = combine(field, coeffs, f_basis)
                 return weight(c0 - v), v
@@ -133,9 +137,9 @@ def _reference_classify(a, fragment):
     gens = list(fragment.generators)
     if span_membership(a, fragment) is not None:
         return Realized(a)
-    frees = [ModelElement(field, (), el.free_part) for el in gens + [a]]
-    vectors, _ = to_coordinate_vectors(field, frees)
-    free_coeffs, vf = solve(field, vectors[:-1], vectors[-1]), tuple_kernel(frees[:-1], field)
+    n = len(gens)
+    rows = _reference_rows(field, [ModelElement(field, (), el.free_part) for el in gens + [a]])
+    free_coeffs, vf = solve_augmented(field, rows, n), kernel(field, [row[:n] for row in rows], n)
     if free_coeffs is None:
         return GenericFree()
     m0 = combine(field, free_coeffs, gens)
