@@ -160,7 +160,8 @@ def test_bad_context_constants_are_typed_errors(tmp_path, context_file):
         ([-1, 0, "1"], 1, "FragmentExhausted"),
         ([1.5, 0, "1"], 2, "ContextFormatError"),
     ):
-        doc = json.loads(open(context_file).read())
+        with open(context_file) as fh:
+            doc = json.load(fh)
         doc["constants"]["c"]["axis"] = [entry]
         path.write_text(json.dumps(doc))
         code, out, err = run(["qftp", "--model", str(path), "c"])
