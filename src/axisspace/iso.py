@@ -18,10 +18,10 @@ lying in the hull, and entirely fresh axes or free coordinates for the rest.
 The per-axis projection kernels, the membership subspace v_f and the
 free-part reduction used here are computed by :mod:`axisspace.invariant`
 (:func:`~axisspace.invariant.axis_kernels`,
-:func:`~axisspace.invariant.free_reduction`).  They, span membership, the
-generators' linear relations and :meth:`PartialIso.reduced` all read the
-coordinate matrix of the generators built by
-:func:`axisspace.model.coordinate_rows`.
+:func:`~axisspace.invariant.free_reduction`).  These, like span
+membership, the generators' linear relations and
+:meth:`PartialIso.reduced`, read the coordinate matrix of the generators
+built by :func:`axisspace.model.coordinate_rows`.
 """
 
 from __future__ import annotations

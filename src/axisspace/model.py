@@ -480,10 +480,8 @@ def coordinate_rows(elements: Sequence[ModelElement], field: FieldCtx):
     per coordinate the elements meet; a row holds their values there.
 
     Returns (axis -> {coordinate: row}, free coordinate -> row), axes and
-    coordinates ascending.  Every linear question about model elements
-    reads this matrix: span membership, linear relations and span bases
-    here, v_f and the axis kernels in :mod:`axisspace.invariant`.  Each
-    element's field is checked against ``field``.
+    coordinates ascending.  Each element's field is checked against
+    ``field``.
     """
     n = len(elements)
     axis_cells: dict = {}
