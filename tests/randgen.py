@@ -1,5 +1,6 @@
-"""Seeded random generators shared by the quantifier-elimination tests and
-the acceptance suite, and a time budget for tests of slow inputs."""
+"""Seeded random generators shared by the quantifier-elimination tests, the
+acceptance suite and the partial-isomorphism tests, and a time budget for
+tests of slow inputs."""
 
 import signal
 
@@ -24,6 +25,28 @@ def random_element(model, rng, max_axes=3, free_chance=0.4):
     if rng.random() < free_chance:
         el = el + model.fe(rng.randrange(3), rng.choice([1, 2, -1]))
     return el
+
+
+def random_generators(model, rng):
+    """Zero generators, repeats, scaled combinations of earlier ones and
+    fresh elements, some with free parts."""
+    field = model.field
+    scalar = (lambda: rng.randint(-3, 3)) if field.is_infinite else (lambda: rng.randrange(field.p))
+    out = []
+    for _ in range(rng.randrange(0, 7)):
+        roll = rng.random()
+        if roll < 0.1:
+            out.append(model.zero())
+        elif roll < 0.2 and out:
+            out.append(rng.choice(out))
+        elif roll < 0.45 and out:
+            u, v = rng.choice(out), rng.choice(out)
+            out.append(u.scale(scalar() or 1) + v.scale(scalar()))
+        else:
+            parts = {(axis, rng.randrange(3)): scalar() for axis in rng.sample(range(5), rng.randrange(0, 3))}
+            free = {coord: scalar() for coord in rng.sample(range(3), rng.randrange(0, 2))}
+            out.append(model.element(parts, free))
+    return tuple(out)
 
 
 def random_exists_formula(rng, n_params=2, max_x_atoms=3, max_index=4):

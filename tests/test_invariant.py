@@ -29,6 +29,7 @@ from axisspace.model import (
     weight,
     weight_of_subspace,
 )
+from randgen import random_generators
 
 Q = FieldCtx.rationals()
 GF2 = FieldCtx.prime_field(2)
@@ -230,6 +231,25 @@ def test_mixed_invariant_matches_intersection_of_kernels_with_v_f(field):
         assert verdict == (ref_a == ref_b)
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("field", [Q, FieldCtx.prime_field(5)], ids=["Q", "GF5"])
+def test_tuple_kernel_is_v_f_cut_by_the_invariants_kernels(field):
+    """A tuple's linear relations {c : sum_i c_i a_i = 0} are v_f
+    intersected with every kernel of its invariant, and v_f itself when
+    there is none: tuples with equal invariants satisfy equal relations."""
+    model = rich_model(field)
+    rng = random.Random(f"relations:{field}")
+    seen = set()
+    for _ in range(200):
+        t = _mixed_tuple(model, rng, rng.randint(1, 4)) if rng.random() < 0.5 else random_generators(model, rng)
+        inv = qf_invariant_mixed(t, field)
+        expected = inv.v_f
+        for ker in inv.kernels:
+            expected = intersect(expected, ker)
+        assert tuple_kernel(t, field) == expected
+        seen.add((bool(inv.kernels), expected.is_zero()))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from axisspace.model import (
     proj_axis,
     rich_model,
 )
+from randgen import random_generators
 
 Q = FieldCtx.rationals()
 GF2 = FieldCtx.prime_field(2)
@@ -73,28 +74,6 @@ def _reference_reduced(field, dom, img):
     return tuple(dom[i] for i in kept), tuple(img[i] for i in kept)
 
 
-def _random_generators(model, rng):
-    """Zero generators, repeats, scaled combinations of earlier ones and
-    fresh elements, some with free parts."""
-    field = model.field
-    scalar = (lambda: rng.randint(-3, 3)) if field.is_infinite else (lambda: rng.randrange(field.p))
-    out = []
-    for _ in range(rng.randrange(0, 7)):
-        roll = rng.random()
-        if roll < 0.1:
-            out.append(model.zero())
-        elif roll < 0.2 and out:
-            out.append(rng.choice(out))
-        elif roll < 0.45 and out:
-            u, v = rng.choice(out), rng.choice(out)
-            out.append(u.scale(scalar() or 1) + v.scale(scalar()))
-        else:
-            parts = {(axis, rng.randrange(3)): scalar() for axis in rng.sample(range(5), rng.randrange(0, 3))}
-            free = {coord: scalar() for coord in rng.sample(range(3), rng.randrange(0, 2))}
-            out.append(model.element(parts, free))
-    return tuple(out)
-
-
 @pytest.mark.parametrize("field", [Q, FieldCtx.prime_field(5)], ids=["Q", "GF5"])
 def test_reduced_keeps_the_generators_outside_earlier_spans(field):
     """``reduced`` keeps, in order, exactly the generators outside the span
@@ -104,7 +83,7 @@ def test_reduced_keeps_the_generators_outside_earlier_spans(field):
     rng = random.Random(f"reduced:{field}")
     dropped = 0
     for _ in range(400):
-        dom = _random_generators(model, rng)
+        dom = random_generators(model, rng)
         # the image: axes and free coordinates relabelled, each axis scaled
         perm = dict(zip(range(5), rng.sample(range(5, 10), 5)))
         scales = {axis: rng.choice([1, 2, 3]) for axis in range(5)}
