@@ -2,7 +2,12 @@
 
 A :class:`PartialIso` is a correspondence between two finite generator
 tuples whose linear-relation kernels coincide, so sending one tuple to the
-other extends to a well-defined linear bijection of the spans.
+other extends to a well-defined linear bijection of the spans.  The public
+constructor computes both kernels and compares them.  A map built from
+another whose relations are already equal, in a way that keeps them equal,
+skips that check: :meth:`PartialIso.reduced`, :meth:`PartialIso.inverse`
+and the extension of a map by an element and its own image inside
+:func:`back_and_forth_step`.
 
 :func:`extend_to_hat` upgrades a quantifier-free equivalent pair of tuples
 inside the axis span to an isomorphism of their hulls: the kernel multisets
@@ -30,7 +35,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 from .errors import FragmentExhausted, NotInF, NotQfEquivalent, TargetNotRich
-from .fields import FieldCtx
+from .fields import FieldCtx, check_same_field
 from .invariant import axis_kernels, free_reduction, tuple_field
 from .linalg import rref
 from .model import (
@@ -48,7 +53,13 @@ from .model import (
 
 @dataclass(frozen=True)
 class PartialIso:
-    """Finite partial isomorphism presented on generators."""
+    """Finite partial isomorphism presented on generators.
+
+    ``PartialIso(field, dom, img)`` raises NotQfEquivalent unless the two
+    tuples satisfy the same linear relations.  :meth:`_trusted` builds one
+    without the check, for tuples whose relations are equal by
+    construction; equality is structural either way.
+    """
 
     field: FieldCtx
     domain_generators: tuple
@@ -61,6 +72,14 @@ class PartialIso:
         if tuple_kernel(self.domain_generators, self.field) != tuple_kernel(self.image_generators, self.field):
             raise NotQfEquivalent("generator tuples satisfy different linear relations")
 
+    @classmethod
+    def _trusted(cls, field: FieldCtx, dom: tuple, img: tuple, axis_map: tuple = ()) -> "PartialIso":
+        """The map dom -> img for tuples known to satisfy the same linear
+        relations.  The relations are not checked."""
+        f = object.__new__(cls)
+        f.__dict__.update(field=field, domain_generators=dom, image_generators=img, axis_map=axis_map)
+        return f
+
     @staticmethod
     def empty(field: FieldCtx) -> "PartialIso":
         return PartialIso(field, (), ())
@@ -68,11 +87,17 @@ class PartialIso:
     def domain_handle(self) -> SubspaceHandle:
         return SubspaceHandle(self.domain_generators)
 
+    def _coefficients(self, a: ModelElement):
+        """Coefficients of ``a`` over the domain generators, or None; ``a``
+        must be over the map's field, also when there are no generators."""
+        check_same_field(self.field, a.field)
+        return span_membership(a, self.domain_handle())
+
     def contains(self, a: ModelElement) -> bool:
-        return span_membership(a, self.domain_handle()) is not None
+        return self._coefficients(a) is not None
 
     def apply(self, a: ModelElement) -> ModelElement:
-        coeffs = span_membership(a, self.domain_handle())
+        coeffs = self._coefficients(a)
         if coeffs is None:
             raise KeyError(f"element outside the domain span: {a}")
         return combine(self.field, coeffs, self.image_generators)
@@ -85,9 +110,20 @@ class PartialIso:
             self.axis_map,
         )
 
+    def _extended_by_image(self, a: ModelElement):
+        """(the map extended by a -> b, b) for b = ``self.apply(a)``.  b is
+        the combination of the image generators that a is of the domain
+        generators, so the extended tuples still satisfy the same relations
+        and the extension is built unchecked."""
+        b = self.apply(a)
+        dom, img = self.domain_generators + (a,), self.image_generators + (b,)
+        return PartialIso._trusted(self.field, dom, img, self.axis_map), b
+
     def inverse(self) -> "PartialIso":
+        """The map img -> dom; swapping the tuples keeps their relations
+        equal, so it is built unchecked."""
         inverted = tuple((y, x) for x, y in self.axis_map)
-        return PartialIso(self.field, self.image_generators, self.domain_generators, inverted)
+        return PartialIso._trusted(self.field, self.image_generators, self.domain_generators, inverted)
 
     def sigma(self) -> dict:
         return dict(self.axis_map)
@@ -98,11 +134,13 @@ class PartialIso:
 
         The kept generators are the pivot columns of the domain's
         coordinate matrix: in order, exactly those outside the span of the
-        generators before them."""
+        generators before them.  They are independent, and the image
+        generators at the same places satisfy the same (no) relations, so
+        the result is built unchecked."""
         _, keep = rref(self.field, _stacked(*coordinate_rows(self.domain_generators, self.field)))
         dom = tuple(self.domain_generators[i] for i in keep)
         img = tuple(self.image_generators[i] for i in keep)
-        return PartialIso(self.field, dom, img, self.axis_map)
+        return PartialIso._trusted(self.field, dom, img, self.axis_map)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +214,7 @@ def back_and_forth_step(f: PartialIso, a: ModelElement, source: Model, target: M
 def _step(f: PartialIso, a: ModelElement, source: Model, target: Model):
     field = f.field
     D, E = list(f.domain_generators), list(f.image_generators)
-    coeffs = span_membership(a, f.domain_handle())
+    coeffs = f._coefficients(a)
     if coeffs is not None:
         return f, combine(field, coeffs, E)
 
@@ -195,6 +233,8 @@ def _step(f: PartialIso, a: ModelElement, source: Model, target: Model):
     u = [combine(field, coeffs, D) for coeffs in vf.basis]
     u_img = [combine(field, coeffs, E) for coeffs in vf.basis]
     hat = extend_to_hat(u, u_img, field)
+    # ``combined`` and the mixed case's extension by a_f -> b_f are valid by
+    # the hull argument; the public constructor's check certifies it.
     combined = PartialIso(
         field,
         tuple(D) + hat.domain_generators,
@@ -202,8 +242,8 @@ def _step(f: PartialIso, a: ModelElement, source: Model, target: Model):
         hat.axis_map,
     )
     if combined.contains(a_f):
-        b = combined.apply(a)
-        return combined.extended(a, b).reduced(), b
+        g, b = combined._extended_by_image(a)
+        return g.reduced(), b
 
     # mixed case: mirror the support of a_f component by component
     sigma = hat.sigma()
@@ -228,9 +268,8 @@ def _step(f: PartialIso, a: ModelElement, source: Model, target: Model):
             n_comp = target.e(fresh_axis, 0)
         used_img.append(n_comp)
         b_f = b_f + n_comp
-    extended = combined.extended(a_f, b_f)
-    b = extended.apply(a)
-    return extended.extended(a, b).reduced(), b
+    g, b = combined.extended(a_f, b_f)._extended_by_image(a)
+    return g.reduced(), b
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Vectors are tuples of canonical scalars.  A :class:`Subspace` is always held
 in reduced row-echelon form with pivot columns strictly increasing, so two
-subspaces are equal as sets exactly when they are structurally equal.
+subspaces are equal as sets exactly when they are structurally equal.  The
+public constructor checks that form; the subspaces computed here are
+:func:`rref`'s output, canonical by construction, and skip the check.
 
 :func:`rref` works on integer rows over Q (each row is scaled to integers
 once, kept primitive by dividing out the gcd of its entries and divided by
@@ -135,7 +137,12 @@ def rref(field: FieldCtx, rows: Sequence[Vector]) -> tuple[list[Vector], list[in
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of K^n presented by its canonical reduced-echelon basis."""
+    """Subspace of K^n presented by its canonical reduced-echelon basis.
+
+    ``Subspace(field, n, basis)`` checks that the basis is canonical.
+    :meth:`_canonical` builds one without the check, for bases that are
+    already canonical; equality is structural either way.
+    """
 
     field: FieldCtx
     ambient_dim: int
@@ -150,6 +157,15 @@ class Subspace:
             if lead is None or lead <= last or row[lead] != self.field.one:
                 raise ValueError("basis not in canonical reduced echelon form")
             last = lead
+
+    @classmethod
+    def _canonical(cls, field: FieldCtx, n: int, basis: tuple) -> "Subspace":
+        """The subspace of K^n with a basis known to be canonical: rows that
+        :func:`rref` returned, or the right halves that :func:`_right_half`
+        keeps, or the identity.  The basis is not checked."""
+        space = object.__new__(cls)
+        space.__dict__.update(field=field, ambient_dim=n, basis=basis)
+        return space
 
     @property
     def dim(self) -> int:
@@ -177,16 +193,16 @@ def subspace_from_generators(field: FieldCtx, vectors: Sequence[Vector], ambient
         if len(v) != ambient_dim:
             raise DimensionMismatch(f"vector length {len(v)} != ambient {ambient_dim}")
     rows, _ = rref(field, vectors)
-    return Subspace(field, ambient_dim, tuple(rows))
+    return Subspace._canonical(field, ambient_dim, tuple(rows))
 
 
 def zero_space(field: FieldCtx, n: int) -> Subspace:
-    return Subspace(field, n, ())
+    return Subspace._canonical(field, n, ())
 
 
 def full_space(field: FieldCtx, n: int) -> Subspace:
     rows = tuple(tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n))
-    return Subspace(field, n, rows)
+    return Subspace._canonical(field, n, rows)
 
 
 def member(v: Vector, space: Subspace) -> bool:
@@ -231,9 +247,11 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 
 
 def _right_half(field: FieldCtx, rows: list, split: int, n: int) -> Subspace:
-    """Span of the right halves of the reduced rows with a pivot right of ``split``."""
+    """Span of the right halves of the reduced rows with a pivot right of
+    ``split``.  Each such row is zero left of its pivot, so its right half
+    leads with that pivot's 1, and the halves are in canonical form."""
     reduced, pivots = rref(field, rows)
-    return Subspace(field, n, tuple(r[split:] for r, col in zip(reduced, pivots) if col >= split))
+    return Subspace._canonical(field, n, tuple(r[split:] for r, col in zip(reduced, pivots) if col >= split))
 
 
 def solve_augmented(field: FieldCtx, aug: Sequence[Vector], n: int) -> Vector | None:

@@ -122,8 +122,14 @@ def conjugacy_witness(a: ModelElement, b: ModelElement, fragment: SubspaceHandle
     """Partial isomorphism fixing the fragment pointwise with a -> b.
 
     Requires equal non-realized type descriptors; built by matching the
-    support decompositions of the reduced elements piecewise and validated
-    on the quantifier-free invariant of the extended tuples.
+    support decompositions of the reduced elements piecewise.  The matched
+    map has one check, :func:`~axisspace.invariant.qf_equiv` of the
+    extended tuples.  It implies the relation check of ``PartialIso``: a
+    tuple's relations {c : sum_i c_i t_i = 0} are v_f intersected with
+    every kernel of its invariant (v_f itself when there is none), so equal
+    invariants give equal relations, and the map is built unchecked.  a and
+    b are the last generators on each side, so the map carries a to b.  A
+    failed match, like unequal descriptors, raises NotSameType.
     """
     ta, tb = classify(a, fragment), classify(b, fragment)
     if isinstance(ta, Realized) or isinstance(tb, Realized):
@@ -145,12 +151,9 @@ def conjugacy_witness(a: ModelElement, b: ModelElement, fragment: SubspaceHandle
 
     dom = tuple(gens) + tuple(x for x, _ in pairs)
     img = tuple(gens) + tuple(y for _, y in pairs)
-    iso = PartialIso(field, dom, img)  # raises NotQfEquivalent on bad relations
     if not qf_equiv(dom, img, field):
         raise NotSameType("support matching does not preserve the invariant")
-    if iso.apply(a) != b:
-        raise NotSameType("matched supports do not carry a to b")
-    return iso
+    return PartialIso._trusted(field, dom, img)
 
 
 def _ordered_support(el: ModelElement) -> list:

@@ -50,6 +50,17 @@ def test_partial_iso_apply_is_linear(M):
     assert f.inverse().apply(f.apply(x)) == x
 
 
+def test_partial_iso_refuses_elements_of_another_field(M):
+    """contains and apply check the element's field, also on the map with
+    no generators, whose span is {0} in every field."""
+    zero5 = rich_model(FieldCtx.prime_field(5)).zero()
+    for f in (PartialIso.empty(Q), PartialIso(Q, (M.e(0, 0),), (M.e(1, 0),))):
+        with pytest.raises(FieldMismatch):
+            f.contains(zero5)
+        with pytest.raises(FieldMismatch):
+            f.apply(zero5)
+
+
 def _dense(field, elements):
     """Element-major vectors over the sorted coordinates the elements meet."""
     keys = sorted({("a",) + k for el in elements for k, _ in el.axis_part}

@@ -245,6 +245,16 @@ def test_conjugacy_rejects_different_types(M, fragment):
         conjugacy_witness(a, fragment.generators[0], fragment)
 
 
+def test_conjugacy_rejects_a_match_that_changes_the_invariant(M, fragment):
+    """Equal descriptors, but a leans on a fragment axis and b does not:
+    the matched map would not preserve the invariant."""
+    a = M.e(0, 5) + M.e(8, 0)
+    b = M.e(9, 0) + M.e(10, 0)
+    assert classify(a, fragment) == classify(b, fragment) == SumType(2, M.zero())
+    with pytest.raises(NotSameType):
+        conjugacy_witness(a, b, fragment)
+
+
 def test_conjugacy_uniqueness_property(M, fragment):
     """Equal descriptors with fresh supports are conjugate over the fragment:
     the testable core of type uniqueness."""
