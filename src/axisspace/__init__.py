@@ -60,6 +60,7 @@ from .invariant import (
     g_of,
     g_via_inclusion_exclusion,
     kernel_candidates,
+    multiplicity_via_inclusion_exclusion,
     qf_equiv,
     qf_invariant,
     weights_oracle_via_witness,

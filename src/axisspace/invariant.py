@@ -11,7 +11,7 @@ Over an infinite field two tuples have the same quantifier-free type exactly
 when their invariants coincide: the multiset determines every weight
 w(f_a(c)) on v_f, and conversely the weights of subspace images recover each
 kernel multiplicity through inclusion-exclusion, which
-:func:`g_via_inclusion_exclusion` makes executable.
+:func:`multiplicity_via_inclusion_exclusion` makes executable.
 
 This module owns the three computations the rest of the library builds on:
 v_f together with the free-part reduction of an element against generators
@@ -182,31 +182,51 @@ def qf_equiv(a: Sequence[ModelElement], b: Sequence[ModelElement], field: FieldC
 # ---------------------------------------------------------------------------
 
 
+def multiplicity_via_inclusion_exclusion(
+    weights: Callable[[Subspace], int],
+    V: Subspace,
+    candidates: Sequence[Subspace],
+) -> int:
+    """The multiplicity g(V) of V in the kernel multiset, from subspace
+    weights alone.
+
+    ``weights(U)`` must return the weight of the image of U under the tuple
+    map.  ``candidates`` is a finite family of subspaces guaranteed to
+    include every kernel realizable by an axis projection; for any tuple the
+    kernels of the per-axis blocks of its coordinate matrix are such a
+    family.  The count itself never inspects a kernel: one test vector is
+    drawn outside V from each candidate, and the size of the intersection of
+    the corresponding axis sets is reconstructed from weights of enlarged
+    subspaces by inclusion-exclusion.
+    """
+    total = weights(full_space(V.field, V.ambient_dim))
+    w_v = weights(V)
+    return _multiplicity(weights, V, candidates, w_v, total - w_v)
+
+
 def g_via_inclusion_exclusion(
     weights: Callable[[Subspace], int],
     V: Subspace,
     r: int,
     candidates: Sequence[Subspace],
 ) -> bool:
-    """Decide g(V) >= r from subspace weights alone.
-
-    ``weights(U)`` must return the weight of the image of U under the tuple
-    map.  ``candidates`` is a finite family of subspaces guaranteed to
-    include every kernel realizable by an axis projection; for any tuple the
-    kernels of the per-axis blocks of its coordinate matrix are such a
-    family.  The decision itself never inspects a kernel: one test vector is
-    drawn outside V from each candidate, and the size of the intersection of
-    the corresponding axis sets is reconstructed from weights of enlarged
-    subspaces by inclusion-exclusion.
-    """
+    """Decide g(V) >= r from subspace weights alone, with the arguments of
+    :func:`multiplicity_via_inclusion_exclusion`.  The count is skipped
+    when r exceeds the number of axes vanishing on V, which bounds it."""
     if r <= 0:
         return True
-    field = V.field
-    n = V.ambient_dim
-    total = weights(full_space(field, n))
+    total = weights(full_space(V.field, V.ambient_dim))
     w_v = weights(V)
     if r > total - w_v:
         return False  # multiplicity is bounded by the total number of axes
+    return _multiplicity(weights, V, candidates, w_v, total - w_v) >= r
+
+
+def _multiplicity(weights, V: Subspace, candidates, w_v: int, vanishing: int) -> int:
+    """The inclusion-exclusion count, given w_v = w(f(V)) and the number
+    ``vanishing`` of axes the tuple meets and f(V) does not."""
+    field = V.field
+    n = V.ambient_dim
     tests = []
     seen = set()
     for W in candidates:
@@ -219,15 +239,15 @@ def g_via_inclusion_exclusion(
     # |A_1 cap ... cap A_m| by inclusion-exclusion over union weights, where
     # A_u = axes(f(u)) minus axes(f(V)); the empty intersection is the set of
     # all axes vanishing on V.
-    count = total - w_v
-    if tests:
-        count = 0
-        for size in range(1, len(tests) + 1):
-            sign = 1 if size % 2 == 1 else -1
-            for subset in itertools.combinations(tests, size):
-                enlarged = subspace_from_generators(field, V.basis + subset, n)
-                count += sign * (weights(enlarged) - w_v)
-    return count >= r
+    if not tests:
+        return vanishing
+    count = 0
+    for size in range(1, len(tests) + 1):
+        sign = 1 if size % 2 == 1 else -1
+        for subset in itertools.combinations(tests, size):
+            enlarged = subspace_from_generators(field, V.basis + subset, n)
+            count += sign * (weights(enlarged) - w_v)
+    return count
 
 
 def _vector_outside(W: Subspace, V: Subspace):
