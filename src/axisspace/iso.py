@@ -111,11 +111,15 @@ class PartialIso:
         )
 
     def _extended_by_image(self, a: ModelElement):
-        """(the map extended by a -> b, b) for b = ``self.apply(a)``.  b is
-        the combination of the image generators that a is of the domain
-        generators, so the extended tuples still satisfy the same relations
-        and the extension is built unchecked."""
-        b = self.apply(a)
+        """(the map extended by a -> b, b) for b = ``self.apply(a)``, or
+        None when ``a`` is outside the domain span.  b is the combination
+        of the image generators that a is of the domain generators, so the
+        extended tuples still satisfy the same relations and the extension
+        is built unchecked."""
+        coeffs = self._coefficients(a)
+        if coeffs is None:
+            return None
+        b = combine(self.field, coeffs, self.image_generators)
         dom, img = self.domain_generators + (a,), self.image_generators + (b,)
         return PartialIso._trusted(self.field, dom, img, self.axis_map), b
 
@@ -241,8 +245,11 @@ def _step(f: PartialIso, a: ModelElement, source: Model, target: Model):
         tuple(E) + hat.image_generators,
         hat.axis_map,
     )
-    if combined.contains(a_f):
-        g, b = combined._extended_by_image(a)
+    # a - a_f lies in the span of D, so a is in the domain span exactly
+    # when a_f is
+    hull_case = combined._extended_by_image(a)
+    if hull_case is not None:
+        g, b = hull_case
         return g.reduced(), b
 
     # mixed case: mirror the support of a_f component by component
