@@ -49,6 +49,18 @@ def random_generators(model, rng):
     return tuple(out)
 
 
+def relabelled(model, rng, elements):
+    """The elements moved by an automorphism of the rich model: axes 0-4
+    sent to axes 5-9 and each rescaled, free coordinates shifted by 3."""
+    field = model.field
+    perm = dict(zip(range(5), rng.sample(range(5, 10), 5)))
+    scales = {axis: field.of(rng.choice([1, 2, 3])) for axis in range(5)}
+    return tuple(
+        model.element({(perm[a], c): field.mul(scales[a], v) for (a, c), v in el.axis_part},
+                      {k + 3: v for k, v in el.free_part})
+        for el in elements
+    )
+
 def random_exists_formula(rng, n_params=2, max_x_atoms=3, max_index=4):
     """A random existential formula over x with up to two named parameters.
 

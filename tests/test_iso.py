@@ -22,7 +22,7 @@ from axisspace.model import (
     proj_axis,
     rich_model,
 )
-from randgen import random_generators
+from randgen import random_generators, relabelled
 
 Q = FieldCtx.rationals()
 GF2 = FieldCtx.prime_field(2)
@@ -95,14 +95,7 @@ def test_reduced_keeps_the_generators_outside_earlier_spans(field):
     dropped = 0
     for _ in range(400):
         dom = random_generators(model, rng)
-        # the image: axes and free coordinates relabelled, each axis scaled
-        perm = dict(zip(range(5), rng.sample(range(5, 10), 5)))
-        scales = {axis: rng.choice([1, 2, 3]) for axis in range(5)}
-        img = tuple(
-            model.element({(perm[a], c): field.mul(field.of(scales[a]), v) for (a, c), v in el.axis_part},
-                          {k + 3: v for k, v in el.free_part})
-            for el in dom
-        )
+        img = relabelled(model, rng, dom)
         f = PartialIso(field, dom, img)
         g = f.reduced()
         assert (g.domain_generators, g.image_generators) == _reference_reduced(field, dom, img)

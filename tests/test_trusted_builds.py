@@ -30,7 +30,7 @@ from axisspace.linalg import (
 )
 from axisspace.model import SubspaceHandle, canonical_model, make_descriptor, rich_model, tuple_kernel
 from axisspace.typespace import SumType, classify, conjugacy_witness
-from randgen import random_generators
+from randgen import random_generators, relabelled
 
 Q = FieldCtx.rationals()
 GF5 = FieldCtx.prime_field(5)
@@ -62,19 +62,6 @@ def _random_vectors(field, rng, n):
         else:
             out.append(vec(field, [rng.choice(entries) for _ in range(n)]))
     return out
-
-
-def _automorphic_image(model, rng, elements):
-    """The elements moved by an automorphism of the rich model: axes sent
-    to fresh ones and rescaled, free coordinates shifted."""
-    field = model.field
-    perm = dict(zip(range(5), rng.sample(range(5, 10), 5)))
-    scales = {axis: field.of(rng.choice([1, 2, 3])) for axis in range(5)}
-    return tuple(
-        model.element({(perm[a], c): field.mul(scales[a], v) for (a, c), v in el.axis_part},
-                      {k + 3: v for k, v in el.free_part})
-        for el in elements
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +111,7 @@ def test_reduced_and_inverse_pass_the_relation_check(field):
     rng = random.Random(f"trusted-maps:{field}")
     for _ in range(200):
         dom = random_generators(model, rng)
-        f = PartialIso(field, dom, _automorphic_image(model, rng, dom))
+        f = PartialIso(field, dom, relabelled(model, rng, dom))
         for g in (f.reduced(), f.inverse(), f.reduced().inverse(), f.inverse().reduced()):
             _assert_valid(g)
 
@@ -140,7 +127,7 @@ def test_back_and_forth_steps_pass_the_relation_check(field):
     grown = 0
     for _ in range(60):
         dom = random_generators(model, rng)
-        f = PartialIso(field, dom, _automorphic_image(model, rng, dom))
+        f = PartialIso(field, dom, relabelled(model, rng, dom))
         for _ in range(3):
             choices = list(random_generators(model, rng)) or [model.e(rng.randrange(8), 0)]
             for d in f.domain_generators:
