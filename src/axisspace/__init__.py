@@ -13,7 +13,7 @@ The library implements, over Q and GF(p):
 * a first-order formula language (linear equations and sumset predicates)
   with parser, printer and evaluator,
 * effective quantifier elimination and sentence decision over infinite
-  fields, driven by witness templates,
+  fields, with a witness search that checks every candidate by evaluation,
 * 1-type classification over finitely generated fragments with explicit
   conjugacy witnesses, and
 * the finite-field construction of quantifier-free equivalent pairs spanning
@@ -68,7 +68,6 @@ from .invariant import (
 from .iso import PartialIso, back_and_forth_step, extend_to_hat, fragment_isomorphism_game
 from .formula import Formula, Term, eval_qf, parse_formula, print_formula
 from .qe import (
-    WitnessTemplate,
     decide_sentence,
     eliminate_all,
     eliminate_exists,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import ArityMismatch, DimensionMismatch, NotInF
-from .fields import FieldCtx, Scalar, check_same_field
+from .fields import FieldCtx, Scalar
 from .linalg import (
     Subspace,
     full_space,
@@ -38,7 +38,7 @@ from .linalg import (
     solve_augmented,
     subspace_from_generators,
 )
-from .model import ModelElement, SubspaceHandle, combine, coordinate_rows
+from .model import ModelElement, SubspaceHandle, combine, coordinate_rows, tuple_field
 
 
 @dataclass(frozen=True)
@@ -107,25 +107,14 @@ def free_reduction(a: ModelElement, gens: Sequence[ModelElement]):
     return solve_augmented(field, free_rows, n), kernel(field, [row[:n] for row in free_rows], n)
 
 
-def axis_kernels(tuple_: Sequence[ModelElement]) -> dict:
+def axis_kernels(tuple_: Sequence[ModelElement], field: FieldCtx | None = None) -> dict:
     """axis -> kernel of the tuple map followed by the projection onto that
-    axis, for every axis the tuple meets, in axis order."""
+    axis, for every axis the tuple meets, in axis order.  ``field`` is as in
+    :func:`~axisspace.model.tuple_field`."""
     tuple_ = tuple(tuple_)
-    if not tuple_:
-        return {}
-    field = tuple_[0].field
+    field = tuple_field(tuple_, field)
     axis_rows, _ = coordinate_rows(tuple_, field)
     return {axis: kernel(field, list(rows.values()), len(tuple_)) for axis, rows in axis_rows.items()}
-
-
-def tuple_field(tuple_: Sequence[ModelElement], field: FieldCtx | None = None) -> FieldCtx:
-    """The field of the tuple's entries, checked against ``field`` when one
-    is given; the empty tuple takes ``field``, or Q when it is None."""
-    if field is None:
-        field = tuple_[0].field if tuple_ else FieldCtx.rationals()
-    for el in tuple_:
-        check_same_field(field, el.field)
-    return field
 
 
 def qf_invariant_mixed(tuple_: Sequence[ModelElement], field: FieldCtx | None = None) -> QfInvariant:
@@ -136,7 +125,9 @@ def qf_invariant_mixed(tuple_: Sequence[ModelElement], field: FieldCtx | None = 
     kernel of that axis's rows stacked on the free rows, so each costs one
     elimination over the k columns of the arity; it is kept only when the
     axis meets the image of v_f, that is when it is smaller than v_f.
-    ``field`` is the field of the entries (see :func:`tuple_field`).
+    ``field`` is the field of the entries (see
+    :func:`~axisspace.model.tuple_field`); each entry is checked against it
+    once, where the coordinate matrix is built.
     """
     tuple_ = tuple(tuple_)
     field = tuple_field(tuple_, field)

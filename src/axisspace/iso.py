@@ -35,8 +35,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 from .errors import FragmentExhausted, NotInF, NotQfEquivalent, TargetNotRich
-from .fields import FieldCtx, check_same_field
-from .invariant import axis_kernels, free_reduction, tuple_field
+from .fields import FieldCtx
+from .invariant import axis_kernels, free_reduction
 from .linalg import rref
 from .model import (
     Model,
@@ -47,6 +47,7 @@ from .model import (
     coordinate_rows,
     proj_axis,
     span_membership,
+    tuple_field,
     tuple_kernel,
 )
 
@@ -58,7 +59,8 @@ class PartialIso:
     ``PartialIso(field, dom, img)`` raises NotQfEquivalent unless the two
     tuples satisfy the same linear relations.  :meth:`_trusted` builds one
     without the check, for tuples whose relations are equal by
-    construction; equality is structural either way.
+    construction; equality is structural either way.  ``axis_map`` is
+    set by :func:`extend_to_hat` alone (see :meth:`sigma`).
     """
 
     field: FieldCtx
@@ -73,25 +75,21 @@ class PartialIso:
             raise NotQfEquivalent("generator tuples satisfy different linear relations")
 
     @classmethod
-    def _trusted(cls, field: FieldCtx, dom: tuple, img: tuple, axis_map: tuple = ()) -> "PartialIso":
+    def _trusted(cls, field: FieldCtx, dom: tuple, img: tuple) -> "PartialIso":
         """The map dom -> img for tuples known to satisfy the same linear
         relations.  The relations are not checked."""
         f = object.__new__(cls)
-        f.__dict__.update(field=field, domain_generators=dom, image_generators=img, axis_map=axis_map)
+        f.__dict__.update(field=field, domain_generators=dom, image_generators=img)
         return f
 
     @staticmethod
     def empty(field: FieldCtx) -> "PartialIso":
         return PartialIso(field, (), ())
 
-    def domain_handle(self) -> SubspaceHandle:
-        return SubspaceHandle(self.domain_generators)
-
     def _coefficients(self, a: ModelElement):
         """Coefficients of ``a`` over the domain generators, or None; ``a``
         must be over the map's field, also when there are no generators."""
-        check_same_field(self.field, a.field)
-        return span_membership(a, self.domain_handle())
+        return span_membership(a, SubspaceHandle(self.domain_generators, self.field))
 
     def contains(self, a: ModelElement) -> bool:
         return self._coefficients(a) is not None
@@ -103,12 +101,7 @@ class PartialIso:
         return combine(self.field, coeffs, self.image_generators)
 
     def extended(self, a: ModelElement, b: ModelElement) -> "PartialIso":
-        return PartialIso(
-            self.field,
-            self.domain_generators + (a,),
-            self.image_generators + (b,),
-            self.axis_map,
-        )
+        return PartialIso(self.field, self.domain_generators + (a,), self.image_generators + (b,))
 
     def _extended_by_image(self, a: ModelElement):
         """(the map extended by a -> b, b) for b = ``self.apply(a)``, or
@@ -121,15 +114,17 @@ class PartialIso:
             return None
         b = combine(self.field, coeffs, self.image_generators)
         dom, img = self.domain_generators + (a,), self.image_generators + (b,)
-        return PartialIso._trusted(self.field, dom, img, self.axis_map), b
+        return PartialIso._trusted(self.field, dom, img), b
 
     def inverse(self) -> "PartialIso":
         """The map img -> dom; swapping the tuples keeps their relations
         equal, so it is built unchecked."""
-        inverted = tuple((y, x) for x, y in self.axis_map)
-        return PartialIso._trusted(self.field, self.image_generators, self.domain_generators, inverted)
+        return PartialIso._trusted(self.field, self.image_generators, self.domain_generators)
 
     def sigma(self) -> dict:
+        """The axis bijection of a hull extension built by
+        :func:`extend_to_hat`: domain axis -> image axis.  Empty on every
+        other map."""
         return dict(self.axis_map)
 
     def reduced(self) -> "PartialIso":
@@ -144,7 +139,7 @@ class PartialIso:
         _, keep = rref(self.field, _stacked(*coordinate_rows(self.domain_generators, self.field)))
         dom = tuple(self.domain_generators[i] for i in keep)
         img = tuple(self.image_generators[i] for i in keep)
-        return PartialIso._trusted(self.field, dom, img, self.axis_map)
+        return PartialIso._trusted(self.field, dom, img)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +155,7 @@ def extend_to_hat(a: Sequence[ModelElement], b: Sequence[ModelElement], field: F
     the arity and the field together with the multiset of per-axis
     projection kernels, so those are what is compared.  The axis bijection is canonical: axes are
     grouped by their projection kernel and matched in axis-index order
-    inside each group; ``field`` is as in :func:`~axisspace.invariant.tuple_field`.
+    inside each group; ``field`` is as in :func:`~axisspace.model.tuple_field`.
     """
     a, b = tuple(a), tuple(b)
     for el in a + b:
@@ -172,7 +167,7 @@ def extend_to_hat(a: Sequence[ModelElement], b: Sequence[ModelElement], field: F
     groups_a: dict = {}
     groups_b: dict = {}
     for groups, t in ((groups_a, a), (groups_b, b)):
-        for axis, ker in axis_kernels(t).items():
+        for axis, ker in axis_kernels(t, field).items():
             groups.setdefault(ker.key(), []).append(axis)
     if set(groups_a) != set(groups_b) or any(len(groups_a[k]) != len(groups_b[k]) for k in groups_a):
         raise NotQfEquivalent("projection-kernel multisets do not match")
@@ -239,12 +234,7 @@ def _step(f: PartialIso, a: ModelElement, source: Model, target: Model):
     hat = extend_to_hat(u, u_img, field)
     # ``combined`` and the mixed case's extension by a_f -> b_f are valid by
     # the hull argument; the public constructor's check certifies it.
-    combined = PartialIso(
-        field,
-        tuple(D) + hat.domain_generators,
-        tuple(E) + hat.image_generators,
-        hat.axis_map,
-    )
+    combined = PartialIso(field, tuple(D) + hat.domain_generators, tuple(E) + hat.image_generators)
     # a - a_f lies in the span of D, so a is in the domain span exactly
     # when a_f is
     hull_case = combined._extended_by_image(a)
@@ -291,20 +281,16 @@ def fragment_isomorphism_game(m1: Model, m2: Model) -> PartialIso | None:
     Success is equivalent to the fragments having equal descriptors; a step
     fails exactly when one side cannot supply matching fresh material.
     """
-    basis1, basis2 = m1.basis_elements(), m2.basis_elements()
     f = PartialIso.empty(m1.field)
     try:
-        while True:
-            x = next((el for el in basis1 if not f.contains(el)), None)
-            if x is not None:
+        # a domain span only grows, so an element covered stays covered
+        for x in m1.basis_elements():
+            if not f.contains(x):
                 f, _ = back_and_forth_step(f, x, m1, m2)
-                continue
-            g = f.inverse()
-            y = next((el for el in basis2 if not g.contains(el)), None)
-            if y is not None:
+        g = f.inverse()
+        for y in m2.basis_elements():
+            if not g.contains(y):
                 g, _ = back_and_forth_step(g, y, m2, m1)
-                f = g.inverse()
-                continue
-            return f
+        return g.inverse()
     except (TargetNotRich, NotQfEquivalent):
         return None

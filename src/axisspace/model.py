@@ -19,6 +19,7 @@ presentation and the coset search of type classification all read it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -217,6 +218,15 @@ class ModelElement:
 
     def __repr__(self) -> str:
         return f"<{self} over {self.field}>"
+
+
+def tuple_field(elements: Sequence[ModelElement], field: FieldCtx | None = None) -> FieldCtx:
+    """The field of a tuple of elements: ``field`` when one is given, else
+    the first entry's, else Q.  The entries are checked where their
+    coordinate matrix is built (:func:`coordinate_rows`)."""
+    if field is not None:
+        return field
+    return elements[0].field if elements else FieldCtx.rationals()
 
 
 def combine(field: FieldCtx, coeffs: Iterable, elements: Iterable[ModelElement]) -> ModelElement:
@@ -457,19 +467,20 @@ class SubspaceHandle:
     """Finitely generated subspace of a model, presented by generators.
 
     All operations depend only on the span, never on the presentation.
+    ``field`` is the field of the span, worked out from the generators by
+    :func:`tuple_field` when none is given, so a handle with no generators
+    spans the zero of Q unless told otherwise.
     """
 
     generators: tuple  # tuple of ModelElement
+    field: FieldCtx | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "field", tuple_field(self.generators, self.field))
 
     @staticmethod
     def of(*gens: ModelElement) -> "SubspaceHandle":
         return SubspaceHandle(tuple(gens))
-
-    @property
-    def field(self) -> FieldCtx:
-        if not self.generators:
-            raise ValueError("empty handle has no field")
-        return self.generators[0].field
 
     def nonzero_generators(self) -> list:
         return [g for g in self.generators if not g.is_zero()]
@@ -506,11 +517,9 @@ def _stacked(axis_rows: dict, free_rows: dict) -> list:
 
 
 def span_membership(a: ModelElement, handle: SubspaceHandle) -> tuple:
-    """Coefficients expressing ``a`` over the generators, or None."""
-    gens = handle.generators
-    if not gens:
-        return () if a.is_zero() else None
-    field = gens[0].field
+    """Coefficients expressing ``a`` over the generators, or None; ``a``
+    must be over the handle's field."""
+    gens, field = handle.generators, handle.field
     return solve_augmented(field, _stacked(*coordinate_rows((*gens, a), field)), len(gens))
 
 
@@ -569,7 +578,7 @@ def hull_hat(handle: SubspaceHandle) -> SubspaceHandle:
     for g in handle.generators:
         for axis in g.axes():
             comps.append(proj_axis(g, axis))
-    return SubspaceHandle(tuple(comps))
+    return SubspaceHandle(tuple(comps), handle.field)
 
 
 def witness_star(handle: SubspaceHandle) -> ModelElement:
@@ -582,10 +591,9 @@ def witness_star(handle: SubspaceHandle) -> ModelElement:
     exhaustively and NoGenericWitness reports genuine failure.
     """
     _require_handle_in_F(handle)
-    gens = handle.nonzero_generators()
+    gens, field = handle.nonzero_generators(), handle.field
     if not gens:
-        return ModelElement.zero(handle.generators[0].field) if handle.generators else _empty_handle_error()
-    field = gens[0].field
+        return ModelElement.zero(field)
     basis = span_basis(SubspaceHandle(tuple(gens)), field)
     target_axes = axes_of_subspace(handle)
 
@@ -614,10 +622,6 @@ def witness_star(handle: SubspaceHandle) -> ModelElement:
     )
 
 
-def _empty_handle_error():
-    raise ValueError("witness_star of an empty handle; pass at least one generator")
-
-
 def _component_ratio(a: ModelElement, b: ModelElement, axis: AxisId):
     """The unique lambda with proj_axis(a) = lambda * proj_axis(b), if any."""
     field = a.field
@@ -637,17 +641,8 @@ def _component_ratio(a: ModelElement, b: ModelElement, axis: AxisId):
 
 def _iter_coeff_vectors(field: FieldCtx, n: int):
     """All coefficient vectors over a finite field with first nonzero entry 1."""
-    if n == 0:
-        return
-    p = field.p
     for lead in range(n):
         # entries before `lead` are zero, entry at `lead` is one
-        def rec(i, acc):
-            if i == n:
-                yield tuple(acc)
-                return
-            for v in range(p):
-                acc.append(v)
-                yield from rec(i + 1, acc)
-                acc.pop()
-        yield from rec(lead + 1, [field.zero] * lead + [field.one])
+        head = (field.zero,) * lead + (field.one,)
+        for tail in itertools.product(range(field.p), repeat=n - lead - 1):
+            yield head + tail

@@ -61,9 +61,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import (
     FieldNotInfinite,
@@ -92,44 +91,6 @@ from .formula import (
 )
 from .linalg import rref
 from .model import Model, ModelElement
-
-
-@dataclass(frozen=True)
-class WitnessTemplate:
-    """Shape of one candidate witness.
-
-    ``hull_coeffs`` fixes the candidate on the coordinate blocks spanned by
-    the parameter terms: per axis either a concrete component drawn from the
-    finitely many term components there, and for the free block one of the
-    term free-parts.  ``parallel_fresh`` lists axes receiving a fresh
-    coordinate instead (the exact realization of a generic choice),
-    ``fresh_axis_count`` pads with whole new axes, and ``fresh_free`` swaps
-    the free block for a fresh free coordinate.
-    """
-
-    hull_coeffs: tuple  # ((block, component) ...); block = ("axis", id) or ("free",)
-    parallel_fresh: frozenset
-    fresh_axis_count: int
-    fresh_free: bool
-
-
-def instantiate_template(template: WitnessTemplate, model: Model, used: Sequence[ModelElement]) -> ModelElement:
-    """Realize a template with coordinates unused by ``used``."""
-    used = list(used)
-    out = ModelElement.zero(model.field)
-    for block, component in template.hull_coeffs:
-        out = out + component
-    for axis in sorted(template.parallel_fresh):
-        el = model.e(axis, model.fresh_coord(axis, used))
-        used.append(el)
-        out = out + el
-    for _ in range(template.fresh_axis_count):
-        el = model.e(model.fresh_axis(used), 0)
-        used.append(el)
-        out = out + el
-    if template.fresh_free:
-        out = out + model.fe(model.fresh_free_coord(used))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +191,15 @@ def _literals(entries):
 def _negate(rows) -> list:
     """The negation of a condition: per box, the disjunction of its
     negated literals in printed order (terms by their text), multiplied
-    out box by box."""
-
-    def negated(box):
+    out box by box.  The running product is a conjunction, so it is
+    reduced after every factor and stays equivalent."""
+    out = [frozenset()]
+    for box in rows:
         entries = sorted(((t, lo, hi) for t, (lo, hi) in box), key=lambda entry: str(entry[0]))
-        return _any(_atom(t, n, not pol) for pol, n, t in _literals(entries))
-
-    return _all(negated(box) for box in rows)
+        out = _reduce_rows(_all([out, _any(_atom(t, n, not pol) for pol, n, t in _literals(entries))]))
+        if not out:
+            break
+    return out
 
 
 def _dnf_literals(phi: Formula) -> list:
@@ -276,11 +239,12 @@ def _dnf_literals(phi: Formula) -> list:
 
 def witness_search(phi: Formula, var: str, env: Mapping, model: Model):
     """Find a model element for ``var`` satisfying the quantifier-free
-    ``phi`` under ``env``, or None when no template instantiation does.
+    ``phi`` under ``env``, or None when no candidate does.
 
-    Every candidate the enumeration produces is checked with the evaluator
-    before being returned, so soundness does not depend on the completeness
-    argument for the template family.
+    Each candidate is assembled from the vocabulary of the module
+    docstring and checked with the evaluator before being returned, so
+    soundness does not depend on the completeness argument for that
+    vocabulary.
     """
     if not is_quantifier_free(phi):
         raise NotQuantifierFree("witness search needs a quantifier-free matrix")
@@ -297,7 +261,8 @@ def _search_disjunct(box, phi, var, env, model: Model):
     field = model.field
     params, xs = _split(box, var, field)
     for term, (lo, hi) in params:
-        if not lo <= _weight(eval_term(term, env, field)) <= hi:
+        el = eval_term(term, env, field)
+        if not lo <= (len(el.axes()) if el.in_F() else _UNBOUNDED) <= hi:
             return None  # parameter-only bound fails; disjunct dead
 
     # w(x - t_i) lies in spans[i]; terms equal under env share one interval
@@ -376,30 +341,24 @@ def _search_disjunct(box, phi, var, env, model: Model):
             yield lower
 
         for r in assign(0):
-            template = _build_template(field, chosen_fp, choice, r)
-            x = instantiate_template(template, model, used)
+            # per axis the chosen term component or a fresh coordinate, then
+            # r fresh axes and the free part
+            x, fresh = ModelElement.zero(field), list(used)
+            for axis, opt in choice:
+                if opt is None:
+                    opt = model.e(axis, model.fresh_coord(axis, fresh))
+                    fresh.append(opt)
+                x = x + opt
+            for _ in range(r):
+                fresh.append(model.e(model.fresh_axis(fresh), 0))
+                x = x + fresh[-1]
+            if chosen_fp is None:
+                x = x + model.fe(model.fresh_free_coord(fresh))
+            else:
+                x = x + ModelElement(field, (), chosen_fp)
             if verify(x):
                 return x
     return None
-
-
-def _weight(el: ModelElement):
-    """The number of axes ``el`` meets, unbounded outside the axis span."""
-    return len(el.axes()) if el.in_F() else _UNBOUNDED
-
-
-def _build_template(field, chosen_fp, choice, r) -> WitnessTemplate:
-    hull = []
-    pfresh = []
-    for axis, opt in choice:
-        if opt is None:
-            pfresh.append(axis)
-        elif not opt.is_zero():
-            hull.append((("axis", axis), opt))
-    fresh_free = chosen_fp is None
-    if chosen_fp:
-        hull.append((("free",), ModelElement(field, (), chosen_fp)))
-    return WitnessTemplate(tuple(hull), frozenset(pfresh), r, fresh_free)
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +388,10 @@ def _formula_field(phi: Formula) -> FieldCtx:
 def eliminate_exists(phi: Formula, var: str) -> Formula:
     """Quantifier-free formula equivalent to (exists var) phi over every
     rich canonical model of an infinite field."""
-    field = _formula_field(phi)
-    _require_infinite(field)
+    _require_infinite(_formula_field(phi))
     if not is_quantifier_free(phi):
         raise NotQuantifierFree("eliminate_exists expects a quantifier-free matrix")
-    return _simplify_rows(field, _exists_rows(_dnf_literals(phi), [var], field))
+    return eliminate_all(Exists(var, phi))
 
 
 def _exists_rows(disjuncts, variables, field: FieldCtx) -> list:

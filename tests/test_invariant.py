@@ -431,6 +431,28 @@ def test_qf_equiv_arity_mismatch(M):
         qf_equiv((M.e(0, 0),), (M.e(0, 0), M.e(1, 0)))
 
 
+def test_qf_equiv_checks_each_entry_field_once(M, monkeypatch):
+    """The field of every entry is checked once, where the coordinate
+    matrix is built, and a mixed pair is still refused."""
+    from axisspace import invariant, iso, model
+
+    a = (M.e(0, 0) + M.e(1, 0), M.e(0, 1), M.fe(0), M.e(2, 0))
+    b = (M.e(3, 0) + M.e(4, 0), M.e(3, 1), M.fe(1), M.e(5, 0))
+    calls = []
+    original = model.check_same_field
+
+    def counting(x, y):
+        calls.append(y)
+        original(x, y)
+
+    for module in (model, invariant, iso):
+        monkeypatch.setattr(module, "check_same_field", counting, raising=False)
+    assert qf_equiv(a, b)
+    assert len(calls) == 8
+    with pytest.raises(FieldMismatch):
+        qf_equiv(a, a[:3] + (rich_model(GF2).e(0, 0),))
+
+
 def test_qf_equiv_is_equivalence_on_random_tuples(M):
     rng = random.Random(41)
     tuples = [_random_tuple(M, rng, arity=2) for _ in range(12)]

@@ -296,6 +296,25 @@ def test_game_succeeds_on_equal_descriptors():
         assert f.inverse().contains(el)
 
 
+def test_game_asks_each_basis_element_once(monkeypatch):
+    """A domain span only grows, so one pass over each basis covers it."""
+    d = make_descriptor(2, {1: 1, 2: 2, 3: 1})
+    m1, m2 = canonical_model(d, Q), canonical_model(d, Q)
+    asked = []
+    contains = PartialIso.contains
+
+    def counting(self, el):
+        asked.append(el)
+        return contains(self, el)
+
+    monkeypatch.setattr(PartialIso, "contains", counting)
+    f = fragment_isomorphism_game(m1, m2)
+    assert asked == m1.basis_elements() + m2.basis_elements()
+    monkeypatch.undo()
+    assert all(f.contains(el) for el in m1.basis_elements())
+    assert all(f.inverse().contains(el) for el in m2.basis_elements())
+
+
 @pytest.mark.parametrize(
     "d1,d2",
     [

@@ -285,6 +285,21 @@ def test_linear_questions_reject_mixed_fields():
             question()
 
 
+def test_empty_handle_carries_its_field():
+    """A handle with no generators spans {0} of its own field: it refuses
+    elements of another field, and its generic witness is that zero."""
+    zero5 = rich_model(FieldCtx.prime_field(5)).zero()
+    empty = SubspaceHandle((), Q)
+    with pytest.raises(FieldMismatch):
+        span_membership(zero5, empty)
+    assert span_membership(rich_model(Q).zero(), empty) == ()
+    assert span_membership(rich_model(Q).e(0, 0), empty) is None
+    assert witness_star(empty) == rich_model(Q).zero()
+    assert SubspaceHandle(()).field == Q
+    assert SubspaceHandle((zero5,)).field == zero5.field
+    assert hull_hat(SubspaceHandle((zero5,))).field == zero5.field
+
+
 # ---------------------------------------------------------------------------
 # subspace handles: axes, weight, hull, pi_A
 # ---------------------------------------------------------------------------

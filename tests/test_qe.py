@@ -494,6 +494,28 @@ def test_negate_holds_exactly_where_no_box_does(boxes):
         assert _holds(rows, weights) == _holds(boxes, weights)
         assert _holds(negated, weights) != _holds(rows, weights), weights
 
+
+def test_negation_of_a_nested_condition_stays_small():
+    """The 21 boxes of ``E x.`` multiply out to some 18,000 boxes unless the
+    running product of the negation is reduced after every factor; either
+    way the condition is the same 24 disjuncts (pinned in sorted order,
+    as the order of the boxes depends on when they are reduced)."""
+    phi = parse_formula(
+        "(X2(1*$c0 + 2*$c1)) | (!E x. ((!X1(1*x + 1*$c0 + 2*$c1)) & "
+        "(A y. ((E z. (X1(2*x + -2*$c1) | !X1(1*x + -2*$c1))) -> (X2(1*y + 1*$c0))))))",
+        Q,
+    )
+    out = within(0.5, eliminate_all, phi)
+
+    def disjuncts(psi):
+        return disjuncts(psi.lhs) + disjuncts(psi.rhs) if isinstance(psi, Or) else [print_formula(psi)]
+
+    texts = sorted(disjuncts(out))
+    joined = "\n".join(texts)
+    assert len(texts) == 24 and len(print_formula(out)) == 1708
+    assert hashlib.sha1(joined.encode()).hexdigest() == "7e1430e3f54a0c252edb055e6f5288c3b58bb2c3"
+
+
 def _assert_merge_fixpoint(phi):
     """No two disjuncts of phi agree on every term but one and hold
     overlapping or touching weight intervals on that one."""
