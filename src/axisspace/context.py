@@ -39,7 +39,7 @@ def _card_to_json(c):
 def _card_from_json(v):
     if v == ALEPH_TOKEN:
         return ALEPH0
-    if isinstance(v, int) and v >= 0:
+    if type(v) is int and v >= 0:
         return v
     raise ContextFormatError(f"bad cardinal value {v!r}")
 
@@ -64,8 +64,8 @@ def dump_context(model: Model) -> str:
     for name in sorted(model.constants):
         el = model.constants[name]
         constants[name] = {
-            "axis": [[axis, coord, model.field.format(c)] for (axis, coord), c in el.axis_part],
-            "free": [[coord, model.field.format(c)] for coord, c in el.free_part],
+            "axis": [[axis, coord, str(c)] for (axis, coord), c in el.axis_part],
+            "free": [[coord, str(c)] for coord, c in el.free_part],
         }
     doc = {
         "constants": constants,
@@ -92,8 +92,8 @@ def load_context(text: str) -> Model:
         descriptor = make_descriptor(_card_from_json(desc_doc["f_codim"]), census)
         model = canonical_model(descriptor, field)
         for name, entry in doc.get("constants", {}).items():
-            axis_part = {(axis, coord): field.parse(c) for axis, coord, c in entry.get("axis", [])}
-            free_part = {coord: field.parse(c) for coord, c in entry.get("free", [])}
+            axis_part = {(axis, coord): field.of(c) for axis, coord, c in entry.get("axis", [])}
+            free_part = {coord: field.of(c) for coord, c in entry.get("free", [])}
             model.constants[name] = model.element(axis_part, free_part)
         return model
     except ContextFormatError:

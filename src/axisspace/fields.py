@@ -1,13 +1,15 @@
 """Exact scalar arithmetic over the two supported fields: Q and GF(p).
 
-Scalars are plain Python values in canonical form -- ``fractions.Fraction``
-(always reduced) over the rationals, and residues in ``range(p)`` over a
-prime field.  A :class:`FieldCtx` bundles the operations so every other
-module can stay field-agnostic.
+A field is fixed by its modulus: none for the rationals, a prime ``p`` for
+GF(p).  Scalars are plain Python values in canonical form --
+``fractions.Fraction`` (always reduced) over the rationals, and residues in
+``range(p)`` over a prime field.  A :class:`FieldCtx` bundles the
+operations so every other module can stay field-agnostic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
@@ -16,75 +18,58 @@ from .errors import FieldMismatch, FieldNotFinite, NotPrime
 
 Scalar = Union[Fraction, int]
 
-RATIONALS = "rationals"
-PRIME = "prime"
-
 # Fractions are immutable, so every rational zero and one can be these two
 _Q_ZERO = Fraction(0)
 _Q_ONE = Fraction(1)
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n in (2, 3):
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    d = 5
-    while d * d <= n:
-        if n % d == 0 or n % (d + 2) == 0:
-            return False
-        d += 6
-    return True
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 @dataclass(frozen=True)
 class FieldCtx:
-    """Ambient field: the rationals or GF(p) for a prime p."""
+    """Ambient field, fixed by its modulus ``p``: Q when ``p`` is None,
+    GF(p) when ``p`` is a prime ``int``."""
 
-    kind: str
     p: int | None = None
 
     def __post_init__(self):
-        if self.kind == PRIME:
-            if self.p is None or not _is_prime(self.p):
-                raise NotPrime(f"modulus {self.p!r} is not prime")
-        elif self.kind != RATIONALS:
-            raise ValueError(f"unknown field kind {self.kind!r}")
+        if self.p is not None and not (type(self.p) is int and _is_prime(self.p)):
+            raise NotPrime(f"modulus {self.p!r} is not prime")
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
     def rationals() -> "FieldCtx":
-        return FieldCtx(RATIONALS)
+        return FieldCtx()
 
     @staticmethod
     def prime_field(p: int) -> "FieldCtx":
-        return FieldCtx(PRIME, p)
+        return FieldCtx(p)
 
     # -- basic queries -------------------------------------------------
 
     @property
     def is_infinite(self) -> bool:
-        return self.kind == RATIONALS
+        return self.p is None
 
     @property
     def zero(self) -> Scalar:
-        return _Q_ZERO if self.kind == RATIONALS else 0
+        return _Q_ZERO if self.p is None else 0
 
     @property
     def one(self) -> Scalar:
-        return _Q_ONE if self.kind == RATIONALS else 1 % self.p
+        return _Q_ONE if self.p is None else 1
 
     def __str__(self) -> str:
-        return "Q" if self.kind == RATIONALS else f"GF({self.p})"
+        return "Q" if self.p is None else f"GF({self.p})"
 
     # -- canonicalisation ----------------------------------------------
 
     def of(self, value) -> Scalar:
         """Coerce an int, Fraction or string into canonical form."""
-        if self.kind == RATIONALS:
+        if self.p is None:
             return value if isinstance(value, Fraction) else Fraction(value)
         if isinstance(value, str):
             value = int(value)
@@ -97,21 +82,21 @@ class FieldCtx:
     # -- arithmetic ----------------------------------------------------
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return a + b if self.kind == RATIONALS else (a + b) % self.p
+        return a + b if self.p is None else (a + b) % self.p
 
     def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return a - b if self.kind == RATIONALS else (a - b) % self.p
+        return a - b if self.p is None else (a - b) % self.p
 
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        return a * b if self.kind == RATIONALS else (a * b) % self.p
+        return a * b if self.p is None else (a * b) % self.p
 
     def neg(self, a: Scalar) -> Scalar:
-        return -a if self.kind == RATIONALS else (-a) % self.p
+        return -a if self.p is None else (-a) % self.p
 
     def inv(self, a: Scalar) -> Scalar:
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
-        if self.kind == RATIONALS:
+        if self.p is None:
             return 1 / a
         return pow(a, self.p - 2, self.p)
 
@@ -121,24 +106,18 @@ class FieldCtx:
     def is_zero(self, a: Scalar) -> bool:
         return a == 0
 
-    # -- enumeration and printing ---------------------------------------
+    # -- enumeration ---------------------------------------------------
 
     def nonzero_elements(self) -> Iterator[Scalar]:
         """All nonzero scalars; only available over a finite field."""
-        if self.kind == RATIONALS:
+        if self.p is None:
             raise FieldNotFinite("cannot enumerate the nonzero rationals")
         return iter(range(1, self.p))
 
     def elements(self) -> Iterator[Scalar]:
-        if self.kind == RATIONALS:
+        if self.p is None:
             raise FieldNotFinite("cannot enumerate the rationals")
         return iter(range(self.p))
-
-    def format(self, a: Scalar) -> str:
-        return str(a)
-
-    def parse(self, text: str) -> Scalar:
-        return self.of(text)
 
 
 def check_same_field(a: FieldCtx, b: FieldCtx) -> None:

@@ -129,10 +129,10 @@ class Term:
             f = self.field
             parts = []
             for name, c in self.vars:
-                parts.append(name if c == f.one else f"{f.format(c)}*{name}")
+                parts.append(name if c == f.one else f"{c}*{name}")
             for name, c in self.consts:
                 atom = "$" + name
-                parts.append(atom if c == f.one else f"{f.format(c)}*{atom}")
+                parts.append(atom if c == f.one else f"{c}*{atom}")
             text = " + ".join(parts) or "0"
             object.__setattr__(self, "_text", text)
         return text

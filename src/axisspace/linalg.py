@@ -98,7 +98,7 @@ def rref(field: FieldCtx, rows: Sequence[Vector]) -> tuple[list[Vector], list[in
     for r in rows:
         if len(r) != ncols:
             raise DimensionMismatch("ragged matrix")
-    p = None if field.is_infinite else field.p
+    p = field.p
     if p is None:
         m = []
         for r in rows:

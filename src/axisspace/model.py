@@ -67,7 +67,7 @@ AxisId = int
 
 
 def _card_ok(c) -> bool:
-    return c is ALEPH0 or (isinstance(c, int) and c >= 0)
+    return c is ALEPH0 or (type(c) is int and c >= 0)
 
 
 def _card_key(c):
@@ -210,10 +210,10 @@ class ModelElement:
         parts = []
         for (axis, coord), c in self.axis_part:
             atom = f"e{axis}_{coord}"
-            parts.append(atom if c == f.one else f"{f.format(c)}*{atom}")
+            parts.append(atom if c == f.one else f"{c}*{atom}")
         for coord, c in self.free_part:
             atom = f"f{coord}"
-            parts.append(atom if c == f.one else f"{f.format(c)}*{atom}")
+            parts.append(atom if c == f.one else f"{c}*{atom}")
         return " + ".join(parts)
 
     def __repr__(self) -> str:
@@ -546,6 +546,7 @@ def span_basis(handle: SubspaceHandle, field: FieldCtx) -> list:
 
 def _require_handle_in_F(handle: SubspaceHandle) -> None:
     for g in handle.generators:
+        check_same_field(handle.field, g.field)
         if not g.in_F():
             raise NotInF(f"generator has a free part: {g}")
 
@@ -566,7 +567,7 @@ def weight_of_subspace(handle: SubspaceHandle) -> int:
 def pi_A(a: ModelElement, handle: SubspaceHandle) -> ModelElement:
     """Sum of the projections of ``a`` onto the axes of the subspace."""
     _require_in_F(a)
-    _require_handle_in_F(handle)
+    check_same_field(handle.field, a.field)
     axes = axes_of_subspace(handle)
     return ModelElement(a.field, tuple(entry for entry in a.axis_part if entry[0][0] in axes), ())
 
@@ -590,12 +591,11 @@ def witness_star(handle: SubspaceHandle) -> ModelElement:
     Over a finite field every scalar may collide; then the span is searched
     exhaustively and NoGenericWitness reports genuine failure.
     """
-    _require_handle_in_F(handle)
+    target_axes = axes_of_subspace(handle)
     gens, field = handle.nonzero_generators(), handle.field
     if not gens:
         return ModelElement.zero(field)
     basis = span_basis(SubspaceHandle(tuple(gens)), field)
-    target_axes = axes_of_subspace(handle)
 
     if field.is_infinite:
         acc = basis[0]

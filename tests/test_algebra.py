@@ -39,6 +39,22 @@ def test_prime_field_rejects_composite():
         FieldCtx.prime_field(6)
     with pytest.raises(NotPrime):
         FieldCtx.prime_field(1)
+    for not_an_int in (5.0, "5", True):
+        with pytest.raises(NotPrime):
+            FieldCtx.prime_field(not_an_int)
+
+
+def test_prime_field_accepts_exactly_the_primes():
+    """prime_field(n) succeeds exactly for the primes, checked against a
+    naive reference: n > 1 with no divisor in 2 .. n - 1."""
+    for n in range(-3, 2000):
+        is_prime = n > 1 and all(n % d for d in range(2, n))
+        try:
+            FieldCtx.prime_field(n)
+        except NotPrime:
+            assert not is_prime, n
+        else:
+            assert is_prime, n
 
 
 def test_rational_scalars_are_reduced():

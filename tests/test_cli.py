@@ -1,9 +1,13 @@
 """Command-line front end: outputs, exit codes, error rendering."""
 
+import contextlib
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from randgen import within
 
 from axisspace.cli import main
 from axisspace.context import dump_context
@@ -169,6 +173,17 @@ def test_bad_context_constants_are_typed_errors(tmp_path, context_file):
         assert err.startswith(f"ERROR:{kind}:")
 
 
+def test_boolean_cardinal_in_context_is_a_format_error(tmp_path, context_file):
+    with open(context_file) as fh:
+        doc = json.load(fh)
+    doc["descriptor"]["f_codim"] = True
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["qftp", "--model", str(path), "c"])
+    assert (code, out) == (2, "")
+    assert err.startswith("ERROR:ContextFormatError:")
+
+
 def test_unknown_constant_is_semantic_error(context_file):
     code, _, err = run(["eval", "--model", context_file, "--formula", "X1($zz)"])
     assert code == 1
@@ -259,3 +274,40 @@ def test_eval_quantifier_free_over_prime_field(tmp_path):
     path.write_text(dump_context(model))
     code, out, _ = run(["eval", "--model", str(path), "--formula", "X2($c) & !X1($c) & X2(2*$c)"])
     assert (code, out) == (0, "true\n")
+
+
+# grammar tokens and characters the grammar has no use for
+_SOUP_TOKENS = (
+    "E", "A", "x", "y", ".", "(", ")", "X", "X1(", "0", "1", "-1", "2*", "+", "-", "*", "/", "=",
+    "!", "&", "|", "->", "$", "$c", "$d", " ", "@", "#", "%", "\t", "é",
+)
+_ATOMS = ("X1(x)", "X2(x + -1*$c)", "X0(2*y + 1/2*$d)", "x = 0", "y + $c = x", "0 = 0")
+# whole formulas, so that some soups parse and reach elimination and evaluation
+_FORMULAS = st.recursive(
+    st.sampled_from(_ATOMS),
+    lambda sub: st.one_of(
+        st.tuples(sub, st.sampled_from((" & ", " | ", " -> ")), sub).map(lambda t: f"({''.join(t)})"),
+        st.tuples(st.sampled_from(("E x. ", "A x. ", "E y. ", "!")), sub).map("".join),
+    ),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.one_of(_FORMULAS, st.lists(st.one_of(_FORMULAS, st.sampled_from(_SOUP_TOKENS)), max_size=6).map("".join)),
+    command=st.sampled_from(("decide", "qe", "eval")),
+    field=st.sampled_from(("q", "zp:5", "zp:4", "zq")),
+)
+def test_token_soup_ends_in_an_exit_status(text, command, field):
+    """Any formula text, command and field token ends in exit status 0, 1
+    or 2 (argparse's own usage errors exit 2); no other exception escapes."""
+
+    def call():
+        try:
+            return main([command, "--field", field, "--formula", text], out=io.StringIO(), err=io.StringIO())
+        except SystemExit as exc:
+            return exc.code
+
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert within(5, call) in (0, 1, 2)

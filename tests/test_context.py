@@ -62,8 +62,14 @@ def test_malformed_documents_rejected():
         load_context("not json")
     with pytest.raises(ContextFormatError):
         load_context("{}")
-    with pytest.raises(ContextFormatError):
-        load_context('{"field": "q", "descriptor": {"f_codim": -1, "axis_census": []}}')
+    for descriptor in (
+        {"f_codim": -1, "axis_census": []},
+        {"f_codim": True, "axis_census": []},
+        {"f_codim": 0, "axis_census": [[True, 1]]},
+        {"f_codim": 0, "axis_census": [[1, True]]},
+    ):
+        with pytest.raises(ContextFormatError):
+            load_context(json.dumps({"field": "q", "descriptor": descriptor}))
 
 
 def test_constants_with_zero_denominators_or_negative_indices_rejected():

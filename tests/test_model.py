@@ -121,6 +121,15 @@ def test_zero_axis_rich_descriptor_rejected():
         canonical_model(make_descriptor(ALEPH0, {}), Q)
 
 
+def test_boolean_cardinals_rejected():
+    """True and False are not cardinals, although they are ints: else
+    make_descriptor(True, {True: True}) equals make_descriptor(1, {1: 1})
+    and the two dump to different context text."""
+    for f_codim, census in ((True, {True: True}), (True, {}), (1, {True: 1}), (1, {1: True}), (False, {1: 1})):
+        with pytest.raises(BadDescriptor):
+            make_descriptor(f_codim, census)
+
+
 def test_descriptor_iso_componentwise():
     d = make_descriptor(0, {1: 2})
     assert descriptor_iso(d, make_descriptor(0, {1: 2}))
@@ -266,20 +275,29 @@ def test_axis_independence(M):
 
 
 def test_linear_questions_reject_mixed_fields():
-    """Span membership, apply, linear relations and classification refuse
-    elements over another field instead of answering silently."""
+    """Span membership, apply, linear relations, classification, the axes,
+    weight and hull of a handle, and pi_A refuse elements over another
+    field than the handle's instead of answering silently."""
     from axisspace.iso import PartialIso
     from axisspace.typespace import classify
 
     mq, m5 = rich_model(Q), rich_model(FieldCtx.prime_field(5))
     g = mq.e(0, 0)
     axis_part = (mq.e(0, 0) + mq.e(1, 0), mq.e(0, 1))
+    mixed = SubspaceHandle((g, m5.e(1, 0)))
+    relabelled = SubspaceHandle((m5.e(0, 0),), Q)
     for question in (
         lambda: span_membership(m5.e(0, 0, 3), SubspaceHandle.of(g)),
         lambda: PartialIso(Q, (g,), (g,)).apply(m5.e(0, 0)),
         lambda: tuple_kernel([g, m5.e(0, 0)], Q),
         lambda: classify(m5.fe(0), SubspaceHandle(axis_part)),
         lambda: classify(m5.fe(0), SubspaceHandle(axis_part + (mq.fe(0),))),
+        lambda: axes_of_subspace(mixed),
+        lambda: weight_of_subspace(mixed),
+        lambda: hull_hat(mixed),
+        lambda: weight_of_subspace(relabelled),
+        lambda: hull_hat(relabelled),
+        lambda: pi_A(m5.e(1, 0), SubspaceHandle.of(mq.e(1, 0))),
     ):
         with pytest.raises(FieldMismatch):
             question()
