@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import FieldNotFinite
 from .fields import FieldCtx
 from .model import combine, rich_model, weight
 
@@ -46,19 +45,11 @@ def construct_counterexample(p: int):
 def brute_qf_equiv(a, b) -> bool:
     """Exhaustive quantifier-free equivalence of two pairs over a finite
     field: every atom about a pair is a zero test or a sumset test of one
-    scalar combination, so comparing the zero pattern and the weight of all
-    p^2 combinations decides equivalence completely."""
-    field = a[0].field
-    if field.is_infinite:
-        raise FieldNotFinite("exhaustive comparison needs a finite field")
-    for lam, mu in itertools.product(field.elements(), repeat=2):
-        ea = combine(field, (lam, mu), a)
-        eb = combine(field, (lam, mu), b)
-        if ea.is_zero() != eb.is_zero():
-            return False
-        if weight(ea) != weight(eb):
-            return False
-    return True
+    scalar combination, and in the axis span an element is zero exactly
+    when its weight is 0, so comparing the weights of all p^2 combinations
+    decides equivalence completely.  Over an infinite field the enumeration
+    raises FieldNotFinite."""
+    return combination_weight_table(a) == combination_weight_table(b)
 
 
 def combination_weight_table(pair):

@@ -114,12 +114,6 @@ class Term:
     def drop_var(self, name: str) -> "Term":
         return Term(self.field, tuple(entry for entry in self.vars if entry[0] != name), self.consts)
 
-    def substitute_var(self, name: str, replacement: "Term") -> "Term":
-        c = self.coeff_of_var(name)
-        if self.field.is_zero(c):
-            return self
-        return self.drop_var(name).combine(c, replacement)
-
     def symbols(self) -> set:
         return {k for k, _ in self.vars} | {"$" + k for k, _ in self.consts}
 
@@ -228,22 +222,6 @@ def free_symbols(phi: Formula) -> set:
     if isinstance(phi, (And, Or)):
         return free_symbols(phi.lhs) | free_symbols(phi.rhs)
     return free_symbols(phi.body) - {phi.var}
-
-
-def substitute(phi: Formula, name: str, replacement: Term) -> Formula:
-    if isinstance(phi, Eq):
-        return Eq(phi.lhs.substitute_var(name, replacement), phi.rhs.substitute_var(name, replacement))
-    if isinstance(phi, Xn):
-        return Xn(phi.n, phi.term.substitute_var(name, replacement))
-    if isinstance(phi, Not):
-        return Not(substitute(phi.child, name, replacement))
-    if isinstance(phi, And):
-        return And(substitute(phi.lhs, name, replacement), substitute(phi.rhs, name, replacement))
-    if isinstance(phi, Or):
-        return Or(substitute(phi.lhs, name, replacement), substitute(phi.rhs, name, replacement))
-    if phi.var == name:
-        return phi
-    return type(phi)(phi.var, substitute(phi.body, name, replacement))
 
 
 # ---------------------------------------------------------------------------

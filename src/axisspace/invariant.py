@@ -58,9 +58,6 @@ class LinearMapFa:
             raise ArityMismatch("the empty map LinearMapFa(()) has no field to take its value in")
         return self.tuple_[0].field
 
-    def __call__(self, coeffs: Sequence[Scalar]) -> ModelElement:
-        return apply_fa(self, coeffs)
-
 
 def apply_fa(m: LinearMapFa, coeffs: Sequence[Scalar]) -> ModelElement:
     if len(coeffs) != m.arity:

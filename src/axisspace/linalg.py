@@ -174,9 +174,6 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.basis
 
-    def __le__(self, other: "Subspace") -> bool:
-        return all(member(v, other) for v in self.basis)
-
     def key(self):
         """Total-order key; used to sort kernel multisets canonically."""
         return (self.ambient_dim, self.dim, tuple(tuple(str(x) for x in row) for row in self.basis))

@@ -248,6 +248,10 @@ def combine(field: FieldCtx, coeffs: Iterable, elements: Iterable[ModelElement])
     return ModelElement(field, axis_part, free_part)
 
 
+def _smallest_unused(taken: set) -> int:
+    return next(c for c in itertools.count() if c not in taken)
+
+
 class Model:
     """A canonical model (or finitely generated fragment) of the theory.
 
@@ -353,22 +357,14 @@ class Model:
 
     def fresh_coord(self, axis: AxisId, used: Iterable[ModelElement] = ()) -> int:
         """Smallest coordinate on ``axis`` unused by ``used``."""
-        taken = set()
-        for el in used:
-            taken.update(el.coords_on_axis(axis).keys())
-        coord = next(c for c in range(len(taken) + 1) if c not in taken)
-        dim = self.axis_dim(axis)
-        if dim is not ALEPH0 and coord >= dim:
-            raise FragmentExhausted(f"axis {axis} of dimension {dim} has no fresh coordinate")
+        coord = _smallest_unused({coord for el in used for coord in el.coords_on_axis(axis)})
+        self._check_axis_coord(axis, coord)
         return coord
 
     def fresh_free_coord(self, used: Iterable[ModelElement] = ()) -> int:
-        taken = set()
-        for el in used:
-            taken.update(coord for coord, _ in el.free_part)
-        coord = next(c for c in range(len(taken) + 1) if c not in taken)
-        if self.descriptor.f_codim is not ALEPH0 and coord >= self.descriptor.f_codim:
-            raise FragmentExhausted("no fresh free coordinate available in this fragment")
+        """Smallest free coordinate unused by ``used``."""
+        coord = _smallest_unused({coord for el in used for coord, _ in el.free_part})
+        self._check_free_coord(coord)
         return coord
 
     def basis_elements(self) -> list:
@@ -585,58 +581,31 @@ def hull_hat(handle: SubspaceHandle) -> SubspaceHandle:
 def witness_star(handle: SubspaceHandle) -> ModelElement:
     """An element of the span meeting every axis of the subspace.
 
-    Over an infinite field the proof-driven construction always succeeds:
-    walk a basis keeping an element whose support already covers the axes
-    seen, and slide past the finitely many scalars that would collide.
-    Over a finite field every scalar may collide; then the span is searched
-    exhaustively and NoGenericWitness reports genuine failure.
+    The first candidate combination meeting every axis is returned.  Over
+    an infinite field the coefficients of the m nonzero generators g_i run
+    along the moment curve (1, k, ..., k^(m-1)), k = 1, 2, ...: on each
+    axis sum_i k^i proj(g_i) is a nonzero polynomial of degree below m, so
+    at most (m - 1) * |axes| values of k fail.  Over a finite field every
+    combination may miss an axis; the span is searched exhaustively,
+    projectively over its canonical basis, and NoGenericWitness reports
+    genuine failure.
     """
     target_axes = axes_of_subspace(handle)
     gens, field = handle.nonzero_generators(), handle.field
     if not gens:
         return ModelElement.zero(field)
-    basis = span_basis(SubspaceHandle(tuple(gens)), field)
-
     if field.is_infinite:
-        acc = basis[0]
-        for b in basis[1:]:
-            critical = set()
-            for axis in set(acc.axes()) & set(b.axes()):
-                lam = _component_ratio(acc, b, axis)
-                if lam is not None:
-                    critical.add(lam)
-            k = 1
-            while field.of(k) in critical or field.is_zero(field.of(k)):
-                k += 1
-            acc = acc - b.scale(field.of(k))
-        assert set(acc.axes()) == target_axes
-        return acc
-
-    # finite field: exhaust the span (projectively, leading coefficient 1)
-    for coeffs in _iter_coeff_vectors(field, len(basis)):
-        el = combine(field, coeffs, basis)
+        candidates = ([k**i for i in range(len(gens))] for k in itertools.count(1))
+    else:
+        gens = span_basis(SubspaceHandle(tuple(gens), field), field)
+        candidates = _iter_coeff_vectors(field, len(gens))
+    for coeffs in candidates:
+        el = combine(field, coeffs, gens)
         if set(el.axes()) == target_axes:
             return el
     raise NoGenericWitness(
         f"no single element of the span meets all {len(target_axes)} axes over {field}"
     )
-
-
-def _component_ratio(a: ModelElement, b: ModelElement, axis: AxisId):
-    """The unique lambda with proj_axis(a) = lambda * proj_axis(b), if any."""
-    field = a.field
-    ca = a.coords_on_axis(axis)
-    cb = b.coords_on_axis(axis)
-    if set(ca) != set(cb):
-        return None
-    lam = None
-    for coord, v in ca.items():
-        r = field.div(v, cb[coord])
-        if lam is None:
-            lam = r
-        elif lam != r:
-            return None
-    return lam
 
 
 def _iter_coeff_vectors(field: FieldCtx, n: int):

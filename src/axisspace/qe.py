@@ -22,10 +22,11 @@ atoms on explicit scalar combinations.  That covers every disjunct with at
 most two other symbols, so every sentence with at most three variables is
 decided exactly.  Three or more directions go to a sound anchored-template
 approximation that can miss witnesses, so a verdict on a sentence with
-four or more variables can be wrong.  The census does not carry over: an
-axis can then kill a whole plane of differences, every two-direction
-sub-span needs its own scalar-menu disjunction to pin its level, and the
-output multiplies.
+four or more variables can be wrong; inside a block of like quantifiers
+it runs only when no variable of a box has an exact engine.  The census
+does not carry over: an axis can then kill a whole plane of differences,
+every two-direction sub-span needs its own scalar-menu disjunction to pin
+its level, and the output multiplies.
 
 Every atom bounds one integer, the weight of its term: the number of axes
 the term meets, infinite outside the axis span.  ``t = 0`` is ``X0(t)``
@@ -45,12 +46,13 @@ phi is not (exists x) not phi, and the negation of a condition is the
 product, box by box, of the disjunctions of its negated literals.
 
 A block of like quantifiers is one elimination, box by box
-(:func:`_exists_rows`).  A condition is reduced (:func:`_reduced`) only
-before it is negated or eliminated again, and once when printed
-(:func:`_simplify_rows`): boxes that agree on every term but one and
-hold touching intervals on it are joined, term by term in the order of
-the terms' printed text, until nothing joins, so runs of levels print as
-one interval ``Xhi(t) & !X(lo-1)(t)``.
+(:func:`_exists_rows`), and each box eliminates the innermost of the
+block's variables that an exact engine handles.  A condition is reduced
+(:func:`_reduced`) only before it is negated or eliminated again, and
+once when printed (:func:`_simplify_rows`): boxes that agree on every
+term but one and hold touching intervals on it are joined, term by term
+in the order of the terms' printed text, until nothing joins, so runs of
+levels print as one interval ``Xhi(t) & !X(lo-1)(t)``.
 
 Everything refuses finite fields: the theory is incomplete there and the
 level calculus loses its generic-scalar arguments.
@@ -396,16 +398,24 @@ def eliminate_exists(phi: Formula, var: str) -> Formula:
 
 def _exists_rows(disjuncts, variables, field: FieldCtx) -> list:
     """(exists v_1) ... (exists v_k) over the boxes ``disjuncts``, box by
-    box: each box's condition for v_k (:func:`_eliminate_disjunct`) is
-    reduced and eliminated for v_(k-1)..v_1 before the next box is taken."""
-    *outer, var = variables
+    box: a box eliminates the innermost variable an exact engine handles,
+    v_k by the fallback when none does (:func:`_eliminate_disjunct`), and
+    its condition is reduced and eliminated for the others before the next
+    box is taken; the order inside a block is free."""
+    last = len(variables) - 1
     conds = [None] * len(disjuncts)
     # one true disjunct makes the condition true; disjuncts with few upper
     # bounds are cheap to eliminate and the likely true ones, so they go
     # first and spare the expensive ones
     for i in sorted(range(len(disjuncts)), key=lambda i: sum(hi != _UNBOUNDED for _, (_, hi) in disjuncts[i])):
-        cond = _eliminate_disjunct(disjuncts[i], var, field)
-        conds[i] = _exists_rows(_reduce_rows(cond), outer, field) if outer else cond
+        for j in range(last, -1, -1) if last else ():
+            cond = _eliminate_disjunct(disjuncts[i], variables[j], field, exact=True)
+            if cond is not None:
+                break
+        else:
+            j, cond = last, _eliminate_disjunct(disjuncts[i], variables[last], field)
+        rest = variables[:j] + variables[j + 1:]
+        conds[i] = _exists_rows(_reduce_rows(cond), rest, field) if rest else cond
         if conds[i] == [frozenset()]:
             return conds[i]
     return _any(conds)
@@ -424,9 +434,10 @@ def _split(box, var: str, field: FieldCtx):
     return params, xs
 
 
-def _eliminate_disjunct(box, var: str, field: FieldCtx) -> list:
+def _eliminate_disjunct(box, var: str, field: FieldCtx, exact: bool = False):
     """One disjunct's condition, over the intervals of w(x - t) for its
-    parameter terms t in the order of their printed text."""
+    parameter terms t in the order of their printed text; None when
+    ``exact`` and only the fallback applies."""
     params, xs = _split(box, var, field)
     params = [frozenset(params)]
     terms = sorted(xs, key=str)
@@ -449,6 +460,8 @@ def _eliminate_disjunct(box, var: str, field: FieldCtx) -> list:
     rank = _difference_rank(terms)
     if rank <= 2:
         return _all([params, _two_direction_condition(terms, spans, cap, rank)])
+    if exact:
+        return None
     return _all([params, _fallback_condition([t - terms[0] for t in terms[1:]], spans, cap)])
 
 

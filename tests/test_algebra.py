@@ -57,6 +57,23 @@ def test_prime_field_accepts_exactly_the_primes():
             assert is_prime, n
 
 
+@pytest.mark.parametrize("p", [10**18 + 3, 2**64 + 13])
+def test_prime_field_certifies_a_large_prime_at_once(p):
+    assert within(1, FieldCtx.prime_field, p).p == p
+
+
+def test_prime_field_refuses_strong_pseudoprimes():
+    """Composites that are strong probable primes to many prime bases:
+    318665857834031151167461 to every base up to 37.  psi_13, the least
+    one to every base up to 41, and every larger modulus are refused as
+    too large to certify."""
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        with pytest.raises(NotPrime, match="not prime"):
+            within(1, FieldCtx.prime_field, n)
+    with pytest.raises(NotPrime, match="too large"):
+        within(1, FieldCtx.prime_field, 3317044064679887385961981)
+
+
 def test_rational_scalars_are_reduced():
     a = Q.of("2/4")
     assert a == Q.of("1/2")
@@ -68,6 +85,12 @@ def test_prime_field_arithmetic_wraps():
     assert GF5.mul(2, 3) == 1
     assert GF5.inv(2) == 3
     assert GF5.of(-1) == 4
+    assert GF5.of(Fraction(1, 2)) == 3
+    with pytest.raises(ZeroDivisionError):
+        GF5.of(Fraction(1, 10))
+    for field in (Q, GF5):
+        with pytest.raises(ZeroDivisionError):
+            field.inv(field.zero)
 
 
 def test_field_enumeration():

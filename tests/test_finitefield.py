@@ -90,3 +90,9 @@ def test_brute_equiv_needs_finite_field():
 def test_brute_equiv_reflexive():
     a, _, _ = construct_counterexample(3)
     assert brute_qf_equiv(a, a)
+
+
+def test_brute_equiv_tells_a_pair_from_a_repeated_element():
+    """a0 - a1 has weight 3, while a0 - a0 is zero."""
+    a, _, _ = construct_counterexample(3)
+    assert not brute_qf_equiv(a, (a[0], a[0]))

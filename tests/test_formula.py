@@ -27,7 +27,6 @@ from axisspace.formula import (
     parse_formula,
     parse_term,
     print_formula,
-    substitute,
 )
 from axisspace.model import ModelElement, SubspaceHandle, combine, pi_A, proj_axis, rich_model, span_basis
 
@@ -187,7 +186,6 @@ def test_term_arithmetic_equals_make_over_dict_sums(case):
     _assert_same(a + a.scale(field.of(-1)), zero)
     rest = Term.make(field, {k: c for k, c in a.vars if k != name}, dict(a.consts))
     _assert_same(a.drop_var(name), rest)
-    _assert_same(a.substitute_var(name, b), _dict_sum(field, (1, rest), (a.coeff_of_var(name), b)))
 
 
 def _made_elements(field):
@@ -249,7 +247,6 @@ def test_term_arithmetic_rejects_mixed_fields():
         lambda: x - x5,
         lambda: x + Term.zero(GF5),
         lambda: x.combine(Q.zero, x5),
-        lambda: x.substitute_var("x", x5),
     ):
         with pytest.raises(FieldMismatch):
             op()
@@ -388,9 +385,6 @@ def test_constants_resolved_with_dollar_prefix(M):
 # ---------------------------------------------------------------------------
 
 
-def test_free_symbols_and_substitution():
+def test_free_symbols():
     phi = parse_formula("E x. (x + -1*y = 0 & X1($c))", Q)
     assert free_symbols(phi) == {"y", "$c"}
-    inner = parse_formula("x + -1*y = 0", Q)
-    replaced = substitute(inner, "x", Term.const(Q, "c"))
-    assert replaced == parse_formula("$c + -1*y = 0", Q)

@@ -34,6 +34,7 @@ from axisspace.model import (
 
 Q = FieldCtx.rationals()
 GF2 = FieldCtx.prime_field(2)
+GF3 = FieldCtx.prime_field(3)
 
 
 @pytest.fixture
@@ -410,6 +411,25 @@ def test_witness_star_two_axes(M):
     h = SubspaceHandle.of(M.e(0, 0), M.e(1, 0))
     star = witness_star(h)
     assert axes_of(star) == {0, 1}
+
+
+def test_witness_star_passes_a_cancelling_point_of_the_moment_curve(M):
+    """The sum of the generators (k = 1) cancels axis 0; a later point of
+    the moment curve meets both axes."""
+    h = SubspaceHandle.of(M.e(0, 0), M.e(0, 0, -1) + M.e(1, 0))
+    star = witness_star(h)
+    assert axes_of(star) == {0, 1}
+    assert span_membership(star, h) is not None
+
+
+def test_witness_star_over_a_prime_field():
+    """Over GF(3) the sum of the generators cancels axis 1, and the
+    exhaustive search still finds an element meeting all three axes."""
+    N = rich_model(GF3)
+    h = SubspaceHandle.of(N.e(0, 0) + N.e(1, 0), N.e(1, 0, 2) + N.e(2, 0))
+    star = witness_star(h)
+    assert axes_of(star) == {0, 1, 2}
+    assert span_membership(star, h) is not None
 
 
 def test_witness_star_fails_on_finite_field_pair():

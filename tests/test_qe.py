@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from axisspace.errors import FieldNotInfinite, FreeSymbolsPresent, NotQuantifierFree
+from axisspace.errors import FieldNotInfinite, FreeSymbolsPresent, NotQuantifierFree, TargetNotRich
 from axisspace.fields import FieldCtx
 from axisspace.formula import (
     And,
@@ -31,7 +31,7 @@ from axisspace.formula import (
     true_formula,
 )
 from axisspace import qe
-from axisspace.model import ModelElement, in_Xn, rich_model, weight
+from axisspace.model import ModelElement, canonical_model, in_Xn, make_descriptor, rich_model, weight
 from axisspace.qe import (
     _balanced,
     decide_sentence,
@@ -762,6 +762,24 @@ def test_three_variable_sentence_in_every_quantifier_order(order):
     assert decide_sentence(parse_formula(f"{prefix} ({THREE_VARIABLE_MATRIX})", Q)) is True
 
 
+# true; the box of its matrix has an exact engine for x, y and z but not
+# for w, and the fallback on w misses the witness
+FOUR_VARIABLE_MATRIX = (
+    "X0(1*x + 2*y + 1*z) & X2(-1*x + -1*y + 1*z + 2*w) & X2(-1*y + -1*z + -1*w)"
+    " & X1(-2*x + -1*y + -2*w) & !X2(-2*x + 1*y + 2*z + 2*w) & X1(-2*x + 1*y + -2*w)"
+)
+
+
+def test_four_variable_sentence_in_every_quantifier_order():
+    """Each box eliminates a variable an exact engine handles, whatever
+    the order of the block."""
+    verdicts = {
+        order: within(10, decide_sentence, parse_formula(" ".join(f"E {v}." for v in order) + f" ({FOUR_VARIABLE_MATRIX})", Q))
+        for order in itertools.permutations("xyzw")
+    }
+    assert [order for order, verdict in verdicts.items() if verdict is not True] == []
+
+
 def _rank_two_conjunction(rng):
     """3-4 literals [!]Xk(x - a*$c0 - b*$c1) with distinct (a, b): their
     parameter terms span at most the two directions $c0 and $c1."""
@@ -822,9 +840,10 @@ def _random_xyz_matrix(rng, variables):
     "seed, count, variables, orders",
     [
         (5, 40, "xyz", lambda rng: itertools.permutations("xyz")),
-        (11, 25, "xyzw", lambda rng: [rng.sample("xyzw", 4) for _ in range(4)]),
+        # the four sampled orders keep the seed's draw of matrices
+        (11, 25, "xyzw", lambda rng: [rng.sample("xyzw", 4) for _ in range(4)] + list(itertools.permutations("xyzw"))),
     ],
-    ids=["xyz-every-order", "xyzw-four-orders"],
+    ids=["xyz-every-order", "xyzw-every-order"],
 )
 def test_exists_sentences_decide_alike_in_every_quantifier_order(seed, count, variables, orders):
     """Permuting a block of existential quantifiers keeps a sentence's
@@ -868,6 +887,12 @@ def test_three_nonparallel_elements_exist():
         Q,
     )
     assert decide_sentence(sigma)
+
+
+def test_witness_search_needs_a_rich_model():
+    fragment = canonical_model(make_descriptor(0, {1: 2}), Q)
+    with pytest.raises(TargetNotRich):
+        witness_search(parse_formula("X1(x)", Q), "x", {}, fragment)
 
 
 def test_decide_sentence_rejects_free_symbols():
