@@ -22,9 +22,11 @@ from .errors import FieldMismatch, FieldNotFinite, NotPrime
 
 Scalar = Union[Fraction, int]
 
-# Fractions are immutable, so every rational zero and one can be these two
+# Fractions are immutable, so every rational zero, one and minus one can be
+# these three
 _Q_ZERO = Fraction(0)
 _Q_ONE = Fraction(1)
+_Q_MINUS_ONE = Fraction(-1)
 
 
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -87,6 +89,10 @@ class FieldCtx:
     @property
     def one(self) -> Scalar:
         return _Q_ONE if self.p is None else 1
+
+    @property
+    def minus_one(self) -> Scalar:
+        return _Q_MINUS_ONE if self.p is None else self.p - 1
 
     def __str__(self) -> str:
         return "Q" if self.p is None else f"GF({self.p})"

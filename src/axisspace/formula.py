@@ -101,8 +101,7 @@ class Term:
         return self.combine(self.field.one, other)
 
     def __sub__(self, other: "Term") -> "Term":
-        f = self.field
-        return self.combine(f.neg(f.one), other)
+        return self.combine(self.field.minus_one, other)
 
     def scale(self, c) -> "Term":
         f = self.field
@@ -193,12 +192,16 @@ def false_formula(field: FieldCtx) -> Formula:
     return Not(true_formula(field))
 
 
-def _balanced(node, parts):
-    """``node`` (And or Or) over ``parts`` as a tree of depth log2(len)."""
-    if len(parts) == 1:
-        return parts[0]
-    mid = len(parts) // 2
-    return node(_balanced(node, parts[:mid]), _balanced(node, parts[mid:]))
+def _balanced(node, parts, lo=0, hi=None):
+    """``node`` (And or Or) over ``parts[lo:hi]``, all of ``parts`` by
+    default, as a tree of depth log2(hi - lo): the parts before mid = lo
+    + (hi - lo) // 2 go left."""
+    if hi is None:
+        hi = len(parts)
+    if hi - lo == 1:
+        return parts[lo]
+    mid = lo + (hi - lo) // 2
+    return node(_balanced(node, parts, lo, mid), _balanced(node, parts, mid, hi))
 
 
 def is_quantifier_free(phi: Formula) -> bool:
@@ -249,30 +252,34 @@ def eval_qf(phi: Formula, env: Mapping, field: FieldCtx | None = None) -> bool:
 
     Connectives short-circuit left to right, and each distinct atom is
     decided once per call: a QE output shares one node per literal across
-    all its disjuncts."""
+    all its disjuncts.  Each distinct term is evaluated once per call
+    too, as the literals of one term's interval share it.  Nodes are told
+    apart by their exact type, connectives first, as a QE output is
+    mostly ``And`` and ``Or``."""
     if field is None:
         try:
             field = next(iter(env.values())).field
         except StopIteration:
             raise UnboundSymbol("cannot infer the field from an empty environment; pass field=")
-    atoms = {}
+    atoms, elements = {}, {}
 
     def holds(psi: Formula) -> bool:
-        if isinstance(psi, (Eq, Xn)):
+        kind = type(psi)
+        if kind is And:
+            return holds(psi.lhs) and holds(psi.rhs)
+        if kind is Or:
+            return holds(psi.lhs) or holds(psi.rhs)
+        if kind is Not:
+            return not holds(psi.child)
+        if kind is Xn or kind is Eq:
             truth = atoms.get(psi)
             if truth is None:
-                if isinstance(psi, Eq):
-                    truth = eval_term(psi.lhs - psi.rhs, env, field).is_zero()
-                else:
-                    truth = in_Xn(eval_term(psi.term, env, field), psi.n)
-                atoms[psi] = truth
+                term = psi.term if kind is Xn else psi.lhs - psi.rhs
+                element = elements.get(term)
+                if element is None:
+                    element = elements[term] = eval_term(term, env, field)
+                truth = atoms[psi] = in_Xn(element, psi.n) if kind is Xn else element.is_zero()
             return truth
-        if isinstance(psi, Not):
-            return not holds(psi.child)
-        if isinstance(psi, And):
-            return holds(psi.lhs) and holds(psi.rhs)
-        if isinstance(psi, Or):
-            return holds(psi.lhs) or holds(psi.rhs)
         raise NotQuantifierFree(f"quantifier in quantifier-free evaluation: {print_formula(psi)}")
 
     return holds(phi)
@@ -283,40 +290,51 @@ def eval_qf(phi: Formula, env: Mapping, field: FieldCtx | None = None) -> bool:
 # ---------------------------------------------------------------------------
 
 
+# parenthesized where they stand: a quantifier as an operand of a binary
+# connective would swallow the rest of the line, and an equation or a
+# quantifier after ! or as a quantifier body would take in its context
+_QUANTIFIERS = (Exists, Forall)
+_TIGHT = (Eq, Exists, Forall)
+
+
 def print_formula(phi: Formula) -> str:
-    if isinstance(phi, Eq):
-        return f"{phi.lhs} = {phi.rhs}"
-    if isinstance(phi, Xn):
-        return f"X{phi.n}({phi.term})"
-    if isinstance(phi, Not):
-        return f"!{_tight(phi.child)}"
-    if isinstance(phi, And):
-        return f"({_operand(phi.lhs)} & {_operand(phi.rhs)})"
-    if isinstance(phi, Or):
-        return f"({_operand(phi.lhs)} | {_operand(phi.rhs)})"
-    if isinstance(phi, Exists):
-        return f"E {phi.var}. {_tight(phi.body)}"
-    if isinstance(phi, Forall):
-        return f"A {phi.var}. {_tight(phi.body)}"
-    raise TypeError(f"not a formula: {phi!r}")
+    """The text of ``phi``; parsing it gives ``phi`` back.
 
+    A QE output shares one leaf or ``Not`` node per literal across its
+    disjuncts, so the text of such a node is rendered once per call and
+    reused by node identity.  Nodes are told apart by their exact type,
+    connectives first."""
+    texts = {}
 
-def _tight(phi: Formula) -> str:
-    """Render for positions where equations must not leak context: after !
-    and as quantifier bodies."""
-    text = print_formula(phi)
-    if isinstance(phi, (Eq, Exists, Forall)):
-        return f"({text})"
-    return text
+    def text(psi: Formula) -> str:
+        kind = type(psi)
+        if kind is And or kind is Or:
+            lhs, rhs = text(psi.lhs), text(psi.rhs)
+            if type(psi.lhs) in _QUANTIFIERS:
+                lhs = f"({lhs})"
+            if type(psi.rhs) in _QUANTIFIERS:
+                rhs = f"({rhs})"
+            return f"({lhs} & {rhs})" if kind is And else f"({lhs} | {rhs})"
+        if kind in _QUANTIFIERS:
+            return f"{'E' if kind is Exists else 'A'} {psi.var}. {tight(psi.body)}"
+        out = texts.get(id(psi))
+        if out is None:
+            if kind is Not:
+                out = f"!{tight(psi.child)}"
+            elif kind is Eq:
+                out = f"{psi.lhs} = {psi.rhs}"
+            elif kind is Xn:
+                out = f"X{psi.n}({psi.term})"
+            else:
+                raise TypeError(f"not a formula: {psi!r}")
+            texts[id(psi)] = out
+        return out
 
+    def tight(psi: Formula) -> str:
+        out = text(psi)
+        return f"({out})" if type(psi) in _TIGHT else out
 
-def _operand(phi: Formula) -> str:
-    """Render as an operand of a binary connective: quantifiers would
-    otherwise swallow the rest of the line."""
-    text = print_formula(phi)
-    if isinstance(phi, (Exists, Forall)):
-        return f"({text})"
-    return text
+    return text(phi)
 
 
 # ---------------------------------------------------------------------------

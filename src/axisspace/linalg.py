@@ -18,9 +18,10 @@ on its coordinates -- are tuples of ``(key, scalar)`` pairs sorted by key,
 every scalar canonical and nonzero, so equal vectors are equal tuples.
 :func:`_sparse` normalises a mapping, :func:`_sparse_axpy` computes
 ``a + s*b`` in one merge of the sorted tuples (Knuth, TAOCP vol. 1,
-2.2.4) and :func:`_sparse_scale` multiplies by a nonzero scalar.  They
-are private because the benchmark's tracer wraps every public function
-and would time term arithmetic as ``linalg``'s.
+2.2.4), multiplying only by an s other than 1 and -1, and
+:func:`_sparse_scale` multiplies by a nonzero scalar.  They are private
+because the benchmark's tracer wraps every public function and would
+time term arithmetic as ``linalg``'s.
 """
 
 from __future__ import annotations
@@ -54,24 +55,32 @@ def _sparse(field: FieldCtx, pairs: Mapping) -> tuple:
 
 def _sparse_axpy(field: FieldCtx, a: tuple, s: Scalar, b: tuple) -> tuple:
     """a + s*b for sparse vectors and a nonzero canonical scalar s, in one
-    pass over both; entries that cancel are dropped."""
+    pass over both; entries that cancel are dropped.  Only an s other
+    than 1 and -1 multiplies: for s = -1 an entry of b alone is negated
+    and one that meets an entry of a is subtracted from it."""
     if not b:
         return a
     add, mul, is_zero = field.add, field.mul, field.is_zero
     scaled = s != 1
+    # -1 is p - 1 over GF(p); over Q an int compares with a Fraction cheaply
+    minus = scaled and (s == -1 if field.p is None else s == field.p - 1)
+    if minus:
+        scaled, sub, neg = False, field.sub, field.neg
     out = []
     i, n = 0, len(a)
     for k, c in b:
-        if scaled:
-            c = mul(s, c)
         while i < n and a[i][0] < k:
             out.append(a[i])
             i += 1
         if i < n and a[i][0] == k:
-            c = add(a[i][1], c)
+            c = sub(a[i][1], c) if minus else add(a[i][1], mul(s, c) if scaled else c)
             i += 1
             if is_zero(c):
                 continue
+        elif minus:
+            c = neg(c)
+        elif scaled:
+            c = mul(s, c)
         out.append((k, c))
     out.extend(a[i:])
     return tuple(out)

@@ -184,12 +184,10 @@ class ModelElement:
         return self._axpy(self.field.one, other)
 
     def __sub__(self, other: "ModelElement") -> "ModelElement":
-        f = self.field
-        return self._axpy(f.neg(f.one), other)
+        return self._axpy(self.field.minus_one, other)
 
     def __neg__(self) -> "ModelElement":
-        f = self.field
-        return self.scale(f.neg(f.one))
+        return self.scale(self.field.minus_one)
 
     def scale(self, c) -> "ModelElement":
         f = self.field

@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
 from typing import Mapping
@@ -678,42 +679,50 @@ def _simplify_rows(field: FieldCtx, rows) -> Formula:
     ``!X(lo-1)(t)`` when lo >= 1.  The output holds one node per distinct
     literal (its atom, or a ``Not`` over an atom of its own), shared by
     every disjunct that contains it."""
-    terms, rows = _reduced(rows)
+    terms, rows, literals, lit_rows = _reduced(rows)
     if not rows:
         return false_formula(field)
     if rows == [()]:
         return true_formula(field)
-    ids = {}
-    lit_rows = [[ids.setdefault(lit, len(ids)) for lit in _literals(row)] for row in rows]
-    nodes = []
-    for pol, n, i in ids:
-        atom = Eq(terms[i], Term.zero(field)) if pol and n == 0 else Xn(n, terms[i])
+    zero, nodes = Term.zero(field), []
+    for pol, n, i in literals:
+        atom = Eq(terms[i], zero) if pol and n == 0 else Xn(n, terms[i])
         nodes.append(atom if pol else Not(atom))
     return _balanced(Or, [_balanced(And, [nodes[i] for i in row]) for row in lit_rows])
 
 
 def _reduce_rows(rows) -> list:
     """A condition reduced by :func:`_reduced`, as boxes."""
-    terms, rows = _reduced(rows)
+    terms, rows, _, _ = _reduced(rows)
     return [frozenset((terms[i], (lo, hi)) for i, lo, hi in row) for row in rows]
 
 
 def _reduced(rows):
-    """A condition, distinct boxes, as (terms, rows): the terms in the
-    order of their printed text, each box a tuple of (term id, lo, hi)
-    sorted by id, ``[()]`` if true.  Intervals are joined (see
-    :func:`_join_intervals`) and non-minimal rows dropped (see
-    :func:`_minimal_rows`)."""
+    """A condition, distinct boxes, as (terms, rows, literals, lit_rows):
+    the terms in the order of their printed text, each box a tuple of
+    (term id, lo, hi) sorted by id, ``[()]`` if true, the distinct
+    literals (see :func:`_literals`) of the rows, and for each row the ids
+    of its literals in printed order.  Intervals are joined (see
+    :func:`_join_intervals`), each joined row's literals are listed once
+    and non-minimal rows dropped (see :func:`_minimal_rows`)."""
     if not rows:
-        return [], []
+        return [], [], [], []
     if not all(rows):
-        return [], [()]
+        return [], [()], [], [[]]
     terms = sorted({t for box in rows for t, _ in box}, key=str)
     tid = {t: i for i, t in enumerate(terms)}
     rows = _join_intervals([tuple(sorted((tid[t], lo, hi) for t, (lo, hi) in box)) for box in rows], len(terms))
     if () in rows:
-        return [], [()]
-    return terms, [row for row, minimal in zip(rows, _minimal_rows(rows)) if minimal]
+        return [], [()], [], [[]]
+    ids = {}
+    lit_rows = [[ids.setdefault(lit, len(ids)) for lit in _literals(row)] for row in rows]
+    minimal = _minimal_rows(lit_rows)
+    return (
+        terms,
+        [row for row, keep in zip(rows, minimal) if keep],
+        list(ids),
+        [lits for lits, keep in zip(lit_rows, minimal) if keep],
+    )
 
 
 def _join_intervals(rows, nterms):
@@ -730,61 +739,94 @@ def _join_intervals(rows, nterms):
     groups in the order of their first rows, each group's intervals by
     lower end.  Sweeps repeat until one joins nothing, so the rows stay
     distinct and their order depends on the input order alone.
+
+    The rows that hold k are found through an index from each id to the
+    rows that hold it, built again only after a step that joins.  So a
+    step that joins nothing costs O(rows holding k x row length), and one
+    that joins O(entries).  The index holds plain row numbers, and a
+    row's entry on k is found by bisection, so a step builds few objects
+    for the garbage collector to track.
     """
+    index = _term_index(rows, nterms)
     joined_any = True
     while joined_any:
         joined_any = False
         for k in range(nterms):
-            groups = {}
-            for row in rows:
-                key, span = (False, row), None
-                for j, (i, lo, hi) in enumerate(row):
-                    if i == k:
-                        key, span = (True, row[:j] + row[j + 1:]), (lo, hi)
-                        break
-                groups.setdefault(key, []).append(span)
-            if len(groups) == len(rows):
+            holders = index[k]
+            if len(holders) < 2:
                 continue
-            out = []
+            key = (k,)  # sorts right before an entry on k
+            groups = {}  # the other entries -> the rows that hold them
+            for r in holders:
+                row = rows[r]
+                j = bisect_left(row, key)
+                rest = row[:j] + row[j + 1:]
+                members = groups.get(rest)
+                if members is None:
+                    groups[rest] = [r]
+                else:
+                    members.append(r)
+            if len(groups) == len(holders):
+                continue
+            joined = {}  # the other entries of two or more rows -> their intervals joined
             shrunk = False
-            for (holds_k, rest), spans in groups.items():
-                if not holds_k:
-                    out.append(rest)
-                    continue
-                spans.sort()
-                joined = [list(spans[0])]
-                for lo, hi in spans[1:]:
-                    if lo <= joined[-1][1] + 1:
-                        joined[-1][1] = max(joined[-1][1], hi)
-                    else:
-                        joined.append([lo, hi])
-                shrunk |= len(joined) < len(spans)
-                for lo, hi in joined:
-                    out.append(rest if lo == 0 and hi == _UNBOUNDED else tuple(sorted(rest + ((k, lo, hi),))))
-            if shrunk:
-                rows = out
-                joined_any = True
+            for rest, members in groups.items():
+                if len(members) > 1:
+                    j = bisect_left(rest, key)
+                    spans = sorted(rows[r][j][1:] for r in members)
+                    merged = [list(spans[0])]
+                    for lo, hi in spans[1:]:
+                        if lo <= merged[-1][1] + 1:
+                            merged[-1][1] = max(merged[-1][1], hi)
+                        else:
+                            merged.append([lo, hi])
+                    shrunk |= len(merged) < len(spans)
+                    joined[rest] = merged
+            if not shrunk:
+                continue
+            joined_any = True
+            firsts = {members[0]: rest for rest, members in groups.items()}
+            held = set(holders)
+            out, alone = [], set()
+            for r, row in enumerate(rows):
+                rest = firsts.get(r)
+                if rest is not None:
+                    j = bisect_left(rest, key)
+                    for lo, hi in joined.get(rest, (row[j][1:],)):
+                        out.append(rest if lo == 0 and hi == _UNBOUNDED else rest[:j] + ((k, lo, hi),) + rest[j:])
+                elif r not in held and row not in alone:
+                    alone.add(row)
+                    out.append(row)
+            rows = out
+            index = _term_index(rows, nterms)
     return rows
 
 
-def _minimal_rows(rows):
-    """For distinct rows, whether the literals of each (see
-    :func:`_literals`) strictly contain no other row's.
+def _term_index(rows, nterms):
+    """For each term id, the numbers of the rows that hold it, in order."""
+    index = [[] for _ in range(nterms)]
+    for r, row in enumerate(rows):
+        for entry in row:
+            index[entry[0]].append(r)
+    return index
+
+
+def _minimal_rows(lit_rows):
+    """For distinct rows given by the ids of their literals (see
+    :func:`_reduced`), whether each strictly contains no other row.
 
     Each row becomes the bitmask of its literal ids and is filed under its
     rarest id.  A row can contain only rows filed under one of its own ids,
     so it is compared with those alone rather than with every row.
     """
-    ids = {}
-    rows = [[ids.setdefault(lit, len(ids)) for lit in _literals(row)] for row in rows]
-    masks = [sum(1 << i for i in row) for row in rows]
-    count = Counter(i for row in rows for i in row)
+    masks = [sum(1 << i for i in row) for row in lit_rows]
+    count = Counter(i for row in lit_rows for i in row)
     filed = {}
-    for row, mask in zip(rows, masks):
+    for row, mask in zip(lit_rows, masks):
         filed.setdefault(min(row, key=count.__getitem__), []).append(mask)
     return [
         not any(other != mask and other & mask == other for i in row for other in filed.get(i, ()))
-        for row, mask in zip(rows, masks)
+        for row, mask in zip(lit_rows, masks)
     ]
 
 

@@ -22,6 +22,7 @@ from axisspace.formula import (
     Or,
     Term,
     Xn,
+    _balanced,
     eval_qf,
     free_symbols,
     parse_formula,
@@ -29,6 +30,9 @@ from axisspace.formula import (
     print_formula,
 )
 from axisspace.model import ModelElement, SubspaceHandle, combine, pi_A, proj_axis, rich_model, span_basis
+from axisspace.qe import eliminate_all
+
+from randgen import random_nested_formula
 
 Q = FieldCtx.rationals()
 GF3 = FieldCtx.prime_field(3)
@@ -237,6 +241,33 @@ def test_element_arithmetic_equals_make_over_dict_sums(case):
         _assert_same(row, ModelElement.make(field, dict(row.axis_part), dict(row.free_part)))
 
 
+def _no_multiplication(op):
+    """op(), failing if it makes a FieldCtx.mul call."""
+    mul = FieldCtx.mul
+
+    def refuse(self, a, b):
+        raise AssertionError(f"multiplied {a} by {b}")
+
+    FieldCtx.mul = refuse
+    try:
+        return op()
+    finally:
+        FieldCtx.mul = mul
+
+
+@settings(max_examples=200, deadline=None)
+@given(_arith_cases(), _element_cases())
+def test_subtraction_multiplies_no_scalar(terms, elements):
+    """a - b negates or subtracts b's scalars, over Q and GF(5), for terms
+    and model elements, and equals a + (-1)*b."""
+    field, a, b = terms[:3]
+    _assert_same(_no_multiplication(lambda: a - b), a.combine(field.of(-1), b))
+    _assert_same(a - b, _dict_sum(field, (1, a), (-1, b)))
+    field, a, b = elements[:3]
+    _assert_same(_no_multiplication(lambda: a - b), combine(field, [1, -1], [a, b]))
+    _assert_same(a - b, _dict_sum(field, (1, a), (-1, b)))
+
+
 def test_term_arithmetic_rejects_mixed_fields():
     """Terms over different fields do not combine, as model elements do
     not, even with a zero coefficient; equal fields held in two objects
@@ -311,16 +342,91 @@ def _formula_strategy(field):
     )
 
 
+def _reference_print(phi):
+    """print_formula as a plain recursion, every node rendered where it
+    stands."""
+    if isinstance(phi, Eq):
+        return f"{phi.lhs} = {phi.rhs}"
+    if isinstance(phi, Xn):
+        return f"X{phi.n}({phi.term})"
+    if isinstance(phi, Not):
+        return f"!{_reference_tight(phi.child)}"
+    if isinstance(phi, And):
+        return f"({_reference_operand(phi.lhs)} & {_reference_operand(phi.rhs)})"
+    if isinstance(phi, Or):
+        return f"({_reference_operand(phi.lhs)} | {_reference_operand(phi.rhs)})"
+    if isinstance(phi, Exists):
+        return f"E {phi.var}. {_reference_tight(phi.body)}"
+    if isinstance(phi, Forall):
+        return f"A {phi.var}. {_reference_tight(phi.body)}"
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+def _reference_tight(phi):
+    text = _reference_print(phi)
+    return f"({text})" if isinstance(phi, (Eq, Exists, Forall)) else text
+
+
+def _reference_operand(phi):
+    text = _reference_print(phi)
+    return f"({text})" if isinstance(phi, (Exists, Forall)) else text
+
+
 @settings(max_examples=500, deadline=None)
 @given(_formula_strategy(Q))
 def test_parse_print_roundtrip(phi):
     assert parse_formula(print_formula(phi), Q) == phi
+    assert print_formula(phi) == _reference_print(phi)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_formula_strategy(GF3))
 def test_parse_print_roundtrip_prime_field(phi):
     assert parse_formula(print_formula(phi), GF3) == phi
+    assert print_formula(phi) == _reference_print(phi)
+
+
+def test_print_formula_renders_shared_nodes_in_their_context():
+    """A node shared by several positions prints with the parentheses of
+    each position, on hand-made trees, nested formulas and QE outputs
+    (one node per literal, shared by every disjunct)."""
+    x = Term.var(Q, "x")
+    eq, ex = Eq(x, Term.zero(Q)), Exists("x", Xn(1, x))
+    for phi in (And(eq, Not(eq)), Or(Not(ex), And(ex, Forall("y", eq))), And(Not(eq), Not(eq))):
+        assert print_formula(phi) == _reference_print(phi)
+    assert print_formula(And(eq, Not(eq))) == "(x = 0 & !(x = 0))"
+    rng = random.Random(2006)
+    for _ in range(60):
+        phi = parse_formula(random_nested_formula(rng), Q)
+        for psi in (phi, eliminate_all(phi)):
+            assert print_formula(psi) == _reference_print(psi)
+    big = parse_formula("E x. !(!(X4(-1*x + -2*$c0) & !(X1(x + -1*$c1) | X1(x + -1*$c0))) | -2*$c1 = 2*$c0 + -1*$c1)", Q)
+    out = eliminate_all(big)
+    assert print_formula(out) == _reference_print(out)
+    with pytest.raises(TypeError):
+        print_formula(And(eq, 42))
+
+
+def _reference_balanced(node, parts):
+    if len(parts) == 1:
+        return parts[0]
+    mid = len(parts) // 2
+    return node(_reference_balanced(node, parts[:mid]), _reference_balanced(node, parts[mid:]))
+
+
+def _shape(phi):
+    """A tree's connectives, with every other node by identity."""
+    if isinstance(phi, (And, Or)):
+        return type(phi).__name__, _shape(phi.lhs), _shape(phi.rhs)
+    return id(phi)
+
+
+def test_balanced_builds_the_slicing_tree():
+    x = Term.var(Q, "x")
+    for n in range(1, 301):
+        parts = [Xn(i, x) for i in range(n)]
+        for node in (And, Or):
+            assert _shape(_balanced(node, parts)) == _shape(_reference_balanced(node, parts))
 
 
 # ---------------------------------------------------------------------------

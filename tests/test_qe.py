@@ -10,7 +10,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from axisspace.errors import FieldNotInfinite, FreeSymbolsPresent, NotQuantifierFree, TargetNotRich
@@ -516,6 +516,78 @@ def test_negation_of_a_nested_condition_stays_small():
     assert hashlib.sha1(joined.encode()).hexdigest() == "7e1430e3f54a0c252edb055e6f5288c3b58bb2c3"
 
 
+def _reference_join_intervals(rows, nterms):
+    """_join_intervals as a full scan: every step keys every row by its
+    entries other than the one on term k."""
+    joined_any = True
+    while joined_any:
+        joined_any = False
+        for k in range(nterms):
+            groups = {}
+            for row in rows:
+                key, span = (False, row), None
+                for j, (i, lo, hi) in enumerate(row):
+                    if i == k:
+                        key, span = (True, row[:j] + row[j + 1:]), (lo, hi)
+                        break
+                groups.setdefault(key, []).append(span)
+            if len(groups) == len(rows):
+                continue
+            out = []
+            shrunk = False
+            for (holds_k, rest), spans in groups.items():
+                if not holds_k:
+                    out.append(rest)
+                    continue
+                spans.sort()
+                joined = [list(spans[0])]
+                for lo, hi in spans[1:]:
+                    if lo <= joined[-1][1] + 1:
+                        joined[-1][1] = max(joined[-1][1], hi)
+                    else:
+                        joined.append([lo, hi])
+                shrunk |= len(joined) < len(spans)
+                for lo, hi in joined:
+                    out.append(rest if lo == 0 and hi == INF else tuple(sorted(rest + ((k, lo, hi),))))
+            if shrunk:
+                rows = out
+                joined_any = True
+    return rows
+
+
+# intervals on a small grid, so that rows touch, overlap, nest, stay apart
+# and join to [0, inf]
+JOIN_INTERVALS = [(lo, hi) for lo in range(4) for hi in (0, 1, 2, 3, INF) if lo <= hi and (lo, hi) != (0, INF)]
+
+
+@st.composite
+def _join_rows(draw):
+    """Distinct rows over term ids 0..3, most of them a few shared rests
+    with one entry changed, added or removed."""
+    box = st.dictionaries(st.integers(0, 3), st.sampled_from(JOIN_INTERVALS), max_size=3)
+    rests = draw(st.lists(box, min_size=1, max_size=3))
+    rows = []
+    for _ in range(draw(st.integers(1, 14))):
+        row = dict(draw(st.sampled_from(rests)))
+        k = draw(st.integers(0, 3))
+        if draw(st.integers(0, 4)) == 0:
+            row.pop(k, None)
+        else:
+            row[k] = draw(st.sampled_from(JOIN_INTERVALS))
+        rows.append(tuple(sorted((i, lo, hi) for i, (lo, hi) in row.items())))
+    return list(dict.fromkeys(rows))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_join_rows())
+@example([((0, 1, 1),), ((0, 1, 1), (1, 0, 1)), ((0, 1, 1), (1, 2, INF))])  # [0, inf] leaves a copy of a row
+@example([((0, 2, 3), (1, 1, 1)), ((0, 0, 0),), ((0, 1, 1), (1, 1, 1)), ((0, 0, 1), (1, 0, 0))])
+def test_join_intervals_equals_the_full_scan(rows):
+    """The join through the term index returns the full scan's rows, in
+    its order."""
+    assert qe._join_intervals(rows, 4) == _reference_join_intervals(rows, 4)
+
+
 def _assert_merge_fixpoint(phi):
     """No two disjuncts of phi agree on every term but one and hold
     overlapping or touching weight intervals on that one."""
@@ -564,6 +636,23 @@ def test_simplify_shares_one_node_per_literal():
     distinct_literals = {(pol, atom) for pol, atom in occurrences}
     assert len(occurrences) > 3 * len(distinct_literals)
     assert len({id(atom) for _, atom in occurrences}) == len(distinct_literals)
+
+
+def test_every_three_literal_class_prints_as_pinned():
+    """The 56 sign/index classes of a 3-literal conjunction
+    E x. ([!]Xk(x + -1*$p) & ...), k in 0..2, each over three of the
+    parameters $c0..$c3 drawn as the qe-wide benchmark draws them; their
+    printed conditions, joined by newlines, are pinned."""
+    signed = [(positive, k) for positive in (True, False) for k in (0, 1, 2)]
+    draw = random.Random(3)
+    texts = []
+    for combo in itertools.combinations_with_replacement(signed, 3):
+        params = draw.sample(["c0", "c1", "c2", "c3"], 3)
+        literals = [("" if positive else "!") + f"X{k}(x + -1*${p})" for (positive, k), p in zip(combo, params)]
+        texts.append("E x. (" + " & ".join(literals) + ")")
+    joined = "\n".join(print_formula(eliminate_all(parse_formula(text, Q))) for text in texts)
+    assert len(texts) == 56
+    assert (hashlib.sha1(joined.encode()).hexdigest(), len(joined)) == ("46569de5fe28653a2343479d63e0cb5e12a53a06", 263208)
 
 
 def test_criterion_4_formula_agrees_with_witness_search(M):
