@@ -33,10 +33,11 @@ the term meets, infinite outside the axis span.  ``t = 0`` is ``X0(t)``
 (X^0 = {0}): both bound w(t) above by 0, and their negations bound it
 below by 1.  So a condition is one thing from the input to the printer,
 across any nesting of quantifiers: a list of distinct boxes in
-first-seen order, read as their disjunction.  A box is a frozenset of
-pairs (term, (lo, hi)), one per nonzero term scaled to lead coefficient
-1, read as the conjunction of lo <= w(term) <= hi (hi possibly
-infinite); ``[frozenset()]`` is true and ``[]`` is false.
+first-seen order, read as their disjunction.  A box is a tuple of
+entries (term, lo, hi), one per nonzero term scaled to lead coefficient
+1, in the order of the terms' printed text, read as the conjunction of
+lo <= w(term) <= hi (hi possibly infinite); ``[()]`` is true and ``[]``
+is false.
 :func:`_bound` makes every one-term condition and folds the zero term;
 :func:`_all` intersects intervals term by term and drops a box as soon
 as one is empty; :func:`_any` joins lists.  One walk,
@@ -124,33 +125,37 @@ def _bound(term: Term, lo, hi) -> list:
     if lo > hi or (lo > 0 and term.is_zero()):
         return []
     if term.is_zero() or (lo == 0 and hi == _UNBOUNDED):
-        return [frozenset()]
-    return [frozenset([(_canonical(term), (lo, hi))])]
+        return [()]
+    return [((_canonical(term), lo, hi),)]
 
 
-def _meet(a: frozenset, b: frozenset):
-    """The conjunction of two boxes, intervals intersected term by term;
-    None when one becomes empty."""
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return a
-    box = dict(a)
-    for term, (lo, hi) in b:
-        if term in box:
-            lo0, hi0 = box[term]
-            lo, hi = max(lo, lo0), min(hi, hi0)
+def _meet(a: tuple, b: tuple):
+    """The conjunction of two boxes, one merge of their entries by the text
+    of their terms (cheaper to compare than scalars), intervals intersected
+    term by term; None when one becomes empty."""
+    if not a or not b:
+        return a or b
+    out, i, j = [], 0, 0
+    while i < len(a) and j < len(b):
+        ka, kb = str(a[i][0]), str(b[j][0])
+        if ka == kb:
+            term, lo, hi = a[i]
+            lo, hi = max(lo, b[j][1]), min(hi, b[j][2])
             if lo > hi:
                 return None
-        box[term] = (lo, hi)
-    return frozenset(box.items())
+            out.append((term, lo, hi))
+        else:
+            out.append(a[i] if ka < kb else b[j])
+        # step past the entry or entries just taken
+        i, j = i + (ka <= kb), j + (kb <= ka)
+    return (*out, *a[i:], *b[j:])
 
 
 def _all(parts) -> list:
     """Conjunction of conditions: the left-major product of their boxes,
     a box dropped as soon as an interval is empty and the product
     deduplicated after each factor so repeats never multiply."""
-    rows = [frozenset()]
+    rows = [()]
     for part in parts:
         out = {}
         for row in rows:
@@ -171,7 +176,7 @@ def _any(parts) -> list:
     for part in parts:
         for row in part:
             if not row:
-                return [frozenset()]
+                return [()]
             rows[row] = None
     return list(rows)
 
@@ -193,13 +198,12 @@ def _literals(entries):
 
 def _negate(rows) -> list:
     """The negation of a condition: per box, the disjunction of its
-    negated literals in printed order (terms by their text), multiplied
-    out box by box.  The running product is a conjunction, so it is
-    reduced after every factor and stays equivalent."""
-    out = [frozenset()]
+    negated literals in printed order, multiplied out box by box.  The
+    running product is a conjunction, so it is reduced after every factor
+    and stays equivalent."""
+    out = [()]
     for box in rows:
-        entries = sorted(((t, lo, hi) for t, (lo, hi) in box), key=lambda entry: str(entry[0]))
-        out = _reduce_rows(_all([out, _any(_atom(t, n, not pol) for pol, n, t in _literals(entries))]))
+        out = _reduced(_all([out, _any(_atom(t, n, not pol) for pol, n, t in _literals(box))]))[0]
         if not out:
             break
     return out
@@ -227,7 +231,7 @@ def _dnf_literals(phi: Formula) -> list:
             exists = kind is Exists
             cond = _exists_rows(rows(psi, exists, True), variables, field)
             if scoped or exists != positive:
-                cond = _reduce_rows(cond)
+                cond = _reduced(cond)[0]
             return cond if exists == positive else _negate(cond)
         term, n = (psi.lhs - psi.rhs, 0) if isinstance(psi, Eq) else (psi.term, psi.n)
         return _atom(term, n, positive)
@@ -263,15 +267,15 @@ def witness_search(phi: Formula, var: str, env: Mapping, model: Model):
 def _search_disjunct(box, phi, var, env, model: Model):
     field = model.field
     params, xs = _split(box, var, field)
-    for term, (lo, hi) in params:
+    for term, lo, hi in params:
         el = eval_term(term, env, field)
         if not lo <= (len(el.axes()) if el.in_F() else _UNBOUNDED) <= hi:
             return None  # parameter-only bound fails; disjunct dead
 
     # w(x - t_i) lies in spans[i]; terms equal under env share one interval
     terms, spans = [], []
-    for t in sorted(xs, key=str):
-        el, (lo, hi) = eval_term(t, env, field), xs[t]
+    for t, lo, hi in xs:
+        el = eval_term(t, env, field)
         if el in terms:
             i = terms.index(el)
             spans[i] = (max(lo, spans[i][0]), min(hi, spans[i][1]))
@@ -408,7 +412,7 @@ def _exists_rows(disjuncts, variables, field: FieldCtx) -> list:
     # one true disjunct makes the condition true; disjuncts with few upper
     # bounds are cheap to eliminate and the likely true ones, so they go
     # first and spare the expensive ones
-    for i in sorted(range(len(disjuncts)), key=lambda i: sum(hi != _UNBOUNDED for _, (_, hi) in disjuncts[i])):
+    for i in sorted(range(len(disjuncts)), key=lambda i: sum(hi != _UNBOUNDED for _, _, hi in disjuncts[i])):
         for j in range(last, -1, -1) if last else ():
             cond = _eliminate_disjunct(disjuncts[i], variables[j], field, exact=True)
             if cond is not None:
@@ -416,23 +420,25 @@ def _exists_rows(disjuncts, variables, field: FieldCtx) -> list:
         else:
             j, cond = last, _eliminate_disjunct(disjuncts[i], variables[last], field)
         rest = variables[:j] + variables[j + 1:]
-        conds[i] = _exists_rows(_reduce_rows(cond), rest, field) if rest else cond
-        if conds[i] == [frozenset()]:
+        conds[i] = _exists_rows(_reduced(cond)[0], rest, field) if rest else cond
+        if conds[i] == [()]:
             return conds[i]
     return _any(conds)
 
 
 def _split(box, var: str, field: FieldCtx):
-    """The entries of a box without ``var``, and the others as a map from
-    t to the interval, for an x-term mu*(x - t) has the weight of x - t."""
-    params, xs = [], {}
-    for term, span in box:
+    """The entries of a box without ``var``, a box itself, and the others
+    as entries (t, lo, hi) in the order of t's text, for an x-term
+    mu*(x - t) has the weight of x - t (distinct x-terms, distinct t)."""
+    params, xs = [], []
+    for term, lo, hi in box:
         mu = term.coeff_of_var(var)
         if field.is_zero(mu):
-            params.append((term, span))
+            params.append((term, lo, hi))
         else:
-            xs[term.drop_var(var).scale(field.neg(field.inv(mu)))] = span
-    return params, xs
+            xs.append((term.drop_var(var).scale(field.neg(field.inv(mu))), lo, hi))
+    xs.sort(key=lambda entry: str(entry[0]))
+    return tuple(params), xs
 
 
 def _eliminate_disjunct(box, var: str, field: FieldCtx, exact: bool = False):
@@ -440,9 +446,7 @@ def _eliminate_disjunct(box, var: str, field: FieldCtx, exact: bool = False):
     parameter terms t in the order of their printed text; None when
     ``exact`` and only the fallback applies."""
     params, xs = _split(box, var, field)
-    params = [frozenset(params)]
-    terms = sorted(xs, key=str)
-    spans = [xs[t] for t in terms]
+    params, terms, spans = [params], [t for t, _, _ in xs], [(lo, hi) for _, lo, hi in xs]
 
     # substitution: weight 0 pins the witness exactly, x = t
     for t, (_, hi) in zip(terms, spans):
@@ -513,7 +517,7 @@ def _two_direction_condition(terms, spans, cap, rank) -> list:
 
     def condition(rows, rank) -> list:
         if rank == 0:
-            return [frozenset()]
+            return [()]
         lows, highs = zip(*(spans[i] for i in rows))
         if rank == 1:
             # two terms bounded above bound D, else D = cap + 1 stands for all above
@@ -679,48 +683,43 @@ def _simplify_rows(field: FieldCtx, rows) -> Formula:
     ``!X(lo-1)(t)`` when lo >= 1.  The output holds one node per distinct
     literal (its atom, or a ``Not`` over an atom of its own), shared by
     every disjunct that contains it."""
-    terms, rows, literals, lit_rows = _reduced(rows)
+    rows, literals, lit_rows = _reduced(rows)
     if not rows:
         return false_formula(field)
     if rows == [()]:
         return true_formula(field)
     zero, nodes = Term.zero(field), []
-    for pol, n, i in literals:
-        atom = Eq(terms[i], zero) if pol and n == 0 else Xn(n, terms[i])
+    for pol, n, term in literals:
+        atom = Eq(term, zero) if pol and n == 0 else Xn(n, term)
         nodes.append(atom if pol else Not(atom))
     return _balanced(Or, [_balanced(And, [nodes[i] for i in row]) for row in lit_rows])
 
 
-def _reduce_rows(rows) -> list:
-    """A condition reduced by :func:`_reduced`, as boxes."""
-    terms, rows, _, _ = _reduced(rows)
-    return [frozenset((terms[i], (lo, hi)) for i, lo, hi in row) for row in rows]
-
-
 def _reduced(rows):
-    """A condition, distinct boxes, as (terms, rows, literals, lit_rows):
-    the terms in the order of their printed text, each box a tuple of
-    (term id, lo, hi) sorted by id, ``[()]`` if true, the distinct
-    literals (see :func:`_literals`) of the rows, and for each row the ids
-    of its literals in printed order.  Intervals are joined (see
-    :func:`_join_intervals`), each joined row's literals are listed once
-    and non-minimal rows dropped (see :func:`_minimal_rows`)."""
+    """A condition, distinct boxes, reduced, as (rows, literals, lit_rows):
+    the boxes, ``[()]`` if true, the distinct literals (pol, n, term) of
+    the rows (see :func:`_literals`), and for each row the ids of its
+    literals in printed order.  Terms are numbered in text order, so each
+    box maps entry by entry to a row of (term id, lo, hi) sorted by id.
+    Intervals are joined (see :func:`_join_intervals`), each joined row's
+    literals are listed once and non-minimal rows dropped (see
+    :func:`_minimal_rows`)."""
     if not rows:
-        return [], [], [], []
+        return [], [], []
     if not all(rows):
-        return [], [()], [], [[]]
-    terms = sorted({t for box in rows for t, _ in box}, key=str)
-    tid = {t: i for i, t in enumerate(terms)}
-    rows = _join_intervals([tuple(sorted((tid[t], lo, hi) for t, (lo, hi) in box)) for box in rows], len(terms))
+        return [()], [], [[]]
+    by_text = {str(t): t for box in rows for t, _, _ in box}
+    tid = {text: i for i, text in enumerate(sorted(by_text))}
+    terms = [by_text[text] for text in tid]
+    rows = _join_intervals([tuple((tid[str(t)], lo, hi) for t, lo, hi in box) for box in rows], len(terms))
     if () in rows:
-        return [], [()], [], [[]]
+        return [()], [], [[]]
     ids = {}
     lit_rows = [[ids.setdefault(lit, len(ids)) for lit in _literals(row)] for row in rows]
     minimal = _minimal_rows(lit_rows)
     return (
-        terms,
-        [row for row, keep in zip(rows, minimal) if keep],
-        list(ids),
+        [tuple((terms[i], lo, hi) for i, lo, hi in row) for row, keep in zip(rows, minimal) if keep],
+        [(pol, n, terms[i]) for pol, n, i in ids],
         [lits for lits, keep in zip(lit_rows, minimal) if keep],
     )
 
@@ -847,6 +846,6 @@ def decide_sentence(phi: Formula) -> bool:
         raise FreeSymbolsPresent(f"not a sentence; free symbols {sorted(symbols)}")
     _require_infinite(_formula_field(phi))
     rows = _dnf_literals(phi)
-    if rows not in ([], [frozenset()]):
+    if rows not in ([], [()]):
         raise NotQuantifierFree("elimination left a condition on a sentence")
     return bool(rows)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from randgen import within
 
+from axisspace import cli, finitefield
 from axisspace.cli import main
 from axisspace.context import dump_context
 from axisspace.fields import FieldCtx
@@ -231,6 +232,24 @@ def test_ff_counterexample_output():
     assert "w(<b>) = 3" in out
     assert "qf-equivalent: true" in out
     assert sum(1 for line in out.splitlines() if line.startswith("lambda=")) == 4
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_ff_counterexample_computes_each_weight_table_once(monkeypatch, p):
+    """The verdict compares the two tables already printed, so the pair's
+    tables are computed once each, not again for the verdict."""
+    table, calls = finitefield.combination_weight_table, []
+
+    def counted(pair):
+        calls.append(pair)
+        return table(pair)
+
+    monkeypatch.setattr(finitefield, "combination_weight_table", counted)
+    monkeypatch.setattr(cli, "combination_weight_table", counted)
+    code, out, _ = run(["ff-counterexample", "--p", str(p)])
+    assert code == 0 and len(calls) == 2
+    lines = out.splitlines()
+    assert len(lines) == 4 + p * p + 3 and lines[-1] == "qf-equivalent: true"
 
 
 def test_ff_counterexample_rejects_composite():

@@ -476,44 +476,65 @@ def _box_strategy():
     interval = st.tuples(st.integers(0, 4), st.sampled_from([0, 1, 2, 3, 4, INF])).filter(
         lambda span: span[0] <= span[1] and span != (0, INF)
     )
+    # BOX_TERMS is in text order, so sorted indices give a box's entry order
     return st.dictionaries(st.integers(0, 2), interval, max_size=3).map(
-        lambda spans: frozenset((BOX_TERMS[i], span) for i, span in spans.items())
+        lambda spans: tuple((BOX_TERMS[i], *spans[i]) for i in sorted(spans))
     )
 
 
 def _holds(rows, weights):
-    return any(all(lo <= weights[BOX_TERMS.index(t)] <= hi for t, (lo, hi) in box) for box in rows)
+    return any(all(lo <= weights[BOX_TERMS.index(t)] <= hi for t, lo, hi in box) for box in rows)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_box_strategy(), max_size=6, unique=True))
 def test_negate_holds_exactly_where_no_box_does(boxes):
-    rows = qe._reduce_rows(boxes)
+    rows = qe._reduced(boxes)[0]
     negated = qe._negate(rows)
     for weights in itertools.product(WEIGHTS, repeat=3):
         assert _holds(rows, weights) == _holds(boxes, weights)
         assert _holds(negated, weights) != _holds(rows, weights), weights
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_every_box_is_in_text_order_with_live_entries(seed):
+    """Every box of a condition is one tuple form from the atoms to the
+    printer: strictly increasing term text (so no term twice), each term
+    nonzero with lead coefficient 1, and each interval nonempty and not
+    the true [0, inf]."""
+    phi = parse_formula(random_nested_formula(random.Random(seed)), Q)
+    for box in qe._dnf_literals(phi):
+        texts = [str(term) for term, _, _ in box]
+        assert all(a < b for a, b in zip(texts, texts[1:])), texts
+        for term, lo, hi in box:
+            assert not term.is_zero() and qe._canonical(term) == term, term
+            assert 0 <= lo <= hi and (lo, hi) != (0, INF), (term, lo, hi)
+
+
+def _disjuncts(psi):
+    return _disjuncts(psi.lhs) + _disjuncts(psi.rhs) if isinstance(psi, Or) else [psi]
+
+
 def test_negation_of_a_nested_condition_stays_small():
     """The 21 boxes of ``E x.`` multiply out to some 18,000 boxes unless the
     running product of the negation is reduced after every factor; either
-    way the condition is the same 24 disjuncts (pinned in sorted order,
-    as the order of the boxes depends on when they are reduced)."""
+    way the condition is the same 24 disjuncts.  They are pinned in sorted
+    order, as the order of the boxes depends on when they are reduced, and
+    the printed text in its order, which moves with the order of
+    :func:`qe._negate`'s boxes."""
     phi = parse_formula(
         "(X2(1*$c0 + 2*$c1)) | (!E x. ((!X1(1*x + 1*$c0 + 2*$c1)) & "
         "(A y. ((E z. (X1(2*x + -2*$c1) | !X1(1*x + -2*$c1))) -> (X2(1*y + 1*$c0))))))",
         Q,
     )
     out = within(0.5, eliminate_all, phi)
-
-    def disjuncts(psi):
-        return disjuncts(psi.lhs) + disjuncts(psi.rhs) if isinstance(psi, Or) else [print_formula(psi)]
-
-    texts = sorted(disjuncts(out))
+    texts = sorted(print_formula(psi) for psi in _disjuncts(out))
     joined = "\n".join(texts)
-    assert len(texts) == 24 and len(print_formula(out)) == 1708
+    assert len(texts) == 24
     assert hashlib.sha1(joined.encode()).hexdigest() == "7e1430e3f54a0c252edb055e6f5288c3b58bb2c3"
+    text = print_formula(out)
+    assert (hashlib.sha1(text.encode()).hexdigest(), len(text)) == ("df2f3706b865ceb0ab9bf21676eb62b0f13eb9e7", 1708)
 
 
 def _reference_join_intervals(rows, nterms):
@@ -817,7 +838,7 @@ def test_fallback_rows_hold_no_empty_interval_and_no_zero_term(monkeypatch):
         eliminate_exists(parse_formula(" & ".join(lits), Q), "x")
     assert len(calls) >= 30 and len(rows) >= 1000
     for row in rows:
-        for term, (lo, hi) in row:
+        for term, lo, hi in row:
             assert not term.is_zero() and lo <= hi, (term, lo, hi)
 
 
@@ -910,6 +931,10 @@ def test_five_term_rank_two_conjunction_within_budget():
     )
     out = within(10, eliminate_exists, phi.body, "x")
     assert free_symbols(out) == {"$c0", "$c1"}
+    # the largest census output: pinned, as no other test prints it
+    text = print_formula(out)
+    assert len(_disjuncts(out)) == 5114
+    assert (hashlib.sha1(text.encode()).hexdigest(), len(text)) == ("57b4f91024c37d1be69a09480590d869acf86f67", 1743793)
 
 
 def _random_xyz_matrix(rng, variables):
