@@ -1,5 +1,6 @@
 """Formula syntax: parsing, printing, quantifier-free evaluation."""
 
+import hashlib
 import os
 import pickle
 import random
@@ -32,10 +33,11 @@ from axisspace.formula import (
 from axisspace.model import ModelElement, SubspaceHandle, combine, pi_A, proj_axis, rich_model, span_basis
 from axisspace.qe import eliminate_all
 
-from randgen import random_nested_formula
+from randgen import random_exists_formula, random_nested_formula
 
 Q = FieldCtx.rationals()
 GF3 = FieldCtx.prime_field(3)
+GF5 = FieldCtx.prime_field(5)
 
 
 @pytest.fixture
@@ -116,12 +118,71 @@ def test_parse_errors_carry_positions():
         parse_formula("x ? y", Q)
 
 
+
+def _trees_digest(texts, field):
+    """sha1 of the repr of the list of parse trees of ``texts``."""
+    return hashlib.sha1(repr([parse_formula(text, field) for text in texts]).encode()).hexdigest()
+
+
+def test_parse_trees_are_pinned():
+    """The parse trees of 600 seeded texts over Q and over GF(5), and of
+    hand-written texts with fractions, repeated symbols, zero summands and
+    spaced scalars, which the seeded corpus lacks."""
+    rng_nested, rng_exists = random.Random(5), random.Random(6)
+    texts = [random_nested_formula(rng_nested) for _ in range(300)]
+    texts += [print_formula(random_exists_formula(rng_exists)[0]) for _ in range(300)]
+    assert _trees_digest(texts, Q) == "f328fd02a6ab4fc932e93e0f21cf889a5d9a1254"
+    assert _trees_digest(texts, GF5) == "4047f2ed5377197cdc58825e32a521f6a13d2b97"
+    hand = [
+        "1/2*x + -3/4*$c + y = 0",
+        "x + -1*x = 0",
+        "x + x + 0 = 2*x",
+        "X3( - 2 / 4 * $c + $c + 7/7*z )",
+        "0 = 0",
+        "E x. A y. (X1(x + -1*y) -> !(x = 1/3*y + -5/6*$d))",
+        "$c + $c + -2*$c = x + -1*x",
+        "X0(0 + 0 + x)",
+    ]
+    assert _trees_digest(hand, Q) == "c56e20a64e0e36146a12df71174d8dc9045ccaed"
+
+
+@pytest.mark.parametrize(
+    "text, field, message",
+    [
+        ("", Q, "expected a variable, constant or scalar, found '' (at position 0)"),
+        ("   ", Q, "expected a variable, constant or scalar, found '' (at position 3)"),
+        ("x ? y", Q, "unexpected character '?' (at position 1)"),
+        ("X1(x) &  #", Q, "unexpected character '#' (at position 7)"),
+        ("X1(x", Q, "expected ')', found 'end of input' (at position 4)"),
+        ("3 = x", Q, "scalar summand without an atom (only 0 stands alone) (at position 0)"),
+        ("X(x)", Q, "unexpected character 'X' (at position 0)"),
+        ("1/2*x = 0", GF3, "fractional scalars are not prime-field syntax (at position 2)"),
+        ("1/0*x = 0", Q, "zero denominator (at position 2)"),
+        ("$ 1 = 0", Q, "expected a constant name after $ (at position 2)"),
+        ("E 1. X1(x)", Q, "expected a variable after quantifier (at position 2)"),
+        ("E x X1(x)", Q, "expected '.', found 'X' (at position 4)"),
+        ("X1(x) X1(y)", Q, "trailing input 'X' (at position 6)"),
+        ("x = 0 )", Q, "trailing input ')' (at position 6)"),
+        ("2* = 0", Q, "expected a variable, constant or scalar, found '=' (at position 3)"),
+        ("- = 0", Q, "expected a number (at position 2)"),
+        ("1/ = 0", Q, "expected a denominator (at position 3)"),
+        ("X1(x) & \u00e9", Q, "unexpected character '\u00e9' (at position 7)"),
+        ("x + = 0", Q, "expected a variable, constant or scalar, found '=' (at position 4)"),
+        ("(x = 0", Q, "expected ')', found 'end of input' (at position 6)"),
+        ("Xa(x)", Q, "unexpected character 'X' (at position 0)"),
+    ],
+)
+def test_syntax_error_texts_are_pinned(text, field, message):
+    """Each malformed text fails with this exact message and position; an
+    unknown character is reported at the end of the token before it."""
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse_formula(text, field)
+    assert str(exc.value) == message
+
+
 def test_terms_normalize_zero_coefficients():
     t = parse_term("x + -1*x", Q)
     assert t.is_zero()
-
-
-GF5 = FieldCtx.prime_field(5)
 
 
 def _scalars(field):
