@@ -16,6 +16,10 @@ Schema::
       }
     }
 
+Indices are JSON integers.  A scalar is a JSON string in the field's
+syntax (``"-2/3"`` over Q, ``"4"`` over GF(p)); a JSON number or boolean
+in its place is a format error, never coerced.
+
 Dumping is canonical (sorted keys and entries, fixed separators), so
 dump(load(text)) == text for canonical inputs and load(dump(model)) always
 reproduces the model bit for bit.
@@ -42,6 +46,13 @@ def _card_from_json(v):
     if type(v) is int and v >= 0:
         return v
     raise ContextFormatError(f"bad cardinal value {v!r}")
+
+
+def _scalar_from_json(v):
+    """A scalar entry, checked to be a JSON string; the model coerces it."""
+    if type(v) is str:
+        return v
+    raise ContextFormatError(f"scalar {v!r} is not a JSON string")
 
 
 def field_to_token(field: FieldCtx) -> str:
@@ -92,11 +103,11 @@ def load_context(text: str) -> Model:
         descriptor = make_descriptor(_card_from_json(desc_doc["f_codim"]), census)
         model = canonical_model(descriptor, field)
         for name, entry in doc.get("constants", {}).items():
-            axis_part = {(axis, coord): field.of(c) for axis, coord, c in entry.get("axis", [])}
-            free_part = {coord: field.of(c) for coord, c in entry.get("free", [])}
+            axis_part = {(axis, coord): _scalar_from_json(c) for axis, coord, c in entry.get("axis", [])}
+            free_part = {coord: _scalar_from_json(c) for coord, c in entry.get("free", [])}
             model.constants[name] = model.element(axis_part, free_part)
         return model
     except ContextFormatError:
         raise
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ContextFormatError(f"malformed context document: {exc}") from exc

@@ -70,20 +70,34 @@ def test_malformed_documents_rejected():
     ):
         with pytest.raises(ContextFormatError):
             load_context(json.dumps({"field": "q", "descriptor": descriptor}))
+    descriptor = {"f_codim": 0, "axis_census": [[1, 1]]}
+    for constants in ([], {"c": []}):
+        with pytest.raises(ContextFormatError):
+            load_context(json.dumps({"field": "q", "descriptor": descriptor, "constants": constants}))
 
 
 def test_constants_with_zero_denominators_or_negative_indices_rejected():
-    doc = json.loads(dump_context(_sample_model()))
-    for entries, error in (
-        ({"axis": [[0, 0, "1/0"]]}, ContextFormatError),
-        ({"free": [[0, "-2/0"]]}, ContextFormatError),
-        ({"axis": [[-1, 0, "1"]]}, FragmentExhausted),
-        ({"axis": [[0, -1, "1"]]}, FragmentExhausted),
-        ({"free": [[-1, "1"]]}, FragmentExhausted),
-        ({"axis": [[1.5, 0, "1"]]}, ContextFormatError),
-        ({"axis": [[0, 0.5, "1"]]}, ContextFormatError),
-        ({"axis": [[True, 0, "1"]]}, ContextFormatError),
-        ({"free": [[2.5, "1"]]}, ContextFormatError),
+    """Bad scalars and indices are refused.  A scalar is a JSON string: a
+    number or a boolean is a format error, not coerced (1e400 reads as an
+    infinite float, 2.5 is no residue, 0.1 is a binary fraction)."""
+    q_doc = json.loads(dump_context(_sample_model()))
+    zp_doc = json.loads(dump_context(rich_model(FieldCtx.prime_field(5))))
+    for doc, entries, error in (
+        (q_doc, {"axis": [[0, 0, "1/0"]]}, ContextFormatError),
+        (q_doc, {"free": [[0, "-2/0"]]}, ContextFormatError),
+        (q_doc, {"axis": [[-1, 0, "1"]]}, FragmentExhausted),
+        (q_doc, {"axis": [[0, -1, "1"]]}, FragmentExhausted),
+        (q_doc, {"free": [[-1, "1"]]}, FragmentExhausted),
+        (q_doc, {"axis": [[1.5, 0, "1"]]}, ContextFormatError),
+        (q_doc, {"axis": [[0, 0.5, "1"]]}, ContextFormatError),
+        (q_doc, {"axis": [[True, 0, "1"]]}, ContextFormatError),
+        (q_doc, {"free": [[2.5, "1"]]}, ContextFormatError),
+        (q_doc, {"axis": [[0, 0, 1e400]]}, ContextFormatError),
+        (zp_doc, {"free": [[0, 1e400]]}, ContextFormatError),
+        (zp_doc, {"axis": [[0, 0, 2.5]]}, ContextFormatError),
+        (q_doc, {"axis": [[0, 0, 0.1]]}, ContextFormatError),
+        (q_doc, {"axis": [[0, 0, True]]}, ContextFormatError),
+        (zp_doc, {"axis": [[0, 0, 1]]}, ContextFormatError),
     ):
         doc["constants"]["c"] = entries
         with pytest.raises(error):
