@@ -12,6 +12,9 @@ Concrete grammar (whitespace-insensitive):
 ``a -> b`` is sugar for ``(!a | b)``; the syntax tree has no implication
 node.  The printer parenthesizes every binary connective, and parsing what
 it prints reproduces the tree exactly.
+
+The parser scans the text once and builds each term by one
+:meth:`Term.make` on the sums of its summands, with no term arithmetic.
 """
 
 from __future__ import annotations
@@ -62,10 +65,10 @@ class Term:
         """The term with coefficients ``vars`` and ``consts``, maps from
         names to scalars in any form ``field.of`` accepts: every scalar is
         coerced, zeros are dropped and names sorted (``linalg._sparse``).
-        This is the way in for untrusted input (the parser, :meth:`var`,
-        :meth:`const`); arithmetic on terms goes through :meth:`combine`
-        and :meth:`scale`, which keep the canonical form their operands
-        already have."""
+        This is the way in for untrusted input, once per term from the
+        parser and from :meth:`var` and :meth:`const`; arithmetic on terms
+        goes through :meth:`combine` and :meth:`scale`, which keep the
+        canonical form their operands already have."""
         return Term(field, _sparse(field, vars), _sparse(field, consts))
 
     @staticmethod
@@ -342,25 +345,21 @@ def print_formula(phi: Formula) -> str:
 # ---------------------------------------------------------------------------
 
 
+# ``bad`` takes any other non-space character, so the matches tile the text
+# and an unknown character is reported where the token before it ends
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<arrow>->)|(?P<num>\d+)|(?P<xpred>X(?=\d))|(?P<quant>[EA](?![a-z0-9]))"
-    r"|(?P<name>[a-z][a-z0-9]*)|(?P<sym>[()*+=!&|.$/-]))"
+    r"|(?P<name>[a-z][a-z0-9]*)|(?P<sym>[()*+=!&|.$/-])|(?P<bad>\S))"
 )
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise FormulaSyntaxError(f"unexpected character {stripped[0]!r}", pos)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind == "bad":
+            raise FormulaSyntaxError(f"unexpected character {m.group(kind)!r}", m.start())
         tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -374,7 +373,6 @@ MAX_NESTING = 150
 
 class _Parser:
     def __init__(self, text: str, field: FieldCtx):
-        self.text = text
         self.field = field
         self.tokens = _tokenize(text)
         self.i = 0
@@ -384,22 +382,18 @@ class _Parser:
         return self.tokens[self.i]
 
     def next(self):
-        tok = self.tokens[self.i]
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1]
 
     def expect(self, value: str):
         kind, text, pos = self.next()
         if text != value:
             raise FormulaSyntaxError(f"expected {value!r}, found {text or 'end of input'!r}", pos)
 
-    def fail(self, message: str):
-        raise FormulaSyntaxError(message, self.peek()[2])
-
     def descend(self):
         """Enter one more level of nesting; the caller leaves it."""
         if self.depth == MAX_NESTING:
-            self.fail(f"formula nested deeper than {MAX_NESTING} levels")
+            raise FormulaSyntaxError(f"formula nested deeper than {MAX_NESTING} levels", self.peek()[2])
         self.depth += 1
 
     # formula := quantified | implication
@@ -468,28 +462,32 @@ class _Parser:
         # equation
         lhs = self.term()
         self.expect("=")
-        rhs = self.term()
-        return Eq(lhs, rhs)
+        return Eq(lhs, self.term())
 
-    # term := addend (+ addend)*
+    # term := addend (+ addend)*.  An addend is a (scalar, atom) pair and an
+    # atom an (is_const, name) pair; one Term.make normalises their sums.
     def term(self) -> Term:
-        out = self.addend()
-        while self.peek()[1] == "+":
+        sums = ({}, {})  # variables, constants
+        while True:
+            scalar, atom = self.addend()
+            if atom is not None:  # None for the literal 0
+                acc, name = sums[atom[0]], atom[1]
+                acc[name] = acc.get(name, 0) + scalar
+            if self.peek()[1] != "+":
+                return Term.make(self.field, *sums)
             self.next()
-            out = out + self.addend()
-        return out
 
-    def addend(self) -> Term:
+    def addend(self):
         kind, text, pos = self.peek()
         if kind == "num" or text == "-":
             scalar = self.scalar()
             if self.peek()[1] == "*":
                 self.next()
-                return self.atom().scale(scalar)
+                return scalar, self.atom()
             if self.field.is_zero(scalar):
-                return Term.zero(self.field)
+                return scalar, None
             raise FormulaSyntaxError("scalar summand without an atom (only 0 stands alone)", pos)
-        return self.atom()
+        return self.field.one, self.atom()
 
     def scalar(self) -> Scalar:
         sign = 1
@@ -513,29 +511,30 @@ class _Parser:
             return self.field.of(Fraction(sign * value, den))
         return self.field.of(sign * value)
 
-    def atom(self) -> Term:
+    def atom(self):
         kind, text, pos = self.next()
         if text == "$":
             nkind, name, npos = self.next()
             if nkind != "name":
                 raise FormulaSyntaxError("expected a constant name after $", npos)
-            return Term.const(self.field, name)
+            return True, name
         if kind == "name":
-            return Term.var(self.field, text)
+            return False, text
         raise FormulaSyntaxError(f"expected a variable, constant or scalar, found {text!r}", pos)
 
 
-def parse_term(text: str, field: FieldCtx) -> Term:
+def _parse(text: str, field: FieldCtx, rule):
+    """``rule`` applied to the whole of ``text``."""
     p = _Parser(text, field)
-    out = p.term()
+    out = rule(p)
     if p.peek()[0] != "end":
-        p.fail(f"trailing input {p.peek()[1]!r}")
+        raise FormulaSyntaxError(f"trailing input {p.peek()[1]!r}", p.peek()[2])
     return out
+
+
+def parse_term(text: str, field: FieldCtx) -> Term:
+    return _parse(text, field, _Parser.term)
 
 
 def parse_formula(text: str, field: FieldCtx) -> Formula:
-    p = _Parser(text, field)
-    out = p.formula()
-    if p.peek()[0] != "end":
-        p.fail(f"trailing input {p.peek()[1]!r}")
-    return out
+    return _parse(text, field, _Parser.formula)

@@ -180,6 +180,25 @@ def test_syntax_error_texts_are_pinned(text, field, message):
     assert str(exc.value) == message
 
 
+
+def test_parser_builds_each_term_once(monkeypatch):
+    """Each term's summands are added up in plain maps and normalised by
+    one Term.make; the parser runs no term arithmetic."""
+    calls = dict.fromkeys(("make", "combine", "scale", "var", "const"), 0)
+    for name in calls:
+        original = Term.__dict__[name]
+        static = isinstance(original, staticmethod)
+        fn = original.__func__ if static else original
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(Term, name, staticmethod(counted) if static else counted)
+    phi = parse_formula("1/2*x + -3/4*$c + y + 2*x = $c", Q)
+    assert calls == {"make": 2, "combine": 0, "scale": 0, "var": 0, "const": 0}
+    assert phi == Eq(Term.make(Q, {"x": Fraction(5, 2), "y": 1}, {"c": Fraction(-3, 4)}), Term.make(Q, {}, {"c": 1}))
+
 def test_terms_normalize_zero_coefficients():
     t = parse_term("x + -1*x", Q)
     assert t.is_zero()
