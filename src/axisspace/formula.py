@@ -472,7 +472,7 @@ class _Parser:
             scalar, atom = self.addend()
             if atom is not None:  # None for the literal 0
                 acc, name = sums[atom[0]], atom[1]
-                acc[name] = acc.get(name, 0) + scalar
+                acc[name] = acc[name] + scalar if name in acc else scalar  # 0 + a Fraction builds a new one
             if self.peek()[1] != "+":
                 return Term.make(self.field, *sums)
             self.next()

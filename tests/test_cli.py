@@ -174,12 +174,15 @@ def test_bad_context_constants_are_typed_errors(tmp_path, context_file):
         assert err.startswith(f"ERROR:{kind}:")
 
 
-
 def test_non_string_context_scalar_is_a_format_error(tmp_path):
     """A scalar written as a JSON number exits with status 2 and a typed
     message, not an OverflowError traceback or a silent coercion."""
     path = tmp_path / "bad.json"
-    for field, part, entry in (("q", "axis", "[0, 0, 1e400]"), ("zp:5", "free", "[0, 1e400]"), ("zp:5", "axis", "[0, 0, 2.5]")):
+    for field, part, entry in (
+        ("q", "axis", "[0, 0, 1e400]"),
+        ("zp:5", "free", "[0, 1e400]"),
+        ("zp:5", "axis", "[0, 0, 2.5]"),
+    ):
         path.write_text(
             f'{{"constants": {{"c": {{"{part}": [{entry}]}}}}, "field": "{field}",'
             ' "descriptor": {"axis_census": [["aleph0", "aleph0"]], "f_codim": "aleph0"}}'
@@ -187,6 +190,7 @@ def test_non_string_context_scalar_is_a_format_error(tmp_path):
         code, out, err = run(["qftp", "--model", str(path), "c"])
         assert (code, out) == (2, "")
         assert err.startswith("ERROR:ContextFormatError:") and "Traceback" not in err
+
 
 def test_boolean_cardinal_in_context_is_a_format_error(tmp_path, context_file):
     with open(context_file) as fh:

@@ -118,7 +118,6 @@ def test_parse_errors_carry_positions():
         parse_formula("x ? y", Q)
 
 
-
 def _trees_digest(texts, field):
     """sha1 of the repr of the list of parse trees of ``texts``."""
     return hashlib.sha1(repr([parse_formula(text, field) for text in texts]).encode()).hexdigest()
