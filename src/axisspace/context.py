@@ -17,8 +17,10 @@ Schema::
     }
 
 Indices are JSON integers.  A scalar is a JSON string in the field's
-syntax (``"-2/3"`` over Q, ``"4"`` over GF(p)); a JSON number or boolean
-in its place is a format error, never coerced.
+syntax, ``p`` or ``p/q`` with an optional leading ``-`` (``"-2/3"`` over
+Q, ``"4"`` over GF(p)); a JSON number or boolean in its place, or a
+string with an exponent, a point or a space, is a format error, never
+coerced.
 
 Dumping is canonical (sorted keys and entries, fixed separators), so
 dump(load(text)) == text for canonical inputs and load(dump(model)) always
@@ -28,6 +30,7 @@ reproduces the model bit for bit.
 from __future__ import annotations
 
 import json
+import re
 
 from .errors import ContextFormatError
 from .fields import FieldCtx
@@ -48,11 +51,20 @@ def _card_from_json(v):
     raise ContextFormatError(f"bad cardinal value {v!r}")
 
 
+# what dump_context writes and the formula grammar reads: p or p/q, with an
+# optional minus; Fraction(str) would also take exponents, and "1e1000000"
+# builds an integer of a million digits
+_SCALAR_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _scalar_from_json(v):
-    """A scalar entry, checked to be a JSON string; the model coerces it."""
-    if type(v) is str:
-        return v
-    raise ContextFormatError(f"scalar {v!r} is not a JSON string")
+    """A scalar entry, checked to be a JSON string in the field's syntax;
+    the model coerces it."""
+    if type(v) is not str:
+        raise ContextFormatError(f"scalar {v!r} is not a JSON string")
+    if not _SCALAR_RE.fullmatch(v):
+        raise ContextFormatError(f"scalar {v!r} is not p or p/q")
+    return v
 
 
 def field_to_token(field: FieldCtx) -> str:

@@ -175,19 +175,21 @@ def test_bad_context_constants_are_typed_errors(tmp_path, context_file):
 
 
 def test_non_string_context_scalar_is_a_format_error(tmp_path):
-    """A scalar written as a JSON number exits with status 2 and a typed
-    message, not an OverflowError traceback or a silent coercion."""
+    """A scalar written as a JSON number, or as a string outside the
+    field's syntax, exits with status 2 and a typed message, not an
+    OverflowError traceback, a silent coercion or a million-digit integer."""
     path = tmp_path / "bad.json"
     for field, part, entry in (
         ("q", "axis", "[0, 0, 1e400]"),
         ("zp:5", "free", "[0, 1e400]"),
         ("zp:5", "axis", "[0, 0, 2.5]"),
+        ("q", "axis", '[0, 0, "1e1000000"]'),
     ):
         path.write_text(
             f'{{"constants": {{"c": {{"{part}": [{entry}]}}}}, "field": "{field}",'
             ' "descriptor": {"axis_census": [["aleph0", "aleph0"]], "f_codim": "aleph0"}}'
         )
-        code, out, err = run(["qftp", "--model", str(path), "c"])
+        code, out, err = within(2, run, ["qftp", "--model", str(path), "c"])
         assert (code, out) == (2, "")
         assert err.startswith("ERROR:ContextFormatError:") and "Traceback" not in err
 

@@ -79,7 +79,10 @@ def test_malformed_documents_rejected():
 def test_constants_with_zero_denominators_or_negative_indices_rejected():
     """Bad scalars and indices are refused.  A scalar is a JSON string: a
     number or a boolean is a format error, not coerced (1e400 reads as an
-    infinite float, 2.5 is no residue, 0.1 is a binary fraction)."""
+    infinite float, 2.5 is no residue, 0.1 is a binary fraction).  The
+    string is ``p`` or ``p/q`` with an optional ``-``, as dump_context and
+    the formula grammar write it: ``"1e1000000"`` would build an integer of
+    a million digits, and exponents, decimal points and spaces are refused."""
     q_doc = json.loads(dump_context(_sample_model()))
     zp_doc = json.loads(dump_context(rich_model(FieldCtx.prime_field(5))))
     for doc, entries, error in (
@@ -98,6 +101,10 @@ def test_constants_with_zero_denominators_or_negative_indices_rejected():
         (q_doc, {"axis": [[0, 0, 0.1]]}, ContextFormatError),
         (q_doc, {"axis": [[0, 0, True]]}, ContextFormatError),
         (zp_doc, {"axis": [[0, 0, 1]]}, ContextFormatError),
+        (q_doc, {"axis": [[0, 0, "1e1000000"]]}, ContextFormatError),
+        (q_doc, {"axis": [[0, 0, "1e3"]]}, ContextFormatError),
+        (q_doc, {"free": [[0, "2.5"]]}, ContextFormatError),
+        (zp_doc, {"axis": [[0, 0, " 1"]]}, ContextFormatError),
     ):
         doc["constants"]["c"] = entries
         with pytest.raises(error):

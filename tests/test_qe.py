@@ -271,6 +271,78 @@ def test_nested_elimination_prints_the_same_under_any_hash_seed():
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True, text=True).stdout
         assert out == NESTED_DIGEST[0] + "\n"
 
+
+# the four-literal formula that qe-wide names as reaching the fallback
+NAMED_FALLBACK = "E x. (X2(x + -1*$c2) & !X0(x + -1*$c1) & X1(x + -1*$c3) & X1(x + -1*$c0))"
+FOUR_LITERAL_DIGEST = ("b8a5da34425e0de0d64e6783f84f9f66065651bb", 152060)
+FRACTIONAL_DIGEST = ("b78e2dfe91ee7fc0c8371f991c872224ec3cfe5a", 309202)
+
+
+def _four_literal_texts():
+    """NAMED_FALLBACK and 47 conjunctions E x. ([!]Xk(x + -1*$p) & ...) of
+    four literals over distinct parameters $c0..$c3, k in 0..2, drawn as
+    qe-wide draws its own but with no environments in between."""
+    r = random.Random(4)
+    texts = [NAMED_FALLBACK]
+    for _ in range(47):
+        signed = [(r.random() < 0.6, r.randrange(3)) for _ in range(4)]
+        params = r.sample(["c0", "c1", "c2", "c3"], 4)
+        literals = [("" if positive else "!") + f"X{k}(x + -1*${p})" for (positive, k), p in zip(signed, params)]
+        texts.append("E x. (" + " & ".join(literals) + ")")
+    return texts
+
+
+def _fractional_texts():
+    """120 conjunctions of 2-3 literals [!]Xk(mu*x + sum c_p*$p) with
+    fractional and negative coefficients on x and on two or three
+    parameters: x-terms whose coefficients differ and do not divide each
+    other."""
+    rng = random.Random(23)
+    texts = []
+    for _ in range(120):
+        params = ["c0", "c1", "c2"][: rng.randint(2, 3)]
+        literals = []
+        for _ in range(rng.randint(2, 3)):
+            parts = [f"{rng.choice(['1', '2', '-3', '1/2', '-2/3'])}*x"]
+            for p in params:
+                if rng.random() < 0.7:
+                    parts.append(f"{rng.choice(['-2', '-1', '1', '3/2', '1/3', '-5/4'])}*${p}")
+            sign = "!" if rng.random() < 0.4 else ""
+            literals.append(f"{sign}X{rng.randint(0, 2)}(" + " + ".join(parts) + ")")
+        texts.append("E x. (" + " & ".join(literals) + ")")
+    return texts
+
+
+def _printed_conditions(texts):
+    return [print_formula(eliminate_all(parse_formula(text, Q))) for text in texts]
+
+
+@pytest.mark.parametrize(
+    "maker, digest, live",
+    [(_four_literal_texts, FOUR_LITERAL_DIGEST, 48), (_fractional_texts, FRACTIONAL_DIGEST, 94)],
+    ids=["four-literal", "fractional"],
+)
+def test_pinned_conditions_print_the_same_under_any_hash_seed(maker, digest, live):
+    """The printed conditions of two families where the engines' term
+    arithmetic is riskiest, joined by newlines, are pinned: four-literal
+    conjunctions, most of which reach the fallback, and x-terms with
+    fractional coefficients, whose differences and menus are taken over a
+    common multiple of the x-coefficients.  They print the same under
+    other hash seeds."""
+    texts = _printed_conditions(maker())
+    assert sum(text not in ("0 = 0", "!(0 = 0)") for text in texts) == live
+    joined = "\n".join(texts)
+    assert (hashlib.sha1(joined.encode()).hexdigest(), len(joined)) == digest
+    code = (
+        f"import hashlib; from test_qe import _printed_conditions, {maker.__name__}; "
+        f"print(hashlib.sha1(chr(10).join(_printed_conditions({maker.__name__}())).encode()).hexdigest())"
+    )
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True, text=True).stdout
+        assert out == digest[0] + "\n"
+
+
 INF = math.inf
 
 
