@@ -86,9 +86,6 @@ class Term:
     def is_zero(self) -> bool:
         return not self.vars and not self.consts
 
-    def coeff_of_var(self, name: str) -> Scalar:
-        return dict(self.vars).get(name, self.field.zero)
-
     def combine(self, s: Scalar, other: "Term") -> "Term":
         """self + s*other for a scalar ``s`` in canonical form: one merge
         of the two sorted entry tuples, so no scalar is coerced again and

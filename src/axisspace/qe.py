@@ -31,13 +31,20 @@ its level, and the output multiplies.
 Every atom bounds one integer, the weight of its term: the number of axes
 the term meets, infinite outside the axis span.  ``t = 0`` is ``X0(t)``
 (X^0 = {0}): both bound w(t) above by 0, and their negations bound it
-below by 1.  So a condition is one thing from the input to the printer,
-across any nesting of quantifiers: a list of distinct boxes in
-first-seen order, read as their disjunction.  A box is a tuple of
-entries (term, lo, hi), one per nonzero term scaled to lead coefficient
-1, in the order of the terms' printed text, read as the conjunction of
-lo <= w(term) <= hi (hi possibly infinite); ``[()]`` is true and ``[]``
-is false.
+below by 1.  Weights are scale invariant, so each top-level call interns
+the terms of its decision once, as primitive integer rows over the
+formula's variables and constants, in a table of its own
+(:class:`_Table`), and works on their ids: the engines take differences
+and integer combinations of rows, and no Fraction term arithmetic runs
+between the atoms and the printer.  So a condition is one thing from
+the input to the printer, across any nesting of quantifiers: a list of
+distinct boxes in first-seen order, read as their disjunction.  A box is
+a tuple of entries (id, lo, hi), one per nonzero term, sorted by id,
+read as the conjunction of lo <= w(term) <= hi (hi possibly infinite);
+``[()]`` is true and ``[]`` is false.  The terms' printed text, cached
+by the table, orders three things only: the x-terms of a box
+(:func:`_split`), the literals of a box in :func:`_negate`, and the
+numbering of :func:`_reduced`.
 :func:`_bound` makes every one-term condition and folds the zero term;
 :func:`_all` intersects intervals term by term and drops a box as soon
 as one is empty; :func:`_any` joins lists.  One walk,
@@ -98,7 +105,7 @@ from .model import Model, ModelElement
 
 
 # ---------------------------------------------------------------------------
-# weight boxes: the one form of a condition
+# the term table and weight boxes: the one form of a condition
 # ---------------------------------------------------------------------------
 
 
@@ -106,48 +113,166 @@ from .model import Model, ModelElement
 _UNBOUNDED = math.inf
 
 
-def _canonical(term: Term) -> Term:
-    """A term scaled to make its first coefficient 1, the zero term as it
-    is: the key of every weight bound (weights are scale invariant)."""
-    if term.is_zero():
+class _Table:
+    """The terms of one decision, each interned once as an integer row.
+
+    The columns ``names`` are the formula's variables, then its constants
+    with a ``$``, each sorted by name as a Term orders its entries.  Over
+    Q a row is primitive: integers with gcd 1 and a positive first nonzero
+    entry; over GF(p) it holds residues with first nonzero entry 1.  A row
+    stands for every nonzero multiple of its term, as weights are scale
+    invariant.  ``ids`` maps each row to its id, ``rows`` lists the rows by
+    id, and an id's text and lead-1 Term are made on first use.  Each
+    top-level call builds its own table (:func:`_table`)."""
+
+    __slots__ = ("field", "names", "column", "ids", "rows", "_texts", "_terms")
+
+    def __init__(self, field: FieldCtx, variables, constants):
+        self.field = field
+        self.names = (*sorted(variables), *("$" + name for name in sorted(constants)))
+        self.column = {name: i for i, name in enumerate(self.names)}
+        self.ids, self.rows, self._texts, self._terms = {}, [], {}, {}
+
+    def id(self, row):
+        """The id of the term with integer coefficients ``row``, in any
+        scale; None for the zero term."""
+        p = self.field.p
+        if p is None:
+            g = math.gcd(*row)
+            if not g:
+                return None
+            if next(filter(None, row)) < 0:
+                g = -g
+            row = tuple(row) if g == 1 else tuple(c // g for c in row)
+        else:
+            row = [c % p for c in row]
+            lead = next(filter(None, row), 0)
+            if not lead:
+                return None
+            inv = pow(lead, -1, p)
+            row = tuple(c * inv % p for c in row)
+        tid = self.ids.get(row)
+        if tid is None:
+            tid = self.ids[row] = len(self.rows)
+            self.rows.append(row)
+        return tid
+
+    def intern(self, term: Term, minus: Term | None = None):
+        """The id of a formula's term, or of ``term - minus``: its
+        coefficients brought to a common denominator, which is dropped (a
+        residue of GF(p) is an int, of denominator 1)."""
+        column, row = self.column, [0] * len(self.names)
+        entries = []
+        for sign, t in zip((1, -1), (term,) if minus is None else (term, minus)):
+            entries += [(column[name], c, sign) for name, c in t.vars]
+            entries += [(column["$" + name], c, sign) for name, c in t.consts]
+        den = math.lcm(*(c.denominator for _, c, _ in entries))
+        for k, c, sign in entries:
+            row[k] += sign * c.numerator * (den // c.denominator)
+        return self.id(row)
+
+    def text(self, tid, col=None) -> str:
+        """The printed text of the term of ``tid`` scaled to lead
+        coefficient 1; with ``col``, that of t for the term read as
+        mu*(x - t), x the variable of column col: t = -rest/mu."""
+        key = tid if col is None else (tid, col)
+        text = self._texts.get(key)
+        if text is None:
+            row = self.rows[tid]
+            if col is None:
+                den = next(filter(None, row))
+            else:
+                row, den = [0 if j == col else -c for j, c in enumerate(row)], row[col]
+            p = self.field.p
+            if p is not None:
+                inv = pow(den, -1, p)
+                row, den = [c * inv % p for c in row], 1
+            elif den < 0:
+                row, den = [-c for c in row], -den
+            parts = []
+            for name, c in zip(self.names, row):
+                if c:
+                    g = math.gcd(c, den)
+                    num, d = c // g, den // g
+                    parts.append(f"{num}/{d}*{name}" if d != 1 else name if num == 1 else f"{num}*{name}")
+            text = self._texts[key] = " + ".join(parts) or "0"
+        return text
+
+    def term(self, tid) -> Term:
+        """The Term of ``tid`` scaled to lead coefficient 1, as printed."""
+        term = self._terms.get(tid)
+        if term is None:
+            row = self.rows[tid]
+            term = self._terms[tid] = self.term_of(row, next(filter(None, row)))
         return term
-    lead = (term.vars or term.consts)[0][1]
-    field = term.field
-    return term if lead == field.one else term.scale(field.inv(lead))
+
+    def term_of(self, row, den) -> Term:
+        """The Term row / den: the integer term scaled through the field."""
+        f, entries = self.field, [(name, c) for name, c in zip(self.names, row) if c]
+        vars = {name: c for name, c in entries if name[0] != "$"}
+        consts = {name[1:]: c for name, c in entries if name[0] == "$"}
+        return Term.make(f, vars, consts).scale(f.inv(f.of(den)))
 
 
-def _bound(term: Term, lo, hi) -> list:
-    """The condition lo <= w(term) <= hi on the weight of a term: at most
-    one box, keyed by the term scaled by its lead (weights are scale
-    invariant).  [0, inf] is true; the zero term has weight 0, so its
-    bound is true when lo <= 0 and false otherwise."""
+def _table(phi: Formula, *variables) -> _Table:
+    """The empty table of ``phi``'s variables, bound or free, its
+    constants and ``variables``."""
+    names, stack = set(variables), [phi]
+    while stack:
+        psi = stack.pop()
+        kind = type(psi)
+        if kind is Xn:
+            names |= psi.term.symbols()
+        elif kind is Eq:
+            names |= psi.lhs.symbols() | psi.rhs.symbols()
+        elif kind is Not:
+            stack.append(psi.child)
+        elif kind is And or kind is Or:
+            stack += (psi.lhs, psi.rhs)
+        else:
+            names.add(psi.var)
+            stack.append(psi.body)
+    return _Table(
+        _formula_field(phi),
+        [name for name in names if name[0] != "$"],
+        [name[1:] for name in names if name[0] == "$"],
+    )
+
+
+def _bound(tid, lo, hi) -> list:
+    """The condition lo <= w(t) <= hi on the weight of the term of table
+    id ``tid`` (None for the zero term): at most one box.  [0, inf] is
+    true; the zero term has weight 0, so its bound is true when lo <= 0
+    and false otherwise."""
     lo = max(lo, 0)
-    if lo > hi or (lo > 0 and term.is_zero()):
+    if lo > hi or (lo > 0 and tid is None):
         return []
-    if term.is_zero() or (lo == 0 and hi == _UNBOUNDED):
+    if tid is None or (lo == 0 and hi == _UNBOUNDED):
         return [()]
-    return [((_canonical(term), lo, hi),)]
+    return [((tid, lo, hi),)]
 
 
 def _meet(a: tuple, b: tuple):
-    """The conjunction of two boxes, one merge of their entries by the text
-    of their terms (cheaper to compare than scalars), intervals intersected
-    term by term; None when one becomes empty."""
+    """The conjunction of two boxes, one merge of their entries by term
+    id, intervals intersected term by term; None when one becomes empty."""
     if not a or not b:
         return a or b
-    out, i, j = [], 0, 0
-    while i < len(a) and j < len(b):
-        ka, kb = str(a[i][0]), str(b[j][0])
+    out, i, j, na, nb = [], 0, 0, len(a), len(b)
+    while i < na and j < nb:
+        ea, eb = a[i], b[j]
+        ka, kb = ea[0], eb[0]
         if ka == kb:
-            term, lo, hi = a[i]
-            lo, hi = max(lo, b[j][1]), min(hi, b[j][2])
+            lo, hi = max(ea[1], eb[1]), min(ea[2], eb[2])
             if lo > hi:
                 return None
-            out.append((term, lo, hi))
+            out.append((ka, lo, hi))
+            i, j = i + 1, j + 1
+        elif ka < kb:
+            out.append(ea)
+            i += 1
         else:
-            out.append(a[i] if ka < kb else b[j])
-        # step past the entry or entries just taken
-        i, j = i + (ka <= kb), j + (kb <= ka)
+            out.append(eb)
+            j += 1
     return (*out, *a[i:], *b[j:])
 
 
@@ -181,9 +306,9 @@ def _any(parts) -> list:
     return list(rows)
 
 
-def _atom(term: Term, n, positive: bool) -> list:
-    """w(term) <= n, or its negation w(term) >= n + 1."""
-    return _bound(term, 0, n) if positive else _bound(term, n + 1, _UNBOUNDED)
+def _atom(tid, n, positive: bool) -> list:
+    """w(t) <= n, or its negation w(t) >= n + 1, for the term of ``tid``."""
+    return _bound(tid, 0, n) if positive else _bound(tid, n + 1, _UNBOUNDED)
 
 
 def _literals(entries):
@@ -196,20 +321,22 @@ def _literals(entries):
             yield False, lo - 1, key
 
 
-def _negate(rows) -> list:
+def _negate(table: _Table, rows) -> list:
     """The negation of a condition: per box, the disjunction of its
-    negated literals in printed order, multiplied out box by box.  The
-    running product is a conjunction, so it is reduced after every factor
-    and stays equivalent."""
-    out = [()]
+    negated literals in printed order (its entries in the order of the
+    terms' text), multiplied out box by box.  The running product is a
+    conjunction, so it is reduced after every factor and stays
+    equivalent."""
+    out, text = [()], table.text
     for box in rows:
-        out = _reduced(_all([out, _any(_atom(t, n, not pol) for pol, n, t in _literals(box))]))[0]
+        literals = _literals(sorted(box, key=lambda entry: text(entry[0])))
+        out = _reduced(table, _all([out, _any(_atom(t, n, not pol) for pol, n, t in literals)]))[0]
         if not out:
             break
     return out
 
 
-def _dnf_literals(phi: Formula) -> list:
+def _dnf_literals(table: _Table, phi: Formula) -> list:
     """The boxes of ``phi``, every quantifier eliminated.  The walk
     carries the polarity that negations flip.  ``t = 0`` and ``Xn(t)``
     bound w(t) above by 0 and n, their negations below by 1 and n + 1.
@@ -225,16 +352,17 @@ def _dnf_literals(phi: Formula) -> list:
             parts = [rows(psi.lhs, positive, scoped), rows(psi.rhs, positive, scoped)]
             return _all(parts) if isinstance(psi, And) == positive else _any(parts)
         if isinstance(psi, (Exists, Forall)):
-            field, kind, variables = _formula_field(psi), type(psi), []
+            kind, variables = type(psi), []
             while isinstance(psi, kind):
                 variables, psi = variables + [psi.var], psi.body
             exists = kind is Exists
-            cond = _exists_rows(rows(psi, exists, True), variables, field)
+            cond = _exists_rows(table, rows(psi, exists, True), variables)
             if scoped or exists != positive:
-                cond = _reduced(cond)[0]
-            return cond if exists == positive else _negate(cond)
-        term, n = (psi.lhs - psi.rhs, 0) if isinstance(psi, Eq) else (psi.term, psi.n)
-        return _atom(term, n, positive)
+                cond = _reduced(table, cond)[0]
+            return cond if exists == positive else _negate(table, cond)
+        if isinstance(psi, Eq):
+            return _atom(table.intern(psi.lhs, psi.rhs), 0, positive)
+        return _atom(table.intern(psi.term), psi.n, positive)
 
     return rows(phi, True, False)
 
@@ -257,25 +385,26 @@ def witness_search(phi: Formula, var: str, env: Mapping, model: Model):
         raise NotQuantifierFree("witness search needs a quantifier-free matrix")
     if not model.is_rich:
         raise TargetNotRich("witness search requires a rich model")
-    for disjunct in _dnf_literals(phi):
-        found = _search_disjunct(disjunct, phi, var, env, model)
+    table = _table(phi, var)
+    for disjunct in _dnf_literals(table, phi):
+        found = _search_disjunct(table, disjunct, phi, var, env, model)
         if found is not None:
             return found
     return None
 
 
-def _search_disjunct(box, phi, var, env, model: Model):
+def _search_disjunct(table: _Table, box, phi, var, env, model: Model):
     field = model.field
-    params, xs = _split(box, var, field)
-    for term, lo, hi in params:
-        el = eval_term(term, env, field)
+    params, xs, scale = _split(table, box, var)
+    for tid, lo, hi in params:
+        el = eval_term(table.term(tid), env, field)
         if not lo <= (len(el.axes()) if el.in_F() else _UNBOUNDED) <= hi:
             return None  # parameter-only bound fails; disjunct dead
 
     # w(x - t_i) lies in spans[i]; terms equal under env share one interval
     terms, spans = [], []
     for t, lo, hi in xs:
-        el = eval_term(t, env, field)
+        el = eval_term(table.term_of(t, scale), env, field)
         if el in terms:
             i = terms.index(el)
             spans[i] = (max(lo, spans[i][0]), min(hi, spans[i][1]))
@@ -401,7 +530,7 @@ def eliminate_exists(phi: Formula, var: str) -> Formula:
     return eliminate_all(Exists(var, phi))
 
 
-def _exists_rows(disjuncts, variables, field: FieldCtx) -> list:
+def _exists_rows(table: _Table, disjuncts, variables) -> list:
     """(exists v_1) ... (exists v_k) over the boxes ``disjuncts``, box by
     box: a box eliminates the innermost variable an exact engine handles,
     v_k by the fallback when none does (:func:`_eliminate_disjunct`), and
@@ -414,44 +543,55 @@ def _exists_rows(disjuncts, variables, field: FieldCtx) -> list:
     # first and spare the expensive ones
     for i in sorted(range(len(disjuncts)), key=lambda i: sum(hi != _UNBOUNDED for _, _, hi in disjuncts[i])):
         for j in range(last, -1, -1) if last else ():
-            cond = _eliminate_disjunct(disjuncts[i], variables[j], field, exact=True)
+            cond = _eliminate_disjunct(table, disjuncts[i], variables[j], exact=True)
             if cond is not None:
                 break
         else:
-            j, cond = last, _eliminate_disjunct(disjuncts[i], variables[last], field)
+            j, cond = last, _eliminate_disjunct(table, disjuncts[i], variables[last])
         rest = variables[:j] + variables[j + 1:]
-        conds[i] = _exists_rows(_reduced(cond)[0], rest, field) if rest else cond
+        conds[i] = _exists_rows(table, _reduced(table, cond)[0], rest) if rest else cond
         if conds[i] == [()]:
             return conds[i]
     return _any(conds)
 
 
-def _split(box, var: str, field: FieldCtx):
-    """The entries of a box without ``var``, a box itself, and the others
-    as entries (t, lo, hi) in the order of t's text, for an x-term
-    mu*(x - t) has the weight of x - t (distinct x-terms, distinct t)."""
+def _split(table: _Table, box, var: str):
+    """The entries of a box without ``var``, a box itself; the others as
+    entries (row, lo, hi) in the order of the text of t, for an x-term
+    mu*(x - t), which has the weight of x - t (distinct x-terms, distinct
+    t); and the scale m of those rows.  Each row is m*t, m a common
+    multiple of the x-coefficients (1 over GF(p)): the differences of the
+    rows and their integer combinations are then those of the t's scaled
+    by m, which leaves every weight, and every table id, unchanged."""
+    col, rows = table.column[var], table.rows
     params, xs = [], []
-    for term, lo, hi in box:
-        mu = term.coeff_of_var(var)
-        if field.is_zero(mu):
-            params.append((term, lo, hi))
-        else:
-            xs.append((term.drop_var(var).scale(field.neg(field.inv(mu))), lo, hi))
-    xs.sort(key=lambda entry: str(entry[0]))
-    return tuple(params), xs
+    for entry in box:
+        (xs if rows[entry[0]][col] else params).append(entry)
+    xs.sort(key=lambda entry: table.text(entry[0], col))
+    p = table.field.p
+    scale = 1 if p is not None or not xs else math.lcm(*(rows[tid][col] for tid, _, _ in xs))
+    out = []
+    for tid, lo, hi in xs:
+        row = rows[tid]
+        # m*t = -rest*(m/mu), the coefficient of x dropped
+        factor = -(scale // row[col]) if p is None else -pow(row[col], -1, p)
+        t = [c * factor for c in row]
+        t[col] = 0
+        out.append((t, lo, hi))
+    return tuple(params), out, scale
 
 
-def _eliminate_disjunct(box, var: str, field: FieldCtx, exact: bool = False):
+def _eliminate_disjunct(table: _Table, box, var: str, exact: bool = False):
     """One disjunct's condition, over the intervals of w(x - t) for its
     parameter terms t in the order of their printed text; None when
     ``exact`` and only the fallback applies."""
-    params, xs = _split(box, var, field)
+    params, xs, _ = _split(table, box, var)
     params, terms, spans = [params], [t for t, _, _ in xs], [(lo, hi) for _, lo, hi in xs]
 
     # substitution: weight 0 pins the witness exactly, x = t
     for t, (_, hi) in zip(terms, spans):
         if hi == 0:
-            return _all([params] + [_bound(t - s, *span) for s, span in zip(terms, spans)])
+            return _all([params] + [_bound(_difference(table, s, t), *span) for s, span in zip(terms, spans)])
 
     # no upper bound: a fresh free coordinate defeats every lower one
     anchor = next((i for i, (_, hi) in enumerate(spans) if hi != _UNBOUNDED), None)
@@ -462,29 +602,38 @@ def _eliminate_disjunct(box, var: str, field: FieldCtx, exact: bool = False):
     terms, spans = [terms[i] for i in order], [spans[i] for i in order]
     # a level past which every level is feasible or none is
     cap = sum(hi for _, hi in spans if hi != _UNBOUNDED) + max([0] + [lo - 1 for lo, _ in spans]) + 2
-    rank = _difference_rank(terms)
+    rank = _difference_rank(table.field, terms)
     if rank <= 2:
-        return _all([params, _two_direction_condition(terms, spans, cap, rank)])
+        return _all([params, _two_direction_condition(table, terms, spans, cap, rank)])
     if exact:
         return None
-    return _all([params, _fallback_condition([t - terms[0] for t in terms[1:]], spans, cap)])
+    return _all([params, _fallback_condition(table, [_minus(t, terms[0]) for t in terms[1:]], spans, cap)])
 
 
-def _difference_rank(terms) -> int:
-    """The dimension of the span of the differences t - terms[0]."""
-    coeffs = [dict(t.vars) | {"$" + name: c for name, c in t.consts} for t in terms]
-    keys = sorted(set().union(*coeffs))
-    rows = [[row.get(k, 0) - coeffs[0].get(k, 0) for k in keys] for row in coeffs[1:]]
-    return len(rref(terms[0].field, rows)[0])
+def _minus(a, b) -> list:
+    """The integer row a - b."""
+    return [x - y for x, y in zip(a, b)]
+
+
+def _difference(table: _Table, a, b):
+    """The table id of the term of the row a - b."""
+    return table.id([x - y for x, y in zip(a, b)])
+
+
+def _difference_rank(field: FieldCtx, terms) -> int:
+    """The dimension of the span of the differences of the integer rows
+    ``terms`` from terms[0]."""
+    return len(rref(field, [_minus(t, terms[0]) for t in terms[1:]])[0])
 
 
 # -- the axis census: differences in at most two directions ------------------
 
 
-def _two_direction_condition(terms, spans, cap, rank) -> list:
+def _two_direction_condition(table: _Table, terms, spans, cap, rank) -> list:
     """Exact condition for parameter terms t_0, the anchor, bounded above,
     and t_1..t_n whose differences span ``rank`` <= 2 directions, with
-    w(x - t_j) in spans[j].
+    w(x - t_j) in spans[j]; the terms are integer rows in one scale (see
+    :func:`_split`) and each direction is a table id.
 
     With y = x - t_0 in the axis span, w(x - t_j) counts the axes where y
     and t_j - t_0 differ, plus fresh axes of y.  Two terms agree on an
@@ -505,14 +654,13 @@ def _two_direction_condition(terms, spans, cap, rank) -> list:
     and dropped, or below the threshold, which keeps every level finite;
     basis terms bounded above are chosen first.
     """
-    field = terms[0].field
     a0 = spans[0][1]
     directions = {}
 
     def direction(j, k):
-        # the difference t_k - t_j scaled to lead 1
+        # the table id of the difference t_k - t_j
         if (j, k) not in directions:
-            directions[j, k] = _canonical(terms[k] - terms[j])
+            directions[j, k] = _difference(table, terms[k], terms[j])
         return directions[j, k]
 
     def condition(rows, rank) -> list:
@@ -531,10 +679,10 @@ def _two_direction_condition(terms, spans, cap, rank) -> list:
         branches = []
         for size in range(len(below) + 1):
             for saturated in itertools.combinations(below, size):
-                assertions = _all([_bound(terms[i] - terms[0], spans[i][0] + a0, _UNBOUNDED) for i in saturated])
+                assertions = _all([_bound(direction(0, i), spans[i][0] + a0, _UNBOUNDED) for i in saturated])
                 if saturated:
                     rest = [i for i in rows if i not in saturated]
-                    cond = condition(rest, _difference_rank([terms[i] for i in rest]))
+                    cond = condition(rest, _difference_rank(table.field, [terms[i] for i in rest]))
                 else:
                     cond = census(rows, lows, highs, below)
                 branches.append(_all([assertions, cond]))
@@ -556,9 +704,9 @@ def _two_direction_condition(terms, spans, cap, rank) -> list:
             budgets.append(min(limit.get((rows[p], rows[q]), highs[p] + highs[q]) for p, q in along[w]))
         profiles = _census(tuple(classes), lows, highs, tuple(budgets), _UNBOUNDED)
         # the anchor differences along the first two directions
-        u, v = (terms[next(i for i in rows[1:] if direction(0, i) == w)] - terms[0] for w in dirs[:2])
+        u, v = (_minus(terms[next(i for i in rows[1:] if direction(0, i) == w)], terms[0]) for w in dirs[:2])
         size = max((min(p[0], p[1]) + 1 for p in profiles), default=0)
-        combos = [_canonical(u + v.scale(field.of(k))) for k in range(1, size + 1)]
+        combos = [table.id([x + k * y for x, y in zip(u, v)]) for k in range(1, size + 1)]
         return _any(
             _all([_bound(w, L, L) for w, L in zip(dirs, levels)] + [_menu_bound(combos[: min(levels[0], levels[1]) + 1], D, D)])
             for *levels, D in profiles
@@ -628,7 +776,7 @@ def _census(classes, lows, highs, budgets, top):
 
 def _menu_bound(combos, lo, hi) -> list:
     """lo <= w(s + lambda * sigma) <= hi for a generic scalar lambda,
-    through ``combos``, the terms s + k * sigma for k = 1..size: every
+    through ``combos``, the table ids of s + k * sigma for k = 1..size: every
     combination is at most hi (one row) and some combination at least lo
     (one column).  A generic combination realizes the union of the axes,
     and a menu longer than the number of axes where a combination can
@@ -639,25 +787,24 @@ def _menu_bound(combos, lo, hi) -> list:
 # -- sound fallback for three or more directions -----------------------------
 
 
-def _fallback_condition(diffs, spans, cap) -> list:
+def _fallback_condition(table: _Table, diffs, spans, cap) -> list:
     """Anchored-template approximation for differences spanning three or
     more directions, with spans[0] the anchor's: witnesses of the shapes
     t_anchor + nu*u_j + (fresh axes), plus the fresh-coordinate
-    perturbation of a single difference.  Sound by construction;
+    perturbation of a single difference.  The differences u_j are integer
+    rows in one scale (see :func:`_split`).  Sound by construction;
     completeness is not claimed."""
-    field = diffs[0].field
-    gamma = [Term.zero(field)] + diffs
+    gamma = [[0] * len(diffs[0])] + diffs
     out = []
     for base in gamma:
         for nu in (0, 1, -1, 2, -2):
             # the bounded terms, the same at every level r
-            displacement = base.scale(field.of(nu))
-            terms = [_canonical(displacement - g) for g in gamma]
+            terms = [table.id([nu * b - c for b, c in zip(base, g)]) for g in gamma]
             for r in range(cap + 1):
                 out.append(_all([_bound(t, lo - r, hi - r) for t, (lo, hi) in zip(terms, spans)]))
         # fresh coordinates on base's axes
-        multiples = [base.scale(field.of(k)) for k in range(1, cap + 2)]
-        out.append(_all([_menu_bound([_canonical(m - g) for m in multiples], lo, hi) for g, (lo, hi) in zip(gamma, spans)]))
+        multiples = [[k * b for b in base] for k in range(1, cap + 2)]
+        out.append(_all([_menu_bound([_difference(table, m, g) for m in multiples], lo, hi) for g, (lo, hi) in zip(gamma, spans)]))
     return _any(out)
 
 
@@ -673,53 +820,62 @@ def simplify(phi: Formula) -> Formula:
     elimination's boxes do directly."""
     if not is_quantifier_free(phi):
         raise NotQuantifierFree("simplify expects a quantifier-free formula")
-    return _simplify_rows(_formula_field(phi), _dnf_literals(phi))
+    table = _table(phi)
+    return _simplify_rows(table, _dnf_literals(table, phi))
 
 
-def _simplify_rows(field: FieldCtx, rows) -> Formula:
+def _simplify_rows(table: _Table, rows) -> Formula:
     """A condition as a formula, reduced by :func:`_reduced`.  Each
     interval prints as at most two literals (see :func:`_literals`):
     ``t = 0`` when hi = 0, else ``Xhi(t)`` when hi is finite and
-    ``!X(lo-1)(t)`` when lo >= 1.  The output holds one node per distinct
-    literal (its atom, or a ``Not`` over an atom of its own), shared by
-    every disjunct that contains it."""
-    rows, literals, lit_rows = _reduced(rows)
+    ``!X(lo-1)(t)`` when lo >= 1, t the table's lead-1 Term of the id,
+    one per distinct id.  The output holds one node per distinct literal
+    (its atom, or a ``Not`` over an atom of its own), shared by every
+    disjunct that contains it."""
+    rows, literals, lit_rows = _reduced(table, rows)
+    field = table.field
     if not rows:
         return false_formula(field)
     if rows == [()]:
         return true_formula(field)
-    zero, nodes = Term.zero(field), []
-    for pol, n, term in literals:
-        atom = Eq(term, zero) if pol and n == 0 else Xn(n, term)
-        nodes.append(atom if pol else Not(atom))
+    # a literal only of rows dropped as non-minimal gets no node
+    zero, nodes = Term.zero(field), [None] * len(literals)
+    for row in lit_rows:
+        for i in row:
+            if nodes[i] is None:
+                pol, n, tid = literals[i]
+                term = table.term(tid)
+                atom = Eq(term, zero) if pol and n == 0 else Xn(n, term)
+                nodes[i] = atom if pol else Not(atom)
     return _balanced(Or, [_balanced(And, [nodes[i] for i in row]) for row in lit_rows])
 
 
-def _reduced(rows):
+def _reduced(table: _Table, rows):
     """A condition, distinct boxes, reduced, as (rows, literals, lit_rows):
-    the boxes, ``[()]`` if true, the distinct literals (pol, n, term) of
-    the rows (see :func:`_literals`), and for each row the ids of its
-    literals in printed order.  Terms are numbered in text order, so each
-    box maps entry by entry to a row of (term id, lo, hi) sorted by id.
-    Intervals are joined (see :func:`_join_intervals`), each joined row's
-    literals are listed once and non-minimal rows dropped (see
-    :func:`_minimal_rows`)."""
+    the boxes, ``[()]`` if true, the distinct literals (pol, n, table id)
+    of the rows (see :func:`_literals`), and for each row the numbers of
+    its literals in printed order.  The rows' table ids are numbered
+    afresh in the order of the table's text, so the join sweep and the
+    literals follow the terms' printed text; each box maps to a row of
+    (number, lo, hi) sorted by number.  Intervals are joined (see
+    :func:`_join_intervals`), each joined row's literals are listed once
+    and non-minimal rows dropped (see :func:`_minimal_rows`); the rows
+    kept go back to table ids."""
     if not rows:
         return [], [], []
     if not all(rows):
         return [()], [], [[]]
-    by_text = {str(t): t for box in rows for t, _, _ in box}
-    tid = {text: i for i, text in enumerate(sorted(by_text))}
-    terms = [by_text[text] for text in tid]
-    rows = _join_intervals([tuple((tid[str(t)], lo, hi) for t, lo, hi in box) for box in rows], len(terms))
+    tids = sorted({entry[0] for box in rows for entry in box}, key=table.text)
+    number = {tid: i for i, tid in enumerate(tids)}
+    rows = _join_intervals([tuple(sorted((number[t], lo, hi) for t, lo, hi in box)) for box in rows], len(tids))
     if () in rows:
         return [()], [], [[]]
     ids = {}
     lit_rows = [[ids.setdefault(lit, len(ids)) for lit in _literals(row)] for row in rows]
     minimal = _minimal_rows(lit_rows)
     return (
-        [tuple((terms[i], lo, hi) for i, lo, hi in row) for row, keep in zip(rows, minimal) if keep],
-        [(pol, n, terms[i]) for pol, n, i in ids],
+        [tuple(sorted((tids[i], lo, hi) for i, lo, hi in row)) for row, keep in zip(rows, minimal) if keep],
+        [(pol, n, tids[i]) for pol, n, i in ids],
         [lits for lits, keep in zip(lit_rows, minimal) if keep],
     )
 
@@ -832,9 +988,9 @@ def _minimal_rows(lit_rows):
 def eliminate_all(phi: Formula) -> Formula:
     """Quantifier-free equivalent over rich models, eliminating innermost
     quantifiers first (see :func:`_dnf_literals`)."""
-    field = _formula_field(phi)
-    _require_infinite(field)
-    return _simplify_rows(field, _dnf_literals(phi))
+    _require_infinite(_formula_field(phi))
+    table = _table(phi)
+    return _simplify_rows(table, _dnf_literals(table, phi))
 
 
 def decide_sentence(phi: Formula) -> bool:
@@ -845,7 +1001,7 @@ def decide_sentence(phi: Formula) -> bool:
     if symbols:
         raise FreeSymbolsPresent(f"not a sentence; free symbols {sorted(symbols)}")
     _require_infinite(_formula_field(phi))
-    rows = _dnf_literals(phi)
+    rows = _dnf_literals(_table(phi), phi)
     if rows not in ([], [()]):
         raise NotQuantifierFree("elimination left a condition on a sentence")
     return bool(rows)

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -540,29 +541,32 @@ def test_quantifier_free_entry_points_refuse_quantifiers(M):
 
 
 # three independent terms: every weight vector is some element's
-BOX_TERMS = [Term.var(Q, name) for name in ("x", "y", "z")]
+BOX_NAMES = ("x", "y", "z")
 WEIGHTS = list(range(6)) + [INF]
 
 
 def _box_strategy():
+    """A box over the terms x, y, z of a table that interns them in this
+    order, as ids 0, 1, 2: sorted ids give a box's entry order."""
     interval = st.tuples(st.integers(0, 4), st.sampled_from([0, 1, 2, 3, 4, INF])).filter(
         lambda span: span[0] <= span[1] and span != (0, INF)
     )
-    # BOX_TERMS is in text order, so sorted indices give a box's entry order
     return st.dictionaries(st.integers(0, 2), interval, max_size=3).map(
-        lambda spans: tuple((BOX_TERMS[i], *spans[i]) for i in sorted(spans))
+        lambda spans: tuple((i, *spans[i]) for i in sorted(spans))
     )
 
 
 def _holds(rows, weights):
-    return any(all(lo <= weights[BOX_TERMS.index(t)] <= hi for t, lo, hi in box) for box in rows)
+    return any(all(lo <= weights[tid] <= hi for tid, lo, hi in box) for box in rows)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_box_strategy(), max_size=6, unique=True))
 def test_negate_holds_exactly_where_no_box_does(boxes):
-    rows = qe._reduced(boxes)[0]
-    negated = qe._negate(rows)
+    table = qe._Table(Q, BOX_NAMES, ())
+    assert [table.intern(Term.var(Q, name)) for name in BOX_NAMES] == [0, 1, 2]
+    rows = qe._reduced(table, boxes)[0]
+    negated = qe._negate(table, rows)
     for weights in itertools.product(WEIGHTS, repeat=3):
         assert _holds(rows, weights) == _holds(boxes, weights)
         assert _holds(negated, weights) != _holds(rows, weights), weights
@@ -570,18 +574,20 @@ def test_negate_holds_exactly_where_no_box_does(boxes):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1))
-def test_every_box_is_in_text_order_with_live_entries(seed):
+def test_every_box_is_in_id_order_with_live_entries(seed):
     """Every box of a condition is one tuple form from the atoms to the
-    printer: strictly increasing term text (so no term twice), each term
-    nonzero with lead coefficient 1, and each interval nonempty and not
-    the true [0, inf]."""
+    printer: strictly increasing table ids (so no term twice), each id's
+    row interned, nonzero and primitive with a positive first entry, and
+    each interval nonempty and not the true [0, inf]."""
     phi = parse_formula(random_nested_formula(random.Random(seed)), Q)
-    for box in qe._dnf_literals(phi):
-        texts = [str(term) for term, _, _ in box]
-        assert all(a < b for a, b in zip(texts, texts[1:])), texts
-        for term, lo, hi in box:
-            assert not term.is_zero() and qe._canonical(term) == term, term
-            assert 0 <= lo <= hi and (lo, hi) != (0, INF), (term, lo, hi)
+    table = qe._table(phi)
+    for box in qe._dnf_literals(table, phi):
+        ids = [tid for tid, _, _ in box]
+        assert all(a < b for a, b in zip(ids, ids[1:])), ids
+        for tid, lo, hi in box:
+            row = table.rows[tid]
+            assert table.ids[row] == tid and math.gcd(*row) == 1 and next(c for c in row if c) > 0, row
+            assert 0 <= lo <= hi and (lo, hi) != (0, INF), (row, lo, hi)
 
 
 def _disjuncts(psi):
@@ -833,9 +839,9 @@ def test_eliminate_all_reduces_a_top_quantifier_once(monkeypatch):
     expected = print_formula(eliminate_exists(phi.body, "x"))
     reduced, calls = qe._reduced, []
 
-    def counted(rows):
+    def counted(table, rows):
         calls.append(len(rows))
-        return reduced(rows)
+        return reduced(table, rows)
 
     monkeypatch.setattr(qe, "_reduced", counted)
     for sentence in (phi, Not(Forall("x", Not(phi.body)))):
@@ -896,10 +902,10 @@ def test_fallback_rows_hold_no_empty_interval_and_no_zero_term(monkeypatch):
     calls, rows = [], []
     fallback = qe._fallback_condition
 
-    def recording(*args):
-        out = fallback(*args)
+    def recording(table, *args):
+        out = fallback(table, *args)
         calls.append(args)
-        rows.extend(out)
+        rows.extend((table, row) for row in out)
         return out
 
     monkeypatch.setattr(qe, "_fallback_condition", recording)
@@ -909,9 +915,9 @@ def test_fallback_rows_hold_no_empty_interval_and_no_zero_term(monkeypatch):
         lits = [("" if rng.random() < 0.6 else "!") + f"X{rng.randrange(1, 3)}(x + -1*${p})" for p in params]
         eliminate_exists(parse_formula(" & ".join(lits), Q), "x")
     assert len(calls) >= 30 and len(rows) >= 1000
-    for row in rows:
-        for term, lo, hi in row:
-            assert not term.is_zero() and lo <= hi, (term, lo, hi)
+    for table, row in rows:
+        for tid, lo, hi in row:
+            assert any(table.rows[tid]) and lo <= hi, (table.text(tid), lo, hi)
 
 
 def test_eight_binary_disjunctions_eliminate_to_true():
@@ -995,18 +1001,59 @@ def test_rank_two_conjunctions_agree_with_witness_search(M):
     assert seen == {True, False}
 
 
+FIVE_TERM_FORMULA = (
+    "E x. (!X2(x + -2*$c0 + 2*$c1) & X3(x + -2*$c0 + 1*$c1) & !X2(x + 1*$c0 + 1*$c1) & X3(x) & !X1(x + 2*$c0))"
+)
+
+
 def test_five_term_rank_two_conjunction_within_budget():
     """Five terms in two directions, two of them bounded above: many
     direction kinds, each a level of its own in every census profile."""
-    phi = parse_formula(
-        "E x. (!X2(x + -2*$c0 + 2*$c1) & X3(x + -2*$c0 + 1*$c1) & !X2(x + 1*$c0 + 1*$c1) & X3(x) & !X1(x + 2*$c0))", Q
-    )
+    phi = parse_formula(FIVE_TERM_FORMULA, Q)
     out = within(10, eliminate_exists, phi.body, "x")
     assert free_symbols(out) == {"$c0", "$c1"}
     # the largest census output: pinned, as no other test prints it
     text = print_formula(out)
     assert len(_disjuncts(out)) == 5114
     assert (hashlib.sha1(text.encode()).hexdigest(), len(text)) == ("57b4f91024c37d1be69a09480590d869acf86f67", 1743793)
+
+
+def _atom_count(phi):
+    if isinstance(phi, (Eq, Xn)):
+        return 1
+    if isinstance(phi, Not):
+        return _atom_count(phi.child)
+    if isinstance(phi, (And, Or)):
+        return _atom_count(phi.lhs) + _atom_count(phi.rhs)
+    return _atom_count(phi.body)
+
+
+def test_an_elimination_runs_no_term_arithmetic(monkeypatch):
+    """Between the atoms and the printer an elimination works on integer
+    rows: no Term.combine call (so no + or - of terms), and at most one
+    Term.scale per atom of the formula and one per distinct printed term.
+    The fallback, criterion 4's formula (with an equation) and the census
+    on five terms each run."""
+    counts = Counter()
+
+    def counting(name):
+        original = getattr(Term, name)
+
+        def counted(self, *args):
+            counts[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(Term, name, counted)
+
+    counting("combine")
+    counting("scale")
+    for text in (NAMED_FALLBACK, BIG_FORMULA, FIVE_TERM_FORMULA):
+        phi = parse_formula(text, Q)
+        counts.clear()
+        out = eliminate_all(phi)
+        printed = {atom.term if isinstance(atom, Xn) else atom.lhs for _, atom in _literal_nodes(out)}
+        assert counts["combine"] == 0, text
+        assert counts["scale"] <= _atom_count(phi) + len(printed), (text, counts["scale"])
 
 
 def _random_xyz_matrix(rng, variables):
