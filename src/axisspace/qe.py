@@ -217,14 +217,14 @@ class _Table:
 def _table(phi: Formula, *variables) -> _Table:
     """The empty table of ``phi``'s variables, bound or free, its
     constants and ``variables``."""
-    names, stack = set(variables), [phi]
+    terms, names, stack = [], set(variables), [phi]
     while stack:
         psi = stack.pop()
         kind = type(psi)
         if kind is Xn:
-            names |= psi.term.symbols()
+            terms.append(psi.term)
         elif kind is Eq:
-            names |= psi.lhs.symbols() | psi.rhs.symbols()
+            terms += (psi.lhs, psi.rhs)
         elif kind is Not:
             stack.append(psi.child)
         elif kind is And or kind is Or:
@@ -232,11 +232,8 @@ def _table(phi: Formula, *variables) -> _Table:
         else:
             names.add(psi.var)
             stack.append(psi.body)
-    return _Table(
-        _formula_field(phi),
-        [name for name in names if name[0] != "$"],
-        [name[1:] for name in names if name[0] == "$"],
-    )
+    names |= {name for t in terms for name, _ in t.vars}
+    return _Table(terms[0].field, names, {name for t in terms for name, _ in t.consts})
 
 
 def _bound(tid, lo, hi) -> list:
@@ -337,7 +334,8 @@ def _negate(table: _Table, rows) -> list:
 
 
 def _dnf_literals(table: _Table, phi: Formula) -> list:
-    """The boxes of ``phi``, every quantifier eliminated.  The walk
+    """The boxes of ``phi`` over the ids of ``table``, every quantifier
+    eliminated.  The walk
     carries the polarity that negations flip.  ``t = 0`` and ``Xn(t)``
     bound w(t) above by 0 and n, their negations below by 1 and n + 1.
     A block of like quantifiers takes the boxes of its matrix, or of its
