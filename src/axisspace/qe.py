@@ -72,6 +72,7 @@ import itertools
 import math
 from bisect import bisect_left
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
@@ -161,14 +162,14 @@ class _Table:
         """The id of a formula's term, or of ``term - minus``: its
         coefficients brought to a common denominator, which is dropped (a
         residue of GF(p) is an int, of denominator 1)."""
+        terms = (term,) if minus is None else (term, minus)
+        den = math.lcm(*[c.denominator for t in terms for _, c in t.vars + t.consts])
         column, row = self.column, [0] * len(self.names)
-        entries = []
-        for sign, t in zip((1, -1), (term,) if minus is None else (term, minus)):
-            entries += [(column[name], c, sign) for name, c in t.vars]
-            entries += [(column["$" + name], c, sign) for name, c in t.consts]
-        den = math.lcm(*(c.denominator for _, c, _ in entries))
-        for k, c, sign in entries:
-            row[k] += sign * c.numerator * (den // c.denominator)
+        for scale, t in zip((den, -den), terms):
+            for name, c in t.vars:
+                row[column[name]] += scale // c.denominator * c.numerator
+            for name, c in t.consts:
+                row[column["$" + name]] += scale // c.denominator * c.numerator
         return self.id(row)
 
     def text(self, tid, col=None) -> str:
@@ -207,11 +208,17 @@ class _Table:
         return term
 
     def term_of(self, row, den) -> Term:
-        """The Term row / den: the integer term scaled through the field."""
-        f, entries = self.field, [(name, c) for name, c in zip(self.names, row) if c]
-        vars = {name: c for name, c in entries if name[0] != "$"}
-        consts = {name[1:]: c for name, c in entries if name[0] == "$"}
-        return Term.make(f, vars, consts).scale(f.inv(f.of(den)))
+        """The Term row / den, each coefficient scaled through the field;
+        the columns are in a Term's order, and no entry of a row (a
+        residue over GF(p)) or of m*t (see :func:`_split`) vanishes."""
+        f = self.field
+        mul, inv = f.mul, f.of(Fraction(1, den))
+        entries = [(name, mul(c, inv)) for name, c in zip(self.names, row) if c]
+        return Term(
+            f,
+            tuple(entry for entry in entries if entry[0][0] != "$"),
+            tuple((name[1:], c) for name, c in entries if name[0] == "$"),
+        )
 
 
 def _table(phi: Formula, *variables) -> _Table:
