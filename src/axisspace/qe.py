@@ -124,13 +124,32 @@ class _Table:
     stands for every nonzero multiple of its term, as weights are scale
     invariant.  ``ids`` maps each row to its id, ``rows`` lists the rows by
     id, and an id's text and lead-1 Term are made on first use.  Each
-    top-level call builds its own table (:func:`_table`)."""
+    top-level call builds its own table and drops it when it returns."""
 
     __slots__ = ("field", "names", "column", "ids", "rows", "_texts", "_terms")
 
-    def __init__(self, field: FieldCtx, variables, constants):
-        self.field = field
-        self.names = (*sorted(variables), *("$" + name for name in sorted(constants)))
+    def __init__(self, phi: Formula, *variables):
+        """The empty table of ``phi``'s variables, bound or free, its
+        constants and ``variables``."""
+        terms, names, stack = [], set(variables), [phi]
+        while stack:
+            psi = stack.pop()
+            kind = type(psi)
+            if kind is Xn:
+                terms.append(psi.term)
+            elif kind is Eq:
+                terms += (psi.lhs, psi.rhs)
+            elif kind is Not:
+                stack.append(psi.child)
+            elif kind is And or kind is Or:
+                stack += (psi.lhs, psi.rhs)
+            else:
+                names.add(psi.var)
+                stack.append(psi.body)
+        names |= {name for t in terms for name, _ in t.vars}
+        constants = {name for t in terms for name, _ in t.consts}
+        self.field = terms[0].field
+        self.names = (*sorted(names), *("$" + name for name in sorted(constants)))
         self.column = {name: i for i, name in enumerate(self.names)}
         self.ids, self.rows, self._texts, self._terms = {}, [], {}, {}
 
@@ -219,28 +238,6 @@ class _Table:
             tuple(entry for entry in entries if entry[0][0] != "$"),
             tuple((name[1:], c) for name, c in entries if name[0] == "$"),
         )
-
-
-def _table(phi: Formula, *variables) -> _Table:
-    """The empty table of ``phi``'s variables, bound or free, its
-    constants and ``variables``."""
-    terms, names, stack = [], set(variables), [phi]
-    while stack:
-        psi = stack.pop()
-        kind = type(psi)
-        if kind is Xn:
-            terms.append(psi.term)
-        elif kind is Eq:
-            terms += (psi.lhs, psi.rhs)
-        elif kind is Not:
-            stack.append(psi.child)
-        elif kind is And or kind is Or:
-            stack += (psi.lhs, psi.rhs)
-        else:
-            names.add(psi.var)
-            stack.append(psi.body)
-    names |= {name for t in terms for name, _ in t.vars}
-    return _Table(terms[0].field, names, {name for t in terms for name, _ in t.consts})
 
 
 def _bound(tid, lo, hi) -> list:
@@ -390,7 +387,7 @@ def witness_search(phi: Formula, var: str, env: Mapping, model: Model):
         raise NotQuantifierFree("witness search needs a quantifier-free matrix")
     if not model.is_rich:
         raise TargetNotRich("witness search requires a rich model")
-    table = _table(phi, var)
+    table = _Table(phi, var)
     for disjunct in _dnf_literals(table, phi):
         found = _search_disjunct(table, disjunct, phi, var, env, model)
         if found is not None:
@@ -596,7 +593,7 @@ def _eliminate_disjunct(table: _Table, box, var: str, exact: bool = False):
     # substitution: weight 0 pins the witness exactly, x = t
     for t, (_, hi) in zip(terms, spans):
         if hi == 0:
-            return _all([params] + [_bound(_difference(table, s, t), *span) for s, span in zip(terms, spans)])
+            return _all([params] + [_bound(table.id(_minus(s, t)), *span) for s, span in zip(terms, spans)])
 
     # no upper bound: a fresh free coordinate defeats every lower one
     anchor = next((i for i, (_, hi) in enumerate(spans) if hi != _UNBOUNDED), None)
@@ -618,11 +615,6 @@ def _eliminate_disjunct(table: _Table, box, var: str, exact: bool = False):
 def _minus(a, b) -> list:
     """The integer row a - b."""
     return [x - y for x, y in zip(a, b)]
-
-
-def _difference(table: _Table, a, b):
-    """The table id of the term of the row a - b."""
-    return table.id([x - y for x, y in zip(a, b)])
 
 
 def _difference_rank(field: FieldCtx, terms) -> int:
@@ -665,7 +657,7 @@ def _two_direction_condition(table: _Table, terms, spans, cap, rank) -> list:
     def direction(j, k):
         # the table id of the difference t_k - t_j
         if (j, k) not in directions:
-            directions[j, k] = _difference(table, terms[k], terms[j])
+            directions[j, k] = table.id(_minus(terms[k], terms[j]))
         return directions[j, k]
 
     def condition(rows, rank) -> list:
@@ -809,7 +801,7 @@ def _fallback_condition(table: _Table, diffs, spans, cap) -> list:
                 out.append(_all([_bound(t, lo - r, hi - r) for t, (lo, hi) in zip(terms, spans)]))
         # fresh coordinates on base's axes
         multiples = [[k * b for b in base] for k in range(1, cap + 2)]
-        out.append(_all([_menu_bound([_difference(table, m, g) for m in multiples], lo, hi) for g, (lo, hi) in zip(gamma, spans)]))
+        out.append(_all([_menu_bound([table.id(_minus(m, g)) for m in multiples], lo, hi) for g, (lo, hi) in zip(gamma, spans)]))
     return _any(out)
 
 
@@ -825,7 +817,7 @@ def simplify(phi: Formula) -> Formula:
     elimination's boxes do directly."""
     if not is_quantifier_free(phi):
         raise NotQuantifierFree("simplify expects a quantifier-free formula")
-    table = _table(phi)
+    table = _Table(phi)
     return _simplify_rows(table, _dnf_literals(table, phi))
 
 
@@ -994,7 +986,7 @@ def eliminate_all(phi: Formula) -> Formula:
     """Quantifier-free equivalent over rich models, eliminating innermost
     quantifiers first (see :func:`_dnf_literals`)."""
     _require_infinite(_formula_field(phi))
-    table = _table(phi)
+    table = _Table(phi)
     return _simplify_rows(table, _dnf_literals(table, phi))
 
 
@@ -1006,7 +998,7 @@ def decide_sentence(phi: Formula) -> bool:
     if symbols:
         raise FreeSymbolsPresent(f"not a sentence; free symbols {sorted(symbols)}")
     _require_infinite(_formula_field(phi))
-    rows = _dnf_literals(_table(phi), phi)
+    rows = _dnf_literals(_Table(phi), phi)
     if rows not in ([], [()]):
         raise NotQuantifierFree("elimination left a condition on a sentence")
     return bool(rows)

@@ -563,7 +563,7 @@ def _holds(rows, weights):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_box_strategy(), max_size=6, unique=True))
 def test_negate_holds_exactly_where_no_box_does(boxes):
-    table = qe._Table(Q, BOX_NAMES, ())
+    table = qe._Table(parse_formula(" & ".join(f"X0({name})" for name in BOX_NAMES), Q))
     assert [table.intern(Term.var(Q, name)) for name in BOX_NAMES] == [0, 1, 2]
     rows = qe._reduced(table, boxes)[0]
     negated = qe._negate(table, rows)
@@ -580,7 +580,7 @@ def test_every_box_is_in_id_order_with_live_entries(seed):
     row interned, nonzero and primitive with a positive first entry, and
     each interval nonempty and not the true [0, inf]."""
     phi = parse_formula(random_nested_formula(random.Random(seed)), Q)
-    table = qe._table(phi)
+    table = qe._Table(phi)
     for box in qe._dnf_literals(table, phi):
         ids = [tid for tid, _, _ in box]
         assert all(a < b for a, b in zip(ids, ids[1:])), ids
