@@ -151,6 +151,7 @@ class _Table:
         self.field = terms[0].field
         self.names = (*sorted(names), *("$" + name for name in sorted(constants)))
         self.column = {name: i for i, name in enumerate(self.names)}
+        # texts are keyed by id, and those of x-terms by (id, column)
         self.ids, self.rows, self._texts, self._terms = {}, [], {}, {}
 
     def id(self, row):
@@ -177,11 +178,11 @@ class _Table:
             self.rows.append(row)
         return tid
 
-    def intern(self, term: Term, minus: Term | None = None):
-        """The id of a formula's term, or of ``term - minus``: its
-        coefficients brought to a common denominator, which is dropped (a
-        residue of GF(p) is an int, of denominator 1)."""
-        terms = (term,) if minus is None else (term, minus)
+    def intern(self, *terms: Term):
+        """The id of a formula's term, or of the difference of an
+        equation's two: their coefficients brought to a common
+        denominator, which is dropped (a residue of GF(p) is an int, of
+        denominator 1)."""
         den = math.lcm(*[c.denominator for t in terms for _, c in t.vars + t.consts])
         column, row = self.column, [0] * len(self.names)
         for scale, t in zip((den, -den), terms):
@@ -191,32 +192,40 @@ class _Table:
                 row[column["$" + name]] += scale // c.denominator * c.numerator
         return self.id(row)
 
-    def text(self, tid, col=None) -> str:
+    def text(self, tid) -> str:
         """The printed text of the term of ``tid`` scaled to lead
-        coefficient 1; with ``col``, that of t for the term read as
-        mu*(x - t), x the variable of column col: t = -rest/mu."""
-        key = tid if col is None else (tid, col)
+        coefficient 1."""
+        text = self._texts.get(tid)
+        if text is None:
+            row = self.rows[tid]
+            text = self._texts[tid] = self._format(row, next(filter(None, row)))
+        return text
+
+    def x_text(self, tid, col) -> str:
+        """The printed text of t for the term of ``tid`` read as
+        mu*(x - t), x the variable of column ``col``: t = -rest/mu."""
+        key = (tid, col)
         text = self._texts.get(key)
         if text is None:
             row = self.rows[tid]
-            if col is None:
-                den = next(filter(None, row))
-            else:
-                row, den = [0 if j == col else -c for j, c in enumerate(row)], row[col]
-            p = self.field.p
-            if p is not None:
-                inv = pow(den, -1, p)
-                row, den = [c * inv % p for c in row], 1
-            elif den < 0:
-                row, den = [-c for c in row], -den
-            parts = []
-            for name, c in zip(self.names, row):
-                if c:
-                    g = math.gcd(c, den)
-                    num, d = c // g, den // g
-                    parts.append(f"{num}/{d}*{name}" if d != 1 else name if num == 1 else f"{num}*{name}")
-            text = self._texts[key] = " + ".join(parts) or "0"
+            text = self._texts[key] = self._format([0 if j == col else -c for j, c in enumerate(row)], row[col])
         return text
+
+    def _format(self, row, den) -> str:
+        """The text of the term row / den, as a Term prints it."""
+        p = self.field.p
+        if p is not None:
+            inv = pow(den, -1, p)
+            row, den = [c * inv % p for c in row], 1
+        elif den < 0:
+            row, den = [-c for c in row], -den
+        parts = []
+        for name, c in zip(self.names, row):
+            if c:
+                g = math.gcd(c, den)
+                num, d = c // g, den // g
+                parts.append(f"{num}/{d}*{name}" if d != 1 else name if num == 1 else f"{num}*{name}")
+        return " + ".join(parts) or "0"
 
     def term(self, tid) -> Term:
         """The Term of ``tid`` scaled to lead coefficient 1, as printed."""
@@ -569,7 +578,7 @@ def _split(table: _Table, box, var: str):
     params, xs = [], []
     for entry in box:
         (xs if rows[entry[0]][col] else params).append(entry)
-    xs.sort(key=lambda entry: table.text(entry[0], col))
+    xs.sort(key=lambda entry: table.x_text(entry[0], col))
     p = table.field.p
     scale = 1 if p is not None or not xs else math.lcm(*(rows[tid][col] for tid, _, _ in xs))
     out = []
