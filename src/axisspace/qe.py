@@ -348,9 +348,9 @@ def _negate(table: _Table, rows) -> list:
 
 def _dnf_literals(table: _Table, phi: Formula) -> list:
     """The boxes of ``phi`` over the ids of ``table``, every quantifier
-    eliminated.  The walk
-    carries the polarity that negations flip.  ``t = 0`` and ``Xn(t)``
-    bound w(t) above by 0 and n, their negations below by 1 and n + 1.
+    eliminated.  The walk carries the polarity that negations flip.
+    ``t = 0`` and ``Xn(t)`` bound w(t) above by 0 and n, their negations
+    below by 1 and n + 1.
     A block of like quantifiers takes the boxes of its matrix, or of its
     negation under forall, and its condition is negated where its
     polarity differs from the context's.  It is reduced only before it
@@ -782,11 +782,11 @@ def _census(classes, lows, highs, budgets, top):
 
 def _menu_bound(combos, lo, hi) -> list:
     """lo <= w(s + lambda * sigma) <= hi for a generic scalar lambda,
-    through ``combos``, the table ids of s + k * sigma for k = 1..size: every
-    combination is at most hi (one row) and some combination at least lo
-    (one column).  A generic combination realizes the union of the axes,
-    and a menu longer than the number of axes where a combination can
-    cancel contains a generic entry."""
+    through ``combos``, the table ids of s + k * sigma for k = 1..size:
+    every combination is at most hi (one row) and some combination at
+    least lo (one column).  A generic combination realizes the union of
+    the axes, and a menu longer than the number of axes where a
+    combination can cancel contains a generic entry."""
     return _all([_bound(c, 0, hi) for c in combos] + [_any([_bound(c, lo, _UNBOUNDED) for c in combos])])
 
 
