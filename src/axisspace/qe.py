@@ -82,7 +82,7 @@ from .errors import (
     NotQuantifierFree,
     TargetNotRich,
 )
-from .fields import FieldCtx
+from .fields import FieldCtx, check_same_field
 from .formula import (
     And,
     Eq,
@@ -182,7 +182,9 @@ class _Table:
         """The id of a formula's term, or of the difference of an
         equation's two: their coefficients brought to a common
         denominator, which is dropped (a residue of GF(p) is an int, of
-        denominator 1)."""
+        denominator 1).  A term over another field raises FieldMismatch."""
+        for t in terms:
+            check_same_field(self.field, t.field)
         den = math.lcm(*[c.denominator for t in terms for _, c in t.vars + t.consts])
         column, row = self.column, [0] * len(self.names)
         for scale, t in zip((den, -den), terms):
@@ -397,6 +399,7 @@ def witness_search(phi: Formula, var: str, env: Mapping, model: Model):
     if not model.is_rich:
         raise TargetNotRich("witness search requires a rich model")
     table = _Table(phi, var)
+    check_same_field(table.field, model.field)
     for disjunct in _dnf_literals(table, phi):
         found = _search_disjunct(table, disjunct, phi, var, env, model)
         if found is not None:

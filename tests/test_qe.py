@@ -14,11 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from axisspace.errors import FieldNotInfinite, FreeSymbolsPresent, NotQuantifierFree, TargetNotRich
+from axisspace.errors import FieldMismatch, FieldNotInfinite, FreeSymbolsPresent, NotQuantifierFree, TargetNotRich
 from axisspace.fields import FieldCtx
 from axisspace.formula import (
     And,
     Eq,
+    Exists,
     Forall,
     Not,
     Or,
@@ -1016,6 +1017,23 @@ def test_five_term_rank_two_conjunction_within_budget():
     text = print_formula(out)
     assert len(_disjuncts(out)) == 5114
     assert (hashlib.sha1(text.encode()).hexdigest(), len(text)) == ("57b4f91024c37d1be69a09480590d869acf86f67", 1743793)
+
+
+def test_a_term_over_another_field_is_refused():
+    """Every term of a decision is over the formula's field.  An equation
+    across fields, an atom over another field, an elimination that meets
+    one and a witness search in a model over another field raise
+    FieldMismatch instead of mixing scalars."""
+    x, y = Term.var(Q, "x"), Term.var(GF3, "y")
+    for phi in (Eq(x, y), And(Xn(1, x), Xn(1, y)), Exists("x", And(Xn(1, x), Xn(1, Term.make(GF3, {"x": 1}, {"c": 1}))))):
+        for call in (simplify, eliminate_all):
+            if call is simplify and isinstance(phi, Exists):
+                continue
+            with pytest.raises(FieldMismatch):
+                call(phi)
+    model = rich_model(GF3)
+    with pytest.raises(FieldMismatch):
+        witness_search(parse_formula("X1(x + -1*$c) & !X0(x)", Q), "x", {"$c": model.e(0, 0)}, model)
 
 
 def _atom_count(phi):
