@@ -110,9 +110,6 @@ class Term:
             return Term.zero(f)
         return Term(f, _sparse_scale(f, c, self.vars), _sparse_scale(f, c, self.consts))
 
-    def drop_var(self, name: str) -> "Term":
-        return Term(self.field, tuple(entry for entry in self.vars if entry[0] != name), self.consts)
-
     def symbols(self) -> set:
         return {k for k, _ in self.vars} | {"$" + k for k, _ in self.consts}
 
@@ -449,9 +446,7 @@ class _Parser:
             return self.formula()
         if kind == "xpred":
             self.next()
-            nkind, ntext, npos = self.next()
-            if nkind != "num":
-                raise FormulaSyntaxError("expected a sumset index after X", npos)
+            ntext = self.next()[1]  # the tokenizer matches X only before a digit
             self.expect("(")
             term = self.term()
             self.expect(")")

@@ -62,8 +62,10 @@ term but one and hold touching intervals on it are joined, term by term
 in the order of the terms' printed text, until nothing joins, so runs of
 levels print as one interval ``Xhi(t) & !X(lo-1)(t)``.
 
-Everything refuses finite fields: the theory is incomplete there and the
-level calculus loses its generic-scalar arguments.
+Every entry point refuses finite fields: the theory is incomplete there
+and the level calculus loses its generic-scalar arguments.  The term
+table checks this where it is built, after checking that every term of
+the decision is over one field, so all arithmetic here is over Q.
 """
 
 from __future__ import annotations
@@ -118,10 +120,9 @@ class _Table:
     """The terms of one decision, each interned once as an integer row.
 
     The columns ``names`` are the formula's variables, then its constants
-    with a ``$``, each sorted by name as a Term orders its entries.  Over
-    Q a row is primitive: integers with gcd 1 and a positive first nonzero
-    entry; over GF(p) it holds residues with first nonzero entry 1.  A row
-    stands for every nonzero multiple of its term, as weights are scale
+    with a ``$``, each sorted by name as a Term orders its entries.  A row
+    is primitive: integers with gcd 1 and a positive first nonzero entry.
+    It stands for every nonzero multiple of its term, as weights are scale
     invariant.  ``ids`` maps each row to its id, ``rows`` lists the rows by
     id, and an id's text and lead-1 Term are made on first use.  Each
     top-level call builds its own table and drops it when it returns."""
@@ -130,7 +131,9 @@ class _Table:
 
     def __init__(self, phi: Formula, *variables):
         """The empty table of ``phi``'s variables, bound or free, its
-        constants and ``variables``."""
+        constants and ``variables``.  Every term must be over one field,
+        else FieldMismatch, and that field infinite, else
+        FieldNotInfinite, checked in this order."""
         terms, names, stack = [], set(variables), [phi]
         while stack:
             psi = stack.pop()
@@ -148,7 +151,11 @@ class _Table:
                 stack.append(psi.body)
         names |= {name for t in terms for name, _ in t.vars}
         constants = {name for t in terms for name, _ in t.consts}
-        self.field = terms[0].field
+        field = self.field = terms[0].field
+        for t in terms:
+            check_same_field(field, t.field)
+        if not field.is_infinite:
+            raise FieldNotInfinite("quantifier elimination is only complete over infinite fields")
         self.names = (*sorted(names), *("$" + name for name in sorted(constants)))
         self.column = {name: i for i, name in enumerate(self.names)}
         # texts are keyed by id, and those of x-terms by (id, column)
@@ -157,21 +164,12 @@ class _Table:
     def id(self, row):
         """The id of the term with integer coefficients ``row``, in any
         scale; None for the zero term."""
-        p = self.field.p
-        if p is None:
-            g = math.gcd(*row)
-            if not g:
-                return None
-            if next(filter(None, row)) < 0:
-                g = -g
-            row = tuple(row) if g == 1 else tuple(c // g for c in row)
-        else:
-            row = [c % p for c in row]
-            lead = next(filter(None, row), 0)
-            if not lead:
-                return None
-            inv = pow(lead, -1, p)
-            row = tuple(c * inv % p for c in row)
+        g = math.gcd(*row)
+        if not g:
+            return None
+        if next(filter(None, row)) < 0:
+            g = -g
+        row = tuple(row) if g == 1 else tuple(c // g for c in row)
         tid = self.ids.get(row)
         if tid is None:
             tid = self.ids[row] = len(self.rows)
@@ -181,10 +179,7 @@ class _Table:
     def intern(self, *terms: Term):
         """The id of a formula's term, or of the difference of an
         equation's two: their coefficients brought to a common
-        denominator, which is dropped (a residue of GF(p) is an int, of
-        denominator 1).  A term over another field raises FieldMismatch."""
-        for t in terms:
-            check_same_field(self.field, t.field)
+        denominator, which is dropped."""
         den = math.lcm(*[c.denominator for t in terms for _, c in t.vars + t.consts])
         column, row = self.column, [0] * len(self.names)
         for scale, t in zip((den, -den), terms):
@@ -215,11 +210,7 @@ class _Table:
 
     def _format(self, row, den) -> str:
         """The text of the term row / den, as a Term prints it."""
-        p = self.field.p
-        if p is not None:
-            inv = pow(den, -1, p)
-            row, den = [c * inv % p for c in row], 1
-        elif den < 0:
+        if den < 0:
             row, den = [-c for c in row], -den
         parts = []
         for name, c in zip(self.names, row):
@@ -239,8 +230,8 @@ class _Table:
 
     def term_of(self, row, den) -> Term:
         """The Term row / den, each coefficient scaled through the field;
-        the columns are in a Term's order, and no entry of a row (a
-        residue over GF(p)) or of m*t (see :func:`_split`) vanishes."""
+        the columns are in a Term's order, and no entry of a row or of m*t
+        (see :func:`_split`) vanishes."""
         f = self.field
         mul, inv = f.mul, f.of(Fraction(1, den))
         entries = [(name, mul(c, inv)) for name, c in zip(self.names, row) if c]
@@ -516,29 +507,9 @@ def _search_disjunct(table: _Table, box, phi, var, env, model: Model):
 # ---------------------------------------------------------------------------
 
 
-def _require_infinite(field: FieldCtx):
-    if not field.is_infinite:
-        raise FieldNotInfinite(
-            "quantifier elimination is only complete over infinite fields"
-        )
-
-
-def _formula_field(phi: Formula) -> FieldCtx:
-    if isinstance(phi, Eq):
-        return phi.lhs.field
-    if isinstance(phi, Xn):
-        return phi.term.field
-    if isinstance(phi, Not):
-        return _formula_field(phi.child)
-    if isinstance(phi, (And, Or)):
-        return _formula_field(phi.lhs)
-    return _formula_field(phi.body)
-
-
 def eliminate_exists(phi: Formula, var: str) -> Formula:
     """Quantifier-free formula equivalent to (exists var) phi over every
     rich canonical model of an infinite field."""
-    _require_infinite(_formula_field(phi))
     if not is_quantifier_free(phi):
         raise NotQuantifierFree("eliminate_exists expects a quantifier-free matrix")
     return eliminate_all(Exists(var, phi))
@@ -573,22 +544,21 @@ def _split(table: _Table, box, var: str):
     """The entries of a box without ``var``, a box itself; the others as
     entries (row, lo, hi) in the order of the text of t, for an x-term
     mu*(x - t), which has the weight of x - t (distinct x-terms, distinct
-    t); and the scale m of those rows.  Each row is m*t, m a common
-    multiple of the x-coefficients (1 over GF(p)): the differences of the
-    rows and their integer combinations are then those of the t's scaled
-    by m, which leaves every weight, and every table id, unchanged."""
+    t); and the scale m of those rows.  Each row is m*t, m the least
+    common multiple of the x-coefficients: the differences of the rows and
+    their integer combinations are then those of the t's scaled by m,
+    which leaves every weight, and every table id, unchanged."""
     col, rows = table.column[var], table.rows
     params, xs = [], []
     for entry in box:
         (xs if rows[entry[0]][col] else params).append(entry)
     xs.sort(key=lambda entry: table.x_text(entry[0], col))
-    p = table.field.p
-    scale = 1 if p is not None or not xs else math.lcm(*(rows[tid][col] for tid, _, _ in xs))
+    scale = math.lcm(*(rows[tid][col] for tid, _, _ in xs)) if xs else 1
     out = []
     for tid, lo, hi in xs:
         row = rows[tid]
         # m*t = -rest*(m/mu), the coefficient of x dropped
-        factor = -(scale // row[col]) if p is None else -pow(row[col], -1, p)
+        factor = -(scale // row[col])
         t = [c * factor for c in row]
         t[col] = 0
         out.append((t, lo, hi))
@@ -824,13 +794,11 @@ def _fallback_condition(table: _Table, diffs, spans, cap) -> list:
 
 def simplify(phi: Formula) -> Formula:
     """Disjunctive normal form of a quantifier-free ``phi`` with constant
-    folding, interval joins and deduplication: the boxes of ``phi`` (see
-    :func:`_dnf_literals`) go through :func:`_simplify_rows`, as every
-    elimination's boxes do directly."""
+    folding, interval joins and deduplication: :func:`eliminate_all` of a
+    formula with no quantifier to eliminate."""
     if not is_quantifier_free(phi):
         raise NotQuantifierFree("simplify expects a quantifier-free formula")
-    table = _Table(phi)
-    return _simplify_rows(table, _dnf_literals(table, phi))
+    return eliminate_all(phi)
 
 
 def _simplify_rows(table: _Table, rows) -> Formula:
@@ -997,7 +965,6 @@ def _minimal_rows(lit_rows):
 def eliminate_all(phi: Formula) -> Formula:
     """Quantifier-free equivalent over rich models, eliminating innermost
     quantifiers first (see :func:`_dnf_literals`)."""
-    _require_infinite(_formula_field(phi))
     table = _Table(phi)
     return _simplify_rows(table, _dnf_literals(table, phi))
 
@@ -1009,7 +976,6 @@ def decide_sentence(phi: Formula) -> bool:
     symbols = free_symbols(phi)
     if symbols:
         raise FreeSymbolsPresent(f"not a sentence; free symbols {sorted(symbols)}")
-    _require_infinite(_formula_field(phi))
     rows = _dnf_literals(_Table(phi), phi)
     if rows not in ([], [()]):
         raise NotQuantifierFree("elimination left a condition on a sentence")

@@ -206,9 +206,14 @@ def test_boolean_cardinal_in_context_is_a_format_error(tmp_path, context_file):
 
 
 def test_unknown_constant_is_semantic_error(context_file):
-    code, _, err = run(["eval", "--model", context_file, "--formula", "X1($zz)"])
-    assert code == 1
-    assert err.startswith("ERROR:UnboundSymbol:")
+    for argv in (
+        ["eval", "--model", context_file, "--formula", "X1($zz)"],
+        ["qfequiv", "--model", context_file, "--left", "c,zz", "--right", "c,d"],
+        ["iso", "--model", context_file, "--left", "zz", "--right", "c"],
+    ):
+        code, _, err = run(argv)
+        assert code == 1
+        assert err.startswith("ERROR:UnboundSymbol:")
 
 
 def test_field_conflict_detected(context_file):

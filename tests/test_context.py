@@ -53,8 +53,9 @@ def test_prime_field_roundtrip():
 def test_field_tokens():
     assert field_from_token("q").is_infinite
     assert field_from_token("zp:7").p == 7
-    with pytest.raises(ContextFormatError):
-        field_from_token("gf:4")
+    for token in ("gf:4", "zp:abc", "zp:"):
+        with pytest.raises(ContextFormatError):
+            field_from_token(token)
 
 
 def test_malformed_documents_rejected():

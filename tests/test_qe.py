@@ -227,11 +227,20 @@ def test_eliminate_agreement_random(M):
 
 
 def test_eliminate_refuses_finite_fields():
+    """Every entry point refuses GF(p), where the theory is incomplete."""
     phi = parse_formula("E x. X1(x)", GF3)
     with pytest.raises(FieldNotInfinite):
         eliminate_all(phi)
     with pytest.raises(FieldNotInfinite):
         decide_sentence(phi)
+    matrix = parse_formula("X1(x) | !X0(x + 2*y)", GF3)
+    with pytest.raises(FieldNotInfinite):
+        simplify(matrix)
+    with pytest.raises(FieldNotInfinite):
+        eliminate_exists(matrix, "x")
+    M3 = rich_model(GF3)
+    with pytest.raises(FieldNotInfinite):
+        witness_search(parse_formula("X1(x + -1*$c) & !X0(x)", GF3), "x", {"$c": M3.e(0, 0)}, M3)
 
 
 # ---------------------------------------------------------------------------
@@ -1021,16 +1030,21 @@ def test_five_term_rank_two_conjunction_within_budget():
 
 def test_a_term_over_another_field_is_refused():
     """Every term of a decision is over the formula's field.  An equation
-    across fields, an atom over another field, an elimination that meets
-    one and a witness search in a model over another field raise
-    FieldMismatch instead of mixing scalars."""
+    across fields, an atom over another field in either order, an
+    elimination or a sentence that meets one and a witness search in a
+    model over another field raise FieldMismatch instead of mixing scalars,
+    before a finite field is refused."""
     x, y = Term.var(Q, "x"), Term.var(GF3, "y")
-    for phi in (Eq(x, y), And(Xn(1, x), Xn(1, y)), Exists("x", And(Xn(1, x), Xn(1, Term.make(GF3, {"x": 1}, {"c": 1}))))):
+    mixed = (And(Xn(1, x), Xn(1, y)), And(Xn(1, y), Xn(1, x)))
+    for phi in (Eq(x, y), *mixed, Exists("x", And(Xn(1, x), Xn(1, Term.make(GF3, {"x": 1}, {"c": 1}))))):
         for call in (simplify, eliminate_all):
             if call is simplify and isinstance(phi, Exists):
                 continue
             with pytest.raises(FieldMismatch):
                 call(phi)
+    for phi in mixed:
+        with pytest.raises(FieldMismatch):
+            decide_sentence(Exists("x", Exists("y", phi)))
     model = rich_model(GF3)
     with pytest.raises(FieldMismatch):
         witness_search(parse_formula("X1(x + -1*$c) & !X0(x)", Q), "x", {"$c": model.e(0, 0)}, model)
