@@ -1,6 +1,9 @@
 """Model-context serialization: bit-exact round-trips."""
 
+import hashlib
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +20,89 @@ def _sample_model():
     model.constants["c"] = model.e(0, 0) + model.e(1, 2).scale(Q.of("2/3"))
     model.constants["d"] = model.fe(0).scale(-2) + model.e(0, 1)
     return model
+
+
+def _reference_dump(model):
+    """The context layout as ``json.dumps`` with ``indent=1`` writes it: the
+    oracle for the layout ``dump_context`` writes."""
+    constants = {}
+    for name in sorted(model.constants):
+        el = model.constants[name]
+        constants[name] = {
+            "axis": [[axis, coord, str(c)] for (axis, coord), c in el.axis_part],
+            "free": [[coord, str(c)] for coord, c in el.free_part],
+        }
+
+    def card(c):
+        return "aleph0" if c is ALEPH0 else c
+
+    doc = {
+        "constants": constants,
+        "descriptor": {
+            "axis_census": [[card(d), card(c)] for d, c in model.descriptor.axis_census],
+            "f_codim": card(model.descriptor.f_codim),
+        },
+        "field": "q" if model.field.p is None else f"zp:{model.field.p}",
+    }
+    return json.dumps(doc, sort_keys=True, separators=(", ", ": "), indent=1) + "\n"
+
+
+_GOLDEN_DESCRIPTORS = (
+    make_descriptor(ALEPH0, {ALEPH0: ALEPH0}),
+    make_descriptor(2, {1: 2, 3: 1}),
+    make_descriptor(3, {}),
+    make_descriptor(ALEPH0, {2: ALEPH0, ALEPH0: 3}),
+    make_descriptor(1, {1: 4, ALEPH0: ALEPH0}),
+)
+_GOLDEN_NAMES = ("c", "a0", 'say "hi"', "back\\slash", "tab\there", "ünï€", "\U0001d53d", "", "z")
+
+
+def _random_context_model(rng, descriptor, field):
+    model = canonical_model(descriptor, field)
+    axes = 6 if model.axis_count is ALEPH0 else min(6, model.axis_count)
+    codim = model.descriptor.f_codim
+    free_coords = 3 if codim is ALEPH0 else min(3, codim)
+
+    def scalar():
+        if field.p is not None:
+            return rng.randrange(field.p)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+    for name in rng.sample(_GOLDEN_NAMES, rng.randrange(len(_GOLDEN_NAMES) // 2)):
+        if rng.random() < 0.15:
+            model.constants[name] = model.zero()
+            continue
+        axis_part = {}
+        for axis in rng.sample(range(axes), rng.randrange(min(axes, 3) + 1)):
+            dim = model.axis_dim(axis)
+            coords = 4 if dim is ALEPH0 else min(dim, 4)
+            for coord in rng.sample(range(coords), rng.randint(1, min(coords, 2))):
+                axis_part[(axis, coord)] = scalar()
+        free_part = {coord: scalar() for coord in rng.sample(range(free_coords), rng.randrange(free_coords + 1))}
+        model.constants[name] = model.element(axis_part, free_part)
+    return model
+
+
+def test_dump_layout_matches_json_indent_encoder():
+    """dump_context writes, byte for byte, what ``json.dumps(...,
+    indent=1)`` writes for the same document: over Q and GF(7), rich,
+    fragment, axis-free and mixed aleph0 descriptors, no constants, zero
+    constants, fractional and negative scalars, and names that JSON escapes."""
+    rng = random.Random(20261020)
+    seen = set()
+    for field in (Q, FieldCtx.prime_field(7)):
+        for descriptor in _GOLDEN_DESCRIPTORS:
+            for _ in range(24):
+                model = _random_context_model(rng, descriptor, field)
+                text = dump_context(model)
+                assert text == _reference_dump(model)
+                seen.update(model.constants)
+    assert seen == set(_GOLDEN_NAMES)
+
+
+def test_sample_model_dump_is_pinned():
+    text = dump_context(_sample_model())
+    assert hashlib.sha1(text.encode()).hexdigest() == "58728354d8dd26cb0ff45fa78562edeb5b333826"
 
 
 def test_roundtrip_model_to_text_to_model():
