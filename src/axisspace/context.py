@@ -18,29 +18,32 @@ Schema::
 
 Indices are JSON integers.  A scalar is a JSON string in the field's
 syntax, ``p`` or ``p/q`` with an optional leading ``-`` (``"-2/3"`` over
-Q, ``"4"`` over GF(p)); a JSON number or boolean in its place, or a
-string with an exponent, a point or a space, is a format error, never
-coerced.
+Q, ``"4"`` over GF(p)); a JSON number or boolean in its place, a string
+with an exponent, a point or a space, a fraction over GF(p), or a
+coordinate given twice in one constant is a format error, never coerced.
 
 Dumping is canonical (sorted keys and entries, fixed separators), so
 dump(load(text)) == text for canonical inputs and load(dump(model)) always
-reproduces the model bit for bit.
+reproduces the model bit for bit.  The layout is fixed, so it is written
+directly, one line per value, byte for byte what ``json.dumps(doc,
+sort_keys=True, separators=(", ", ": "), indent=1)`` would write; only the
+constant names go through json's escaper.  Dumping refuses a constant
+whose field is not the model's with ``FieldMismatch``: written under the
+model's field it would load back as another element.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .errors import ContextFormatError
-from .fields import FieldCtx
+from .fields import FieldCtx, check_same_field
 from .model import ALEPH0, Model, canonical_model, make_descriptor
 
 ALEPH_TOKEN = "aleph0"
-
-
-def _card_to_json(c):
-    return ALEPH_TOKEN if c is ALEPH0 else c
 
 
 def _card_from_json(v):
@@ -51,20 +54,34 @@ def _card_from_json(v):
     raise ContextFormatError(f"bad cardinal value {v!r}")
 
 
+def _card_text(c) -> str:
+    return f'"{ALEPH_TOKEN}"' if c is ALEPH0 else str(c)
+
+
 # what dump_context writes and the formula grammar reads: p or p/q, with an
 # optional minus; Fraction(str) would also take exponents, and "1e1000000"
 # builds an integer of a million digits
-_SCALAR_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_SCALAR_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def _scalar_from_json(v):
-    """A scalar entry, checked to be a JSON string in the field's syntax;
-    the model coerces it."""
+def _scalar_from_json(v, rational: bool):
+    """A scalar entry, checked to be a JSON string in the field's syntax and
+    read once: an int, or over Q with a denominator a Fraction; the model
+    coerces it."""
     if type(v) is not str:
         raise ContextFormatError(f"scalar {v!r} is not a JSON string")
-    if not _SCALAR_RE.fullmatch(v):
+    m = _SCALAR_RE.fullmatch(v)
+    if m is None:
         raise ContextFormatError(f"scalar {v!r} is not p or p/q")
-    return v
+    num, den = m.groups()
+    if den is None:
+        return int(num)
+    if not rational:
+        raise ContextFormatError(f"scalar {v!r} is a fraction over a prime field")
+    den = int(den)
+    if den == 0:
+        raise ContextFormatError(f"scalar {v!r} has a zero denominator")
+    return Fraction(int(num), den)
 
 
 def field_to_token(field: FieldCtx) -> str:
@@ -82,23 +99,45 @@ def field_from_token(token: str) -> FieldCtx:
     raise ContextFormatError(f"bad field token {token!r}")
 
 
+def _list_text(items: list, depth: int) -> str:
+    """A JSON list, opened at ``depth``, of items already written one level
+    deeper."""
+    if not items:
+        return "[]"
+    return "[\n" + ", \n".join(items) + "\n" + " " * depth + "]"
+
+
+def _constant_text(name: str, el) -> str:
+    # a scalar's text is digits, "-" and "/", which JSON writes unescaped
+    axis_items = [f'    [\n     {axis}, \n     {coord}, \n     "{c}"\n    ]' for (axis, coord), c in el.axis_part]
+    free_items = [f'    [\n     {coord}, \n     "{c}"\n    ]' for coord, c in el.free_part]
+    return (
+        f"  {encode_basestring_ascii(name)}: {{\n"
+        f'   "axis": {_list_text(axis_items, 3)}, \n'
+        f'   "free": {_list_text(free_items, 3)}\n'
+        "  }"
+    )
+
+
 def dump_context(model: Model) -> str:
-    constants = {}
+    field = model.field
+    constants = []
     for name in sorted(model.constants):
         el = model.constants[name]
-        constants[name] = {
-            "axis": [[axis, coord, str(c)] for (axis, coord), c in el.axis_part],
-            "free": [[coord, str(c)] for coord, c in el.free_part],
-        }
-    doc = {
-        "constants": constants,
-        "descriptor": {
-            "axis_census": [[_card_to_json(d), _card_to_json(c)] for d, c in model.descriptor.axis_census],
-            "f_codim": _card_to_json(model.descriptor.f_codim),
-        },
-        "field": field_to_token(model.field),
-    }
-    return json.dumps(doc, sort_keys=True, separators=(", ", ": "), indent=1) + "\n"
+        check_same_field(field, el.field)
+        constants.append(_constant_text(name, el))
+    census = [f"   [\n    {_card_text(d)}, \n    {_card_text(c)}\n   ]" for d, c in model.descriptor.axis_census]
+    constants_text = "{\n" + ", \n".join(constants) + "\n }" if constants else "{}"
+    return (
+        "{\n"
+        f' "constants": {constants_text}, \n'
+        ' "descriptor": {\n'
+        f'  "axis_census": {_list_text(census, 2)}, \n'
+        f'  "f_codim": {_card_text(model.descriptor.f_codim)}\n'
+        " }, \n"
+        f' "field": "{field_to_token(field)}"\n'
+        "}\n"
+    )
 
 
 def load_context(text: str) -> Model:
@@ -114,9 +153,13 @@ def load_context(text: str) -> Model:
             census[_card_from_json(dim)] = _card_from_json(count)
         descriptor = make_descriptor(_card_from_json(desc_doc["f_codim"]), census)
         model = canonical_model(descriptor, field)
+        rational = field.is_infinite
         for name, entry in doc.get("constants", {}).items():
-            axis_part = {(axis, coord): _scalar_from_json(c) for axis, coord, c in entry.get("axis", [])}
-            free_part = {coord: _scalar_from_json(c) for coord, c in entry.get("free", [])}
+            axis_entries, free_entries = entry.get("axis", []), entry.get("free", [])
+            axis_part = {(axis, coord): _scalar_from_json(c, rational) for axis, coord, c in axis_entries}
+            free_part = {coord: _scalar_from_json(c, rational) for coord, c in free_entries}
+            if len(axis_part) != len(axis_entries) or len(free_part) != len(free_entries):
+                raise ContextFormatError(f"constant {name!r} gives a coordinate twice")
             model.constants[name] = model.element(axis_part, free_part)
         return model
     except ContextFormatError:

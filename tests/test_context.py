@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from axisspace.context import dump_context, field_from_token, load_context
-from axisspace.errors import ContextFormatError, FragmentExhausted
+from axisspace.errors import ContextFormatError, FieldMismatch, FragmentExhausted
 from axisspace.fields import FieldCtx
 from axisspace.model import ALEPH0, canonical_model, make_descriptor, rich_model
 
@@ -196,3 +196,40 @@ def test_constants_with_zero_denominators_or_negative_indices_rejected():
         doc["constants"]["c"] = entries
         with pytest.raises(error):
             load_context(json.dumps(doc))
+
+
+def test_dump_refuses_constant_over_another_field():
+    """A constant over GF(5) in a model over Q is refused, not written under
+    the model's field, where it would load back as another element."""
+    model = rich_model(Q)
+    model.constants["c"] = rich_model(FieldCtx.prime_field(5)).e(0, 0).scale(3)
+    with pytest.raises(FieldMismatch):
+        dump_context(model)
+
+
+def test_load_refuses_repeated_coordinate():
+    """An axis or free coordinate given twice is a format error: neither
+    entry silently wins."""
+    doc = json.loads(dump_context(_sample_model()))
+    for entries in (
+        {"axis": [[0, 0, "1"], [0, 0, "2"]], "free": []},
+        {"axis": [], "free": [[0, "1"], [0, "2"]]},
+    ):
+        doc["constants"]["c"] = entries
+        with pytest.raises(ContextFormatError):
+            load_context(json.dumps(doc))
+
+
+def test_scalar_verdicts():
+    """Any fraction over GF(p) and a zero denominator over Q are format
+    errors; a scalar that reads as zero is an absent entry."""
+    q_doc = json.loads(dump_context(_sample_model()))
+    zp_doc = json.loads(dump_context(rich_model(FieldCtx.prime_field(5))))
+    for doc, scalar in ((zp_doc, "1/2"), (zp_doc, "0/3"), (zp_doc, "1/0"), (q_doc, "1/0"), (q_doc, "-3/0")):
+        doc["constants"]["c"] = {"axis": [[0, 0, scalar]], "free": []}
+        with pytest.raises(ContextFormatError):
+            load_context(json.dumps(doc))
+    for doc, zero in ((q_doc, "-0"), (q_doc, "0/3"), (zp_doc, "-0"), (zp_doc, "5")):
+        doc["constants"]["c"] = {"axis": [[0, 0, zero], [0, 1, "2"]], "free": [[0, zero]]}
+        model = load_context(json.dumps(doc))
+        assert model.constants["c"] == model.e(0, 1, 2)
