@@ -29,7 +29,9 @@ directly, one line per value, byte for byte what ``json.dumps(doc,
 sort_keys=True, separators=(", ", ": "), indent=1)`` would write; only the
 constant names go through json's escaper.  Dumping refuses a constant
 whose field is not the model's with ``FieldMismatch``: written under the
-model's field it would load back as another element.
+model's field it would load back as another element.  It refuses a
+constant name that is not a ``str`` with ``ContextFormatError``: a JSON
+name is a string, so the constant would load back under another name.
 """
 
 from __future__ import annotations
@@ -121,6 +123,9 @@ def _constant_text(name: str, el) -> str:
 
 def dump_context(model: Model) -> str:
     field = model.field
+    for name in model.constants:
+        if not isinstance(name, str):
+            raise ContextFormatError(f"constant name {name!r} is not a string")
     constants = []
     for name in sorted(model.constants):
         el = model.constants[name]

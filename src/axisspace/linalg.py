@@ -4,14 +4,14 @@ Vectors are tuples of canonical scalars.  A :class:`Subspace` is always held
 in reduced row-echelon form with pivot columns strictly increasing, so two
 subspaces are equal as sets exactly when they are structurally equal.  The
 public constructor checks that form; the subspaces computed here are
-:func:`rref`'s output, canonical by construction, and skip the check.
+canonical by construction and skip the check.
 
 :func:`rref` works on integer rows over Q (each row is scaled to integers
 once, kept primitive by dividing out the gcd of its entries and divided by
 its pivot only when the result is built) and on residues reduced ``% p``
-over GF(p).  :func:`kernel` and :func:`intersect` are one elimination each,
-of ``[M^T | I]`` and of Zassenhaus's rows ``(u | u)``, ``(v | 0)``; the rows
-with a pivot in the right half are the canonical basis of the result.
+over GF(p).  :func:`kernel` reads the canonical null-space basis off one
+elimination of M with its columns reversed, and :func:`intersect` is a
+kernel of kernels, A ∩ B = (A^⊥ + B^⊥)^⊥.
 
 Sparse vectors -- a term's coefficients on its symbols, a model element's
 on its coordinates -- are tuples of ``(key, scalar)`` pairs sorted by key,
@@ -169,9 +169,8 @@ class Subspace:
 
     @classmethod
     def _canonical(cls, field: FieldCtx, n: int, basis: tuple) -> "Subspace":
-        """The subspace of K^n with a basis known to be canonical: rows that
-        :func:`rref` returned, or the right halves that :func:`_right_half`
-        keeps, or the identity.  The basis is not checked."""
+        """The subspace of K^n with a basis known to be canonical, which is
+        not checked."""
         space = object.__new__(cls)
         space.__dict__.update(field=field, ambient_dim=n, basis=basis)
         return space
@@ -233,31 +232,33 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def kernel(field: FieldCtx, rows: Sequence[Vector], ncols: int) -> Subspace:
-    """Null space {x : M x = 0} of the matrix with the given rows."""
-    for r in rows:
-        if len(r) != ncols:
-            raise DimensionMismatch("matrix row length != declared column count")
-    one, zero = field.one, field.zero
-    aug = [tuple(r[j] for r in rows) + tuple(one if i == j else zero for i in range(ncols)) for j in range(ncols)]
-    return _right_half(field, aug, len(rows), ncols)
+    """Null space {x : M x = 0} of the matrix with the given rows, read off
+    R, M reduced with its columns reversed (Cohen, GTM 138, Alg. 2.3.1):
+    free column f of R gives 1 at f and -R[i][f] at each pivot p_i < f,
+    which in the original order leads with that 1 at n-1-f and is 0 at each
+    other solution's lead, a free column, so the basis is canonical."""
+    if any(len(r) != ncols for r in rows):
+        raise DimensionMismatch("matrix row length != declared column count")
+    reduced, pivots = rref(field, [r[::-1] for r in rows])
+    p, last, basis = field.p, ncols - 1, []
+    for f in (f for f in range(last, -1, -1) if f not in pivots):
+        x = [field.zero] * ncols
+        x[last - f] = field.one
+        for row, col in zip(reduced, pivots):
+            if row[f]:  # zero when col > f: the row is zero left of its pivot
+                x[last - col] = -row[f] if p is None else p - row[f]
+        basis.append(tuple(x))
+    return Subspace._canonical(field, ncols, tuple(basis))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Exact intersection by Zassenhaus's elimination of (u | u) and (v | 0)."""
+    """Exact intersection A ∩ B = (A^⊥ + B^⊥)^⊥, with S^⊥ the kernel of S's
+    basis; (S^⊥)^⊥ = S over GF(p) too, as the dot product is nondegenerate."""
     check_same_field(a.field, b.field)
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("intersection of subspaces of different ambient spaces")
-    n = a.ambient_dim
-    zeros = (a.field.zero,) * n
-    return _right_half(a.field, [u + u for u in a.basis] + [v + zeros for v in b.basis], n, n)
-
-
-def _right_half(field: FieldCtx, rows: list, split: int, n: int) -> Subspace:
-    """Span of the right halves of the reduced rows with a pivot right of
-    ``split``.  Each such row is zero left of its pivot, so its right half
-    leads with that pivot's 1, and the halves are in canonical form."""
-    reduced, pivots = rref(field, rows)
-    return Subspace._canonical(field, n, tuple(r[split:] for r, col in zip(reduced, pivots) if col >= split))
+    field, n = a.field, a.ambient_dim
+    return kernel(field, kernel(field, a.basis, n).basis + kernel(field, b.basis, n).basis, n)
 
 
 def solve_augmented(field: FieldCtx, aug: Sequence[Vector], n: int) -> Vector | None:
@@ -265,11 +266,9 @@ def solve_augmented(field: FieldCtx, aug: Sequence[Vector], n: int) -> Vector | 
     None, given the rows of the augmented matrix [A | b] with n unknowns.
 
     The solution reads off the reduced form of the rows, which depends on
-    their span only: row order and zero rows do not change it.
-    """
-    for r in aug:
-        if len(r) != n + 1:
-            raise DimensionMismatch("augmented row length != unknowns + 1")
+    their span only: row order and zero rows do not change it."""
+    if any(len(r) != n + 1 for r in aug):
+        raise DimensionMismatch("augmented row length != unknowns + 1")
     reduced, pivots = rref(field, aug)
     sol = [field.zero] * n
     for row, pc in zip(reduced, pivots):

@@ -12,6 +12,7 @@ from randgen import within
 from axisspace.errors import DimensionMismatch, NotPrime
 from axisspace.fields import FieldCtx
 from axisspace.linalg import (
+    Subspace,
     full_space,
     intersect,
     kernel,
@@ -370,6 +371,56 @@ def test_linear_algebra_matches_naive_gauss_jordan(field):
             _assert_canonical_scalars(field, both.basis)
             assert intersect(b, a) == both
             assert subspace_sum(a, b).dim + both.dim == a.dim + b.dim
+
+
+def _checked(space):
+    """The space, after its basis has passed the public constructor's check."""
+    assert Subspace(space.field, space.ambient_dim, space.basis) == space
+    return space
+
+
+@pytest.mark.parametrize("field", [Q, GF2, FieldCtx.prime_field(3), GF5, FieldCtx.prime_field(7)], ids=str)
+def test_kernel_and_intersect_build_canonical_bases(field):
+    """kernel and intersect build their results without the constructor's
+    check; each result passes it, from the edge shapes (no rows: the full
+    space; no columns) to random matrices and their annihilators."""
+    for n in range(6):
+        assert _checked(kernel(field, [], n)) == full_space(field, n)
+    assert _checked(kernel(field, [(), ()], 0)) == zero_space(field, 0)
+    assert _checked(intersect(zero_space(field, 0), full_space(field, 0))) == zero_space(field, 0)
+    rng = random.Random(f"canonical:{field}")
+    for nrows, ncols in SHAPES:
+        for _ in range(10):
+            canon = [vec(field, r) for r in _random_matrix(rng, field, nrows, ncols)]
+            ker = _checked(kernel(field, canon, ncols))
+            a = subspace_from_generators(field, canon, ncols)
+            b = subspace_from_generators(field, [vec(field, r) for r in _random_matrix(rng, field, nrows, ncols)], ncols)
+            _checked(intersect(a, b))
+            assert _checked(intersect(a, ker)).basis == _reference_intersect(field, a, ker)
+
+
+@pytest.mark.parametrize(
+    "field,gens",
+    [
+        (GF2, [(1, 1)]),
+        (GF5, [(1, 2)]),
+        (FieldCtx.prime_field(3), [(1, 1, 1, 0)]),
+        (GF2, [(1, 1, 0, 0), (0, 0, 1, 1)]),
+        (FieldCtx.prime_field(7), [(1, 2, 3)]),
+    ],
+    ids=str,
+)
+def test_intersect_of_isotropic_subspaces(field, gens):
+    """Over GF(p) a subspace can lie in its own annihilator (u . u = 0 for
+    each u in it); intersect, a kernel of annihilators, still returns the
+    subspace itself for A ∩ A and for A ∩ A^⊥."""
+    n = len(gens[0])
+    a = subspace_from_generators(field, [vec(field, g) for g in gens], n)
+    ann = _checked(kernel(field, a.basis, n))
+    assert all(member(u, ann) for u in a.basis)
+    assert _checked(intersect(a, a)) == a
+    assert _checked(intersect(a, ann)).basis == _reference_intersect(field, a, ann) == a.basis
+    assert intersect(ann, a) == a
 
 
 def test_rref_keeps_integer_rows_small():

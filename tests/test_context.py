@@ -1,6 +1,7 @@
 """Model-context serialization: bit-exact round-trips."""
 
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -209,6 +210,23 @@ def test_dump_refuses_constant_over_another_field():
     model.constants["c"] = rich_model(FieldCtx.prime_field(5)).e(0, 0).scale(3)
     with pytest.raises(FieldMismatch):
         dump_context(model)
+
+
+def test_dump_refuses_a_name_that_is_not_a_string():
+    """A constant name that is not a str, alone or among str names, is a
+    format error that names it: a JSON name is a string, so the constant
+    would load back under another name."""
+    rng = random.Random(26)
+    for field, names in itertools.product((Q, FieldCtx.prime_field(7)), ((), ("c",), ('say "hi"', "", "z"))):
+        model = rich_model(field)
+        for name in names:
+            model.constants[name] = model.e(rng.randrange(4), 0)
+        bad = rng.randrange(-50, 50)
+        model.constants[bad] = model.e(0, rng.randrange(4))
+        with pytest.raises(ContextFormatError, match=f"constant name {bad} "):
+            dump_context(model)
+        del model.constants[bad]
+        assert load_context(dump_context(model)).constants == model.constants
 
 
 def test_load_refuses_repeated_coordinate():

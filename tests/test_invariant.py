@@ -161,8 +161,8 @@ def test_invariant_serialization_golden(M):
 
 def _reference_invariant(tuple_, field):
     """v_f as the kernel of the entries' free parts, and the kernel of the
-    projections onto each axis intersected with it by Zassenhaus's
-    elimination; each kernel is a ``tuple_kernel``."""
+    projections onto each axis intersected with it, as the annihilator of
+    the two annihilators; each kernel is a ``tuple_kernel``."""
 
     def kernel_of(parts):
         return tuple_kernel([ModelElement(field, axis_part, free_part) for axis_part, free_part in parts], field)
