@@ -20,7 +20,7 @@ The parser scans the text once and builds each term by one
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -37,28 +37,14 @@ from .model import ModelElement, combine, in_Xn
 
 @dataclass(frozen=True, slots=True)
 class Term:
-    """Normalized linear combination of variables and named constants."""
+    """Normalized linear combination of variables and named constants.
+
+    A plain value: the dataclass compares, hashes and pickles it by its
+    three fields."""
 
     field: FieldCtx
     vars: tuple  # sorted (name, scalar) pairs, scalars nonzero
     consts: tuple  # sorted (name, scalar) pairs, scalars nonzero
-    # hash of (field, vars, consts), computed on first use: hashing the
-    # scalars is the cost of every dict and set keyed by terms or literals
-    _hash: int | None = dataclass_field(default=None, init=False, repr=False, compare=False)
-    # printed text, computed on first use: literals are sorted by it
-    _text: str | None = dataclass_field(default=None, init=False, repr=False, compare=False)
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.field, self.vars, self.consts))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __reduce__(self):
-        # string hashes differ between processes: a copy rehashes (and
-        # prints afresh, so neither cache is pickled)
-        return (Term, (self.field, self.vars, self.consts))
 
     @staticmethod
     def make(field: FieldCtx, vars: Mapping = (), consts: Mapping = ()) -> "Term":
@@ -114,18 +100,14 @@ class Term:
         return {k for k, _ in self.vars} | {"$" + k for k, _ in self.consts}
 
     def __str__(self) -> str:
-        text = self._text
-        if text is None:
-            f = self.field
-            parts = []
-            for name, c in self.vars:
-                parts.append(name if c == f.one else f"{c}*{name}")
-            for name, c in self.consts:
-                atom = "$" + name
-                parts.append(atom if c == f.one else f"{c}*{atom}")
-            text = " + ".join(parts) or "0"
-            object.__setattr__(self, "_text", text)
-        return text
+        f = self.field
+        parts = []
+        for name, c in self.vars:
+            parts.append(name if c == f.one else f"{c}*{name}")
+        for name, c in self.consts:
+            atom = "$" + name
+            parts.append(atom if c == f.one else f"{c}*{atom}")
+        return " + ".join(parts) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +212,9 @@ def free_symbols(phi: Formula) -> set:
 
 
 def eval_term(term: Term, env: Mapping, field: FieldCtx) -> ModelElement:
+    """The element ``term`` names under ``env``; a term over another field
+    than ``field`` raises FieldMismatch."""
+    check_same_field(field, term.field)
     elements = []
     for name, _ in term.vars:
         if name not in env:
@@ -247,18 +232,28 @@ def eval_qf(phi: Formula, env: Mapping, field: FieldCtx | None = None) -> bool:
     """Evaluate a quantifier-free formula under an environment mapping
     variables and '$'-prefixed constants to model elements.
 
-    Connectives short-circuit left to right, and each distinct atom is
-    decided once per call: a QE output shares one node per literal across
-    all its disjuncts.  Each distinct term is evaluated once per call
-    too, as the literals of one term's interval share it.  Nodes are told
-    apart by their exact type, connectives first, as a QE output is
-    mostly ``And`` and ``Or``."""
+    Connectives short-circuit left to right.  Each atom node is decided
+    once per call and each term node evaluated once, both remembered by
+    node identity: a QE output shares one node per literal across all its
+    disjuncts, and one term node across the literals of its interval.  An
+    equation holds when its two sides evaluate to the same element; QE
+    writes one as t = 0, so a zero right side is not evaluated and t is
+    compared with zero.  No term is built here, so every remembered node
+    is part of ``phi``.  Nodes are told apart by
+    their exact type, connectives first, as a QE output is mostly ``And``
+    and ``Or``."""
     if field is None:
         try:
             field = next(iter(env.values())).field
         except StopIteration:
             raise UnboundSymbol("cannot infer the field from an empty environment; pass field=")
     atoms, elements = {}, {}
+
+    def value(term: Term) -> ModelElement:
+        element = elements.get(id(term))
+        if element is None:
+            element = elements[id(term)] = eval_term(term, env, field)
+        return element
 
     def holds(psi: Formula) -> bool:
         kind = type(psi)
@@ -269,13 +264,16 @@ def eval_qf(phi: Formula, env: Mapping, field: FieldCtx | None = None) -> bool:
         if kind is Not:
             return not holds(psi.child)
         if kind is Xn or kind is Eq:
-            truth = atoms.get(psi)
+            truth = atoms.get(id(psi))
             if truth is None:
-                term = psi.term if kind is Xn else psi.lhs - psi.rhs
-                element = elements.get(term)
-                if element is None:
-                    element = elements[term] = eval_term(term, env, field)
-                truth = atoms[psi] = in_Xn(element, psi.n) if kind is Xn else element.is_zero()
+                if kind is Xn:
+                    truth = in_Xn(value(psi.term), psi.n)
+                elif psi.rhs.is_zero():
+                    check_same_field(field, psi.rhs.field)
+                    truth = value(psi.lhs).is_zero()
+                else:
+                    truth = value(psi.lhs) == value(psi.rhs)
+                atoms[id(psi)] = truth
             return truth
         raise NotQuantifierFree(f"quantifier in quantifier-free evaluation: {print_formula(psi)}")
 

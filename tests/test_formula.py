@@ -364,9 +364,10 @@ def test_term_arithmetic_rejects_mixed_fields():
 
 
 def test_term_hash_is_structural_and_survives_pickling_across_processes():
-    """Terms cache their hash and their text; a term pickled in a process
-    with other string hashes must still find its equal in a set here, and
-    neither cache travels with it."""
+    """Equal terms written in another order are equal, hash alike and print
+    alike.  A term pickled in a process with other string hashes, after
+    its hash and text were taken there, has the bytes of one pickled fresh
+    here, and its copy finds its equal in a set here."""
     t = parse_term("2*x + -1/3*$c", Q)
     u = parse_term("-1/3*$c + 2*x", Q)
     assert t == u and hash(t) == hash(u) and str(t) == str(u) and t is not u
@@ -564,6 +565,32 @@ def test_eval_invariant_under_normalization(M):
 def test_constants_resolved_with_dollar_prefix(M):
     env = {"$c": M.e(0, 0), "x": M.e(0, 0)}
     assert eval_qf(parse_formula("x + -1*$c = 0", Q), env)
+
+
+@pytest.mark.parametrize(
+    "build, first, second",
+    [
+        # X0(3*x) over GF(5), beside an atom over Q that holds
+        (And, Xn(0, parse_term("3*x", GF5)), parse_formula("0 = 0", Q)),
+        # x = 6*x over GF(5), where 6 = 1
+        (Eq, parse_term("x", GF5), parse_term("6*x", GF5)),
+        (Eq, parse_term("x", Q), parse_term("x", GF5)),
+        # x = 0 with the zero over GF(5): a zero side is not evaluated
+        (Eq, parse_term("x", Q), Term.zero(GF5)),
+    ],
+    ids=["xn-over-gf5", "equation-over-gf5", "equation-across-fields", "zero-side-over-gf5"],
+)
+@pytest.mark.parametrize("swapped", [False, True], ids=["as-written", "swapped"])
+def test_eval_refuses_a_term_over_another_field(M, build, first, second, swapped):
+    """Every term is evaluated over the environment's field only: a term
+    over GF(5) under an environment over Q raises FieldMismatch, on
+    either side of its connective or equation."""
+    env = {"x": M.e(0, 0)}
+    phi = build(second, first) if swapped else build(first, second)
+    with pytest.raises(FieldMismatch):
+        eval_qf(phi, env, Q)
+    with pytest.raises(FieldMismatch):
+        eval_qf(phi, env)
 
 
 # ---------------------------------------------------------------------------

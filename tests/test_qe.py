@@ -6,9 +6,11 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -814,6 +816,17 @@ def _eval_per_node(phi, env):
     return in_Xn(element, n)
 
 
+def _equations(phi):
+    """The equation nodes of a quantifier-free formula."""
+    if isinstance(phi, Eq):
+        return [phi]
+    if isinstance(phi, Not):
+        return _equations(phi.child)
+    if isinstance(phi, (And, Or)):
+        return _equations(phi.lhs) + _equations(phi.rhs)
+    return []
+
+
 def _wide_conjunction(rng, size):
     """A conjunction of ``size`` literals [!]Xk(x + -1*$cj), k in 0..2,
     over distinct parameters of $c0..$c3, as the qe-wide benchmark has."""
@@ -821,11 +834,55 @@ def _wide_conjunction(rng, size):
     return "E x. (" + " & ".join(literals) + ")"
 
 
-def test_eval_qf_on_shared_outputs_agrees_with_an_unshared_tree(M):
+def _count_term_arithmetic(monkeypatch):
+    """A Counter of the Term.combine and Term.scale calls made from now
+    on in the test (so every + and - of terms)."""
+    counts = Counter()
+
+    def counting(name):
+        original = getattr(Term, name)
+
+        def counted(self, *args):
+            counts[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(Term, name, counted)
+
+    counting("combine")
+    counting("scale")
+    return counts
+
+
+# quantifier-free formulas over $c0..$c3 that hold where $c2 = $c0 + $c1:
+# equations with two nonzero sides, one atom written twice (two equal but
+# distinct nodes) and one atom under both polarities
+HOLDING_FORMULAS = (
+    "$c2 = $c0 + $c1",
+    "2*$c2 + -1*$c1 = 2*$c0 + $c1",
+    "$c0 + $c1 + $c3 = $c2 + $c3",
+    "$c2 + -1*$c0 = $c1 & ($c2 + -1*$c0 = $c1 | X0($c3))",
+    "X8($c0 + $c1 + $c3) & !(!X8($c0 + $c1 + $c3) | X0($c3))",
+    "(X1($c3) | !X1($c3)) & ($c3 = $c0 | !($c3 = $c0))",
+    "!(X1($c0 + -1*$c3) & !X1($c0 + -1*$c3)) & ($c2 = $c1 + $c0 | !($c2 = $c1 + $c0))",
+)
+
+
+def test_eval_qf_on_shared_outputs_agrees_with_an_unshared_tree(M, monkeypatch):
     """A QE output shares one node per literal across its disjuncts, and
-    eval_qf decides each distinct atom once per call.  Its truth equals
-    that of the output printed and parsed again (a tree with no shared
-    node) and that of a per-node reference."""
+    eval_qf decides each atom node once per call.  Its truth equals that
+    of the output printed and parsed again (a tree with no shared node)
+    and that of a per-node reference.  Formulas that hold, with equal but
+    distinct atoms, an atom under both polarities and equations of two
+    nonzero sides, evaluate true by both.  No evaluation runs Term
+    arithmetic."""
+    counts = _count_term_arithmetic(monkeypatch)
+
+    def evaluated(phi, env):
+        counts.clear()
+        truth = eval_qf(phi, env, Q)
+        assert not counts, counts
+        return truth
+
     rng = random.Random(1105)
     texts = [BIG_FORMULA] + [_wide_conjunction(rng, size) for size in (3, 4) for _ in range(8)]
     seen = set()
@@ -835,10 +892,20 @@ def test_eval_qf_on_shared_outputs_agrees_with_an_unshared_tree(M):
         tree = parse_formula(print_formula(out), Q)
         for _ in range(4):
             env = {f"$c{i}": random_f_element(M, rng, max_axes=2, max_coord=1) for i in range(4)}
-            truth = eval_qf(out, env, Q)
-            assert truth == eval_qf(tree, env, Q) == _eval_per_node(out, env), text
+            truth = evaluated(out, env)
+            assert truth == evaluated(tree, env) == _eval_per_node(out, env), text
             seen.add(truth)
     assert seen == {True, False}
+    for text in HOLDING_FORMULAS:
+        phi = parse_formula(text, Q)
+        # every constant and every side of an equation is to be nonzero
+        sides = [Term.const(Q, f"c{i}") for i in range(4)] + [side for eq in _equations(phi) for side in (eq.lhs, eq.rhs)]
+        for _ in range(4):
+            env = None
+            while env is None or any(_eval_per_node(Xn(0, side), env) for side in sides):
+                env = {f"$c{i}": random_f_element(M, rng, max_axes=2, max_coord=1) for i in (0, 1, 3)}
+                env["$c2"] = env["$c0"] + env["$c1"]
+            assert evaluated(phi, env) and _eval_per_node(phi, env), text
 
 
 def test_eliminate_all_reduces_a_top_quantifier_once(monkeypatch):
@@ -978,6 +1045,35 @@ def test_four_variable_sentence_in_every_quantifier_order():
     assert [order for order, verdict in verdicts.items() if verdict is not True] == []
 
 
+# a true existential sentence's matrix at values of x, y and z that a
+# witness for u exists at; the fallback runs once in E u.'s elimination
+SIX_LITERAL_MATRIX = (
+    "X1(-1*z + 2*u) & X1(2*x + -1*u) & X1(1*y + 1*u) & X3(-1*y + 1*u) & !X1(-1*x + -1*u) & X0(2*y + 2*z)"
+)
+
+
+def _six_literal_env(M):
+    e0, e1 = M.e(0, 0), M.e(1, 0)
+    return {"x": e0, "y": e1 - e0.scale(2), "z": e0.scale(2) - e1}
+
+
+def test_six_literal_matrix_has_a_witness(M):
+    phi = parse_formula(SIX_LITERAL_MATRIX, Q)
+    env = _six_literal_env(M)
+    u = witness_search(phi, "u", env, M)
+    assert u == M.e(0, 0).scale(2) - M.e(1, 0).scale(Fraction(1, 2))
+    assert eval_qf(phi, dict(env, u=u), Q)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the fallback misses this witness; exact elimination at every rank (ROADMAP item 1) removes the fallback",
+)
+def test_six_literal_elimination_holds_where_a_witness_exists(M):
+    out = eliminate_all(parse_formula(f"E u. ({SIX_LITERAL_MATRIX})", Q))
+    assert eval_qf(out, _six_literal_env(M), Q)
+
+
 def _rank_two_conjunction(rng):
     """3-4 literals [!]Xk(x - a*$c0 - b*$c1) with distinct (a, b): their
     parameter terms span at most the two directions $c0 and $c1."""
@@ -1066,19 +1162,7 @@ def test_an_elimination_runs_no_term_arithmetic(monkeypatch):
     Term.scale per atom of the formula and one per distinct printed term.
     The fallback, criterion 4's formula (with an equation) and the census
     on five terms each run."""
-    counts = Counter()
-
-    def counting(name):
-        original = getattr(Term, name)
-
-        def counted(self, *args):
-            counts[name] += 1
-            return original(self, *args)
-
-        monkeypatch.setattr(Term, name, counted)
-
-    counting("combine")
-    counting("scale")
+    counts = _count_term_arithmetic(monkeypatch)
     for text in (NAMED_FALLBACK, BIG_FORMULA, FIVE_TERM_FORMULA):
         phi = parse_formula(text, Q)
         counts.clear()
@@ -1101,29 +1185,85 @@ def _random_xyz_matrix(rng, variables):
     return " & ".join(literals)
 
 
-@pytest.mark.parametrize(
-    "seed, count, variables, orders",
-    [
-        (5, 40, "xyz", lambda rng: itertools.permutations("xyz")),
-        # the four sampled orders keep the seed's draw of matrices
-        (11, 25, "xyzw", lambda rng: [rng.sample("xyzw", 4) for _ in range(4)] + list(itertools.permutations("xyzw"))),
-    ],
-    ids=["xyz-every-order", "xyzw-every-order"],
-)
+# the seeded families of existential sentences: (seed, count, variables,
+# orders), where orders draws from the family's generator after each
+# matrix, so the four sampled orders keep the seed's draw of matrices
+SENTENCE_FAMILIES = [
+    (5, 40, "xyz", lambda rng: itertools.permutations("xyz")),
+    (11, 25, "xyzw", lambda rng: [rng.sample("xyzw", 4) for _ in range(4)] + list(itertools.permutations("xyzw"))),
+]
+
+
+def _family(seed, count, variables, orders):
+    """(matrix, quantifier orders) for each sentence of a family."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        matrix = _random_xyz_matrix(rng, variables)
+        yield matrix, orders(rng)
+
+
+def _sentence(order, matrix):
+    return " ".join(f"E {v}." for v in order) + f" ({matrix})"
+
+
+def _decided(text):
+    """The verdict on ``text``, failing the test after 10 s."""
+    return within(10, decide_sentence, parse_formula(text, Q))
+
+
+def _renamed(text, names):
+    """``text`` with every variable in the map ``names`` renamed by it."""
+    return re.sub(r"\b[a-z][a-z0-9]*\b", lambda m: names.get(m.group(), m.group()), text)
+
+
+@pytest.mark.parametrize("seed, count, variables, orders", SENTENCE_FAMILIES, ids=["xyz-every-order", "xyzw-every-order"])
 def test_exists_sentences_decide_alike_in_every_quantifier_order(seed, count, variables, orders):
     """Permuting a block of existential quantifiers keeps a sentence's
     truth.  Each decision has a 10 s budget; a sentence over it fails."""
-    rng = random.Random(seed)
     seen = set()
-    for _ in range(count):
-        matrix = _random_xyz_matrix(rng, variables)
-        verdicts = {
-            tuple(order): within(10, decide_sentence, parse_formula(" ".join(f"E {v}." for v in order) + f" ({matrix})", Q))
-            for order in orders(rng)
-        }
+    for matrix, family_orders in _family(seed, count, variables, orders):
+        verdicts = {tuple(order): _decided(_sentence(order, matrix)) for order in family_orders}
         assert len(set(verdicts.values())) == 1, (matrix, verdicts)
         seen |= set(verdicts.values())
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("family", SENTENCE_FAMILIES, ids=["xyz", "xyzw"])
+def test_exists_sentences_decide_alike_under_renaming(family):
+    """Renaming the bound variables keeps a sentence's truth: to p, q, r
+    (and s) in the reverse of the old names' sort order, and to a cyclic
+    shift of the old names.  Both reorder the term table's columns, which
+    are sorted by name."""
+    variables = family[2]
+    old = sorted(variables)
+    renamings = [dict(zip(old, reversed("pqrs"[: len(old)]))), dict(zip(old, old[1:] + old[:1]))]
+    seen = set()
+    for matrix, _ in _family(*family):
+        text = _sentence(variables, matrix)
+        verdict = _decided(text)
+        for names in renamings:
+            assert _decided(_renamed(text, names)) == verdict, (text, names)
+        seen.add(verdict)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("family", SENTENCE_FAMILIES, ids=["xyz", "xyzw"])
+def test_sentences_on_disjoint_variables_decide_as_their_connective(family):
+    """For two sentences on disjoint variables, decide(phi & psi) is
+    decide(phi) and decide(psi), and decide(phi | psi) is decide(phi) or
+    decide(psi).  The pairs are consecutive sentences of a family, the
+    second renamed to p, q, r (and s)."""
+    variables = family[2]
+    apart = dict(zip(variables, "pqrs"))
+    texts = [_sentence(variables, matrix) for matrix, _ in _family(*family)]
+    seen = set()
+    for phi, psi in zip(texts[::2], texts[1::2]):
+        psi = _renamed(psi, apart)
+        a, b = _decided(phi), _decided(psi)
+        assert _decided(f"({phi}) & ({psi})") == (a and b), (phi, psi)
+        assert _decided(f"({phi}) | ({psi})") == (a or b), (phi, psi)
+        seen.add((a, b))
+    assert len(seen) > 1
 
 
 @pytest.mark.parametrize(
