@@ -26,7 +26,7 @@ from typing import Mapping, Union
 
 from .errors import FormulaSyntaxError, NotQuantifierFree, UnboundSymbol
 from .fields import FieldCtx, Scalar, check_same_field
-from .linalg import _sparse, _sparse_axpy, _sparse_scale
+from .linalg import _sparse, _sparse_axpy, _sparse_scale, _sparse_text
 from .model import ModelElement, combine, in_Xn
 
 
@@ -100,14 +100,7 @@ class Term:
         return {k for k, _ in self.vars} | {"$" + k for k, _ in self.consts}
 
     def __str__(self) -> str:
-        f = self.field
-        parts = []
-        for name, c in self.vars:
-            parts.append(name if c == f.one else f"{c}*{name}")
-        for name, c in self.consts:
-            atom = "$" + name
-            parts.append(atom if c == f.one else f"{c}*{atom}")
-        return " + ".join(parts) or "0"
+        return _sparse_text([*self.vars, *[("$" + name, c) for name, c in self.consts]])
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,10 @@ every scalar canonical and nonzero, so equal vectors are equal tuples.
 :func:`_sparse` normalises a mapping, :func:`_sparse_axpy` computes
 ``a + s*b`` in one merge of the sorted tuples (Knuth, TAOCP vol. 1,
 2.2.4), multiplying only by an s other than 1 and -1, and
-:func:`_sparse_scale` multiplies by a nonzero scalar.  They are private
-because the benchmark's tracer wraps every public function and would
-time term arithmetic as ``linalg``'s.
+:func:`_sparse_scale` multiplies by a nonzero scalar.  :func:`_sparse_text`
+writes Σ c·atom, the one text of terms, model elements and qe's term
+table.  They are private because the benchmark's tracer wraps every
+public function and would time term arithmetic as ``linalg``'s.
 """
 
 from __future__ import annotations
@@ -91,6 +92,13 @@ def _sparse_scale(field: FieldCtx, c: Scalar, a: tuple) -> tuple:
     keeps the order and every entry nonzero."""
     mul = field.mul
     return tuple((k, mul(c, x)) for k, x in a)
+
+
+def _sparse_text(pairs) -> str:
+    """The text of the sum of c*atom over ``(atom, c)`` pairs, in their
+    order: the atom alone when c is 1, else ``c*atom``, joined by
+    `` + ``; ``0`` for the empty sum."""
+    return " + ".join([atom if c == 1 else f"{c}*{atom}" for atom, c in pairs]) or "0"
 
 
 def _primitive(row: list) -> list:

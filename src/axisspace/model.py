@@ -36,6 +36,7 @@ from .linalg import (
     _sparse,
     _sparse_axpy,
     _sparse_scale,
+    _sparse_text,
     kernel,
     rref,
     solve_augmented,
@@ -202,17 +203,8 @@ class ModelElement:
     # -- printing -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        f = self.field
-        parts = []
-        for (axis, coord), c in self.axis_part:
-            atom = f"e{axis}_{coord}"
-            parts.append(atom if c == f.one else f"{c}*{atom}")
-        for coord, c in self.free_part:
-            atom = f"f{coord}"
-            parts.append(atom if c == f.one else f"{c}*{atom}")
-        return " + ".join(parts)
+        atoms = [(f"e{axis}_{coord}", c) for (axis, coord), c in self.axis_part]
+        return _sparse_text(atoms + [(f"f{coord}", c) for coord, c in self.free_part])
 
     def __repr__(self) -> str:
         return f"<{self} over {self.field}>"

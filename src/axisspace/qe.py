@@ -42,9 +42,9 @@ distinct boxes in first-seen order, read as their disjunction.  A box is
 a tuple of entries (id, lo, hi), one per nonzero term, sorted by id,
 read as the conjunction of lo <= w(term) <= hi (hi possibly infinite);
 ``[()]`` is true and ``[]`` is false.  The terms' printed text, cached
-by the table, orders three things only: the x-terms of a box
-(:func:`_split`), the literals of a box in :func:`_negate`, and the
-numbering of :func:`_reduced`.
+by the table, orders the x-terms of a box (:func:`_split`) and the
+numbering of :func:`_reduced`, which orders a box's literals once:
+printing and :func:`_negate` both read that order.
 :func:`_bound` makes every one-term condition and folds the zero term;
 :func:`_all` intersects intervals term by term and drops a box as soon
 as one is empty; :func:`_any` joins lists.  One walk,
@@ -103,7 +103,7 @@ from .formula import (
     is_quantifier_free,
     true_formula,
 )
-from .linalg import rref
+from .linalg import _sparse_text, rref
 from .model import Model, ModelElement
 
 
@@ -210,15 +210,7 @@ class _Table:
 
     def _format(self, row, den) -> str:
         """The text of the term row / den, as a Term prints it."""
-        if den < 0:
-            row, den = [-c for c in row], -den
-        parts = []
-        for name, c in zip(self.names, row):
-            if c:
-                g = math.gcd(c, den)
-                num, d = c // g, den // g
-                parts.append(f"{num}/{d}*{name}" if d != 1 else name if num == 1 else f"{num}*{name}")
-        return " + ".join(parts) or "0"
+        return _sparse_text([(name, c // den if c % den == 0 else Fraction(c, den)) for name, c in zip(self.names, row) if c])
 
     def term(self, tid) -> Term:
         """The Term of ``tid`` scaled to lead coefficient 1, as printed."""
@@ -229,14 +221,11 @@ class _Table:
         return term
 
     def term_of(self, row, den) -> Term:
-        """The Term row / den, each coefficient scaled through the field;
-        the columns are in a Term's order, and no entry of a row or of m*t
-        (see :func:`_split`) vanishes."""
-        f = self.field
-        mul, inv = f.mul, f.of(Fraction(1, den))
-        entries = [(name, mul(c, inv)) for name, c in zip(self.names, row) if c]
+        """The Term row / den; the columns are in a Term's order, and no
+        entry of a row or of m*t (see :func:`_split`) vanishes."""
+        entries = [(name, Fraction(c, den)) for name, c in zip(self.names, row) if c]
         return Term(
-            f,
+            self.field,
             tuple(entry for entry in entries if entry[0][0] != "$"),
             tuple((name[1:], c) for name, c in entries if name[0] == "$"),
         )
@@ -324,16 +313,15 @@ def _literals(entries):
             yield False, lo - 1, key
 
 
-def _negate(table: _Table, rows) -> list:
-    """The negation of a condition: per box, the disjunction of its
-    negated literals in printed order (its entries in the order of the
-    terms' text), multiplied out box by box.  The running product is a
-    conjunction, so it is reduced after every factor and stays
-    equivalent."""
-    out, text = [()], table.text
-    for box in rows:
-        literals = _literals(sorted(box, key=lambda entry: text(entry[0])))
-        out = _reduced(table, _all([out, _any(_atom(t, n, not pol) for pol, n, t in literals)]))[0]
+def _negate(table: _Table, reduced) -> list:
+    """The negation of a condition given as :func:`_reduced` returns it:
+    per box, the disjunction of its negated literals in printed order,
+    multiplied out box by box.  The running product is a conjunction, so
+    it is reduced after every factor and stays equivalent."""
+    _, literals, lit_rows = reduced
+    negated, out = [_atom(t, n, not pol) for pol, n, t in literals], [()]
+    for lits in lit_rows:
+        out = _reduced(table, _all([out, _any(negated[i] for i in lits)]))[0]
         if not out:
             break
     return out
@@ -361,9 +349,9 @@ def _dnf_literals(table: _Table, phi: Formula) -> list:
                 variables, psi = variables + [psi.var], psi.body
             exists = kind is Exists
             cond = _exists_rows(table, rows(psi, exists, True), variables)
-            if scoped or exists != positive:
-                cond = _reduced(table, cond)[0]
-            return cond if exists == positive else _negate(table, cond)
+            if exists != positive:
+                return _negate(table, _reduced(table, cond))
+            return _reduced(table, cond)[0] if scoped else cond
         if isinstance(psi, Eq):
             return _atom(table.intern(psi.lhs, psi.rhs), 0, positive)
         return _atom(table.intern(psi.term), psi.n, positive)

@@ -577,8 +577,8 @@ def _holds(rows, weights):
 def test_negate_holds_exactly_where_no_box_does(boxes):
     table = qe._Table(parse_formula(" & ".join(f"X0({name})" for name in BOX_NAMES), Q))
     assert [table.intern(Term.var(Q, name)) for name in BOX_NAMES] == [0, 1, 2]
-    rows = qe._reduced(table, boxes)[0]
-    negated = qe._negate(table, rows)
+    reduced = qe._reduced(table, boxes)
+    rows, negated = reduced[0], qe._negate(table, reduced)
     for weights in itertools.product(WEIGHTS, repeat=3):
         assert _holds(rows, weights) == _holds(boxes, weights)
         assert _holds(negated, weights) != _holds(rows, weights), weights
@@ -1172,16 +1172,17 @@ def test_an_elimination_runs_no_term_arithmetic(monkeypatch):
         assert counts["scale"] <= _atom_count(phi) + len(printed), (text, counts["scale"])
 
 
-def _random_xyz_matrix(rng, variables):
-    """A conjunction of 4-6 literals [!]Xk(form) on nonzero linear forms in
-    ``variables`` with coefficients in -2..2 and k in 0..2."""
+def _random_xyz_matrix(rng, variables, sizes=(4, 6), coefficients=range(-2, 3), top=2):
+    """A conjunction of sizes[0] to sizes[1] literals [!]Xk(form) on
+    nonzero linear forms in ``variables`` with coefficients drawn from
+    ``coefficients`` and k in 0..top."""
     literals = []
-    for _ in range(rng.randint(4, 6)):
+    for _ in range(rng.randint(*sizes)):
         coeffs = [0] * len(variables)
         while not any(coeffs):
-            coeffs = [rng.randint(-2, 2) for _ in range(len(variables))]
+            coeffs = [rng.choice(coefficients) for _ in variables]
         form = " + ".join(f"{c}*{v}" for c, v in zip(coeffs, variables) if c)
-        literals.append(("!" if rng.random() < 0.5 else "") + f"X{rng.randrange(3)}({form})")
+        literals.append(("!" if rng.random() < 0.5 else "") + f"X{rng.randint(0, top)}({form})")
     return " & ".join(literals)
 
 
@@ -1264,6 +1265,82 @@ def test_sentences_on_disjoint_variables_decide_as_their_connective(family):
         assert _decided(f"({phi}) | ({psi})") == (a or b), (phi, psi)
         seen.add((a, b))
     assert len(seen) > 1
+
+
+# the matrices of existential sentences over x, y and z to certify: the
+# seed-5 family of SENTENCE_FAMILIES and 30 matrices of 3-6 literals with
+# coefficients in {0, 1, -1, 2} and indices 0..3 at seed 1
+_PROBE_RNG = random.Random(1)
+CERTIFIED_FAMILIES = [
+    ("xyz", [matrix for matrix, _ in _family(*SENTENCE_FAMILIES[0])]),
+    ("probe", [_random_xyz_matrix(_PROBE_RNG, "xyz", (3, 6), (0, 1, -1, 2), 3) for _ in range(30)]),
+]
+
+
+def _certificate(matrix, variables, model):
+    """Witnesses for ``E v1 ... E vn. matrix`` as an environment, or None.
+    v_k is ``witness_search`` on the elimination of ``E v_{k+1} ... E v_n.
+    matrix``, given v_1 ... v_{k-1}; the environment certifies when the
+    matrix evaluates true in it, whatever the eliminations did."""
+    phi, env = parse_formula(matrix, Q), {}
+    for k, var in enumerate(variables):
+        rest = variables[k + 1 :]
+        inner = eliminate_all(parse_formula(_sentence(rest, matrix), Q)) if rest else phi
+        env[var] = witness_search(inner, var, env, model)
+        if env[var] is None:
+            return None
+    return env if eval_qf(phi, env, Q) else None
+
+
+@pytest.mark.parametrize("name, matrices", CERTIFIED_FAMILIES, ids=[name for name, _ in CERTIFIED_FAMILIES])
+def test_exists_sentences_certify_exactly_when_true(name, matrices, M):
+    """Every true verdict on ``E x. E y. E z. matrix`` has a certificate
+    (see :func:`_certificate`), and no false one has."""
+    verdicts = Counter()
+    for matrix in matrices:
+        verdict = _decided(_sentence("xyz", matrix))
+        certified = within(10, _certificate, matrix, "xyz", M) is not None
+        assert certified == verdict, (matrix, verdict)
+        verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+def _dual(matrix, variables, rng):
+    """A x ... . !(matrix), whose verdict is the negation of E x ... . matrix."""
+    return " ".join(f"A {v}." for v in variables) + f" !({matrix})", True
+
+
+def _scaled(matrix, variables, rng):
+    """matrix under x -> 2x and y -> -y, a nonzero scaling of each."""
+    factor = {"x": 2, "y": -1}
+    scaled = re.sub(r"(-?\d+)\*([a-z])", lambda m: f"{int(m[1]) * factor.get(m[2], 1)}*{m[2]}", matrix)
+    return _sentence(variables, scaled), False
+
+
+def _shuffled(matrix, variables, rng):
+    """matrix's literals in a seeded order, nested to the right."""
+    literals = matrix.split(" & ")
+    rng.shuffle(literals)
+    text = literals[-1]
+    for literal in reversed(literals[:-1]):
+        text = f"({literal} & {text})"
+    return _sentence(variables, text), False
+
+
+@pytest.mark.parametrize("relation", [_dual, _scaled, _shuffled], ids=["duality", "scaling", "reordering"])
+@pytest.mark.parametrize("family", SENTENCE_FAMILIES, ids=["xyz", "xyzw"])
+def test_exists_sentences_decide_alike_under_metamorphic_relations(family, relation):
+    """Each sentence ``E x ... . matrix`` of a family against its image
+    under ``relation``, which gives the image and whether it flips the
+    verdict.  Under duality the universal block's closed condition is
+    negated by :func:`qe._negate`."""
+    variables, rng, seen = family[2], random.Random(7), set()
+    for matrix, _ in _family(*family):
+        verdict = _decided(_sentence(variables, matrix))
+        text, flips = relation(matrix, variables, rng)
+        assert _decided(text) == (verdict != flips), (matrix, text)
+        seen.add(verdict)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize(
