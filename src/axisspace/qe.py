@@ -221,11 +221,14 @@ class _Table:
         return term
 
     def term_of(self, row, den) -> Term:
-        """The Term row / den; the columns are in a Term's order, and no
-        entry of a row or of m*t (see :func:`_split`) vanishes."""
-        entries = [(name, Fraction(c, den)) for name, c in zip(self.names, row) if c]
+        """The Term row / den, each coefficient scaled through the field;
+        the columns are in a Term's order, and no entry of a row or of m*t
+        (see :func:`_split`) vanishes."""
+        f = self.field
+        mul, inv = f.mul, f.of(Fraction(1, den))
+        entries = [(name, mul(c, inv)) for name, c in zip(self.names, row) if c]
         return Term(
-            self.field,
+            f,
             tuple(entry for entry in entries if entry[0][0] != "$"),
             tuple((name[1:], c) for name, c in entries if name[0] == "$"),
         )

@@ -1305,6 +1305,24 @@ def test_exists_sentences_certify_exactly_when_true(name, matrices, M):
     assert verdicts[True] and verdicts[False], verdicts
 
 
+@pytest.mark.parametrize("name, matrices", CERTIFIED_FAMILIES, ids=[name for name, _ in CERTIFIED_FAMILIES])
+def test_universal_blocks_negate_their_matrix_pointwise(name, matrices, M):
+    """``A y. A z. !(matrix)`` leaves x free, so :func:`qe._negate`
+    negates literal rows over x.  At 8 random points, its elimination is
+    false exactly where that of ``E y. E z. matrix``, which negates
+    nothing, is true."""
+    rng, seen = random.Random(3), set()
+    for matrix in matrices:
+        negated = within(10, eliminate_all, parse_formula(f"A y. A z. !({matrix})", Q))
+        plain = within(10, eliminate_all, parse_formula(_sentence("yz", matrix), Q))
+        for _ in range(8):
+            env = {"x": random_f_element(M, rng)}
+            holds = eval_qf(negated, env, Q)
+            assert holds != eval_qf(plain, env, Q), (matrix, env)
+            seen.add(holds)
+    assert seen == {True, False}
+
+
 def _dual(matrix, variables, rng):
     """A x ... . !(matrix), whose verdict is the negation of E x ... . matrix."""
     return " ".join(f"A {v}." for v in variables) + f" !({matrix})", True
