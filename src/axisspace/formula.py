@@ -289,9 +289,9 @@ def print_formula(phi: Formula) -> str:
     """The text of ``phi``; parsing it gives ``phi`` back.
 
     A QE output shares one leaf or ``Not`` node per literal across its
-    disjuncts, so the text of such a node is rendered once per call and
-    reused by node identity.  Nodes are told apart by their exact type,
-    connectives first."""
+    disjuncts and one term across an interval's literals, so each such
+    text is rendered once per call and reused by identity.  Nodes are
+    told apart by their exact type, connectives first."""
     texts = {}
 
     def text(psi: Formula) -> str:
@@ -310,13 +310,16 @@ def print_formula(phi: Formula) -> str:
             if kind is Not:
                 out = f"!{tight(psi.child)}"
             elif kind is Eq:
-                out = f"{psi.lhs} = {psi.rhs}"
+                out = f"{term(psi.lhs)} = {term(psi.rhs)}"
             elif kind is Xn:
-                out = f"X{psi.n}({psi.term})"
+                out = f"X{psi.n}({term(psi.term)})"
             else:
                 raise TypeError(f"not a formula: {psi!r}")
             texts[id(psi)] = out
         return out
+
+    def term(t: Term) -> str:  # a term's text is never empty
+        return texts.get(id(t)) or texts.setdefault(id(t), str(t))
 
     def tight(psi: Formula) -> str:
         out = text(psi)

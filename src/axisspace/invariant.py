@@ -10,8 +10,9 @@ For a tuple a = (a_0, ..., a_{k-1}) the invariant consists of
 Over an infinite field two tuples have the same quantifier-free type exactly
 when their invariants coincide: the multiset determines every weight
 w(f_a(c)) on v_f, and conversely the weights of subspace images recover each
-kernel multiplicity through inclusion-exclusion, which
-:func:`multiplicity_via_inclusion_exclusion` makes executable.
+multiplicity g(V) by a Möbius inversion over the candidate kernels strictly
+above V (:func:`multiplicity_via_inclusion_exclusion`): an axis vanishing on
+V and not counted in g(V) has one of them as its kernel.
 
 This module owns the three computations the rest of the library builds on:
 v_f together with the free-part reduction of an element against generators
@@ -34,7 +35,7 @@ from .linalg import (
     Subspace,
     full_space,
     kernel,
-    member,
+    rref,
     solve_augmented,
     subspace_from_generators,
 )
@@ -182,14 +183,17 @@ def multiplicity_via_inclusion_exclusion(
     map.  ``candidates`` is a finite family of subspaces guaranteed to
     include every kernel realizable by an axis projection; for any tuple the
     kernels of the per-axis blocks of its coordinate matrix are such a
-    family.  The count itself never inspects a kernel: one test vector is
-    drawn outside V from each candidate, and the size of the intersection of
-    the corresponding axis sets is reconstructed from weights of enlarged
-    subspaces by inclusion-exclusion.
+    family.  The count never inspects a kernel.  Each candidate W strictly
+    above V gives one test vector, the first row of W's canonical basis
+    whose pivot V lacks; the axes vanishing on V and on no test vector are
+    counted by inclusion-exclusion over the weights of V + span(S) for the
+    nonempty subsets S of the k test vectors, at most 2^k - 1 of them.  An
+    axis vanishing on V has a kernel K containing V; when K != V, K's test
+    vector excludes that axis, so candidates not above V are skipped.
     """
     total = weights(full_space(V.field, V.ambient_dim))
     w_v = weights(V)
-    return _multiplicity(weights, V, candidates, w_v, total - w_v)
+    return _multiplicity(weights, V, candidates, total, w_v)
 
 
 def g_via_inclusion_exclusion(
@@ -205,45 +209,37 @@ def g_via_inclusion_exclusion(
         return True
     total = weights(full_space(V.field, V.ambient_dim))
     w_v = weights(V)
-    if r > total - w_v:
-        return False  # multiplicity is bounded by the total number of axes
-    return _multiplicity(weights, V, candidates, w_v, total - w_v) >= r
+    # the multiplicity is bounded by the number of axes vanishing on V
+    return r <= total - w_v and _multiplicity(weights, V, candidates, total, w_v) >= r
 
 
-def _multiplicity(weights, V: Subspace, candidates, w_v: int, vanishing: int) -> int:
-    """The inclusion-exclusion count, given w_v = w(f(V)) and the number
-    ``vanishing`` of axes the tuple meets and f(V) does not."""
-    field = V.field
-    n = V.ambient_dim
-    tests = []
-    seen = set()
+def _multiplicity(weights, V: Subspace, candidates, total: int, w_v: int) -> int:
+    """The inclusion-exclusion count, given the number ``total`` of axes
+    the tuple meets and w_v = w(f(V))."""
+    field, n = V.field, V.ambient_dim
+    v_pivots = set(_pivots(V))
+    tests = {}  # one test vector per candidate strictly above V, each once
     for W in candidates:
         if W.ambient_dim != n:
             raise DimensionMismatch("candidate ambient dimension mismatch")
-        u = _vector_outside(W, V)
-        if u is not None and u not in seen:
-            seen.add(u)
-            tests.append(u)
-    # |A_1 cap ... cap A_m| by inclusion-exclusion over union weights, where
-    # A_u = axes(f(u)) minus axes(f(V)); the empty intersection is the set of
-    # all axes vanishing on V.
-    if not tests:
-        return vanishing
-    count = 0
+        w_pivots = _pivots(W)
+        # V < W needs more pivots in W, V's among them, and W's rows to span
+        # V's; then W's first row leading off V's pivots lies outside V
+        if v_pivots < set(w_pivots) and rref(field, W.basis + V.basis)[0] == list(W.basis):
+            tests[next(row for row, p in zip(W.basis, w_pivots) if p not in v_pivots)] = None
+    # total - w(f(U)) axes vanish on U; the axes vanishing on V and on no
+    # test vector, by inclusion-exclusion over U = V + span(S), S = {} first
+    count = total - w_v
     for size in range(1, len(tests) + 1):
-        sign = 1 if size % 2 == 1 else -1
         for subset in itertools.combinations(tests, size):
             enlarged = subspace_from_generators(field, V.basis + subset, n)
-            count += sign * (weights(enlarged) - w_v)
+            count += (-1) ** size * (total - weights(enlarged))
     return count
 
 
-def _vector_outside(W: Subspace, V: Subspace):
-    """Some basis vector of W outside V, or None when W is contained in V."""
-    for row in W.basis:
-        if not member(row, V):
-            return row
-    return None
+def _pivots(space: Subspace) -> list:
+    """The pivot column of each row of the canonical basis, in order."""
+    return [next(i for i, x in enumerate(row) if x) for row in space.basis]
 
 
 def kernel_candidates(tuple_: Sequence[ModelElement]) -> list:

@@ -20,7 +20,7 @@ from axisspace.invariant import (
     qf_invariant_mixed,
     weights_oracle_via_witness,
 )
-from axisspace.linalg import full_space, intersect, subspace_from_generators, vec, zero_space
+from axisspace.linalg import full_space, intersect, subspace_from_generators, subspace_sum, vec, zero_space
 from axisspace.model import (
     ModelElement,
     SubspaceHandle,
@@ -362,6 +362,87 @@ def test_g_ie_agrees_with_g_of_on_random_tuples(M):
             assert multiplicity_via_inclusion_exclusion(weights, V, cands) == expected
             for r in range(0, expected + 2):
                 assert g_via_inclusion_exclusion(weights, V, r, cands) == (expected >= r)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_g_ie_agrees_with_g_of_over_prime_fields(p):
+    """Over GF(p), on tuples of arity at most 3 whose entries each meet at
+    most 3 of 5 axes on one or two coordinates with nonzero coefficients,
+    both inclusion-exclusion routes give g_of's multiplicities."""
+    field = FieldCtx.prime_field(p)
+    model = rich_model(field)
+    rng = random.Random(f"gf{p}")
+    for _ in range(60):
+        a = tuple(
+            model.element(
+                {
+                    (axis, coord): rng.randrange(1, p)
+                    for axis in rng.sample(range(5), rng.randint(1, 3))
+                    for coord in rng.sample(range(2), rng.randint(1, 2))
+                }
+            )
+            for _ in range(rng.randint(1, 3))
+        )
+        inv, weights, cands = qf_invariant(a), weights_oracle_via_witness(a), kernel_candidates(a)
+        for V in cands + [zero_space(field, len(a)), full_space(field, len(a))]:
+            expected = g_of(inv, V)
+            assert multiplicity_via_inclusion_exclusion(weights, V, cands) == expected
+            for r in range(expected + 2):
+                assert g_via_inclusion_exclusion(weights, V, r, cands) == (expected >= r)
+
+
+def _random_subspaces(field, n, rng, count):
+    """``count`` spans of 1 to n random vectors of K^n, entries in -2..2."""
+    spans = []
+    for _ in range(count):
+        gens = [vec(field, [rng.randint(-2, 2) for _ in range(n)]) for _ in range(rng.randint(1, n))]
+        spans.append(subspace_from_generators(field, gens, n))
+    return spans
+
+
+def _contains(U, V):
+    return subspace_sum(U, V) == U
+
+
+def test_g_ie_ignores_extra_repeated_and_reordered_candidates(M):
+    """Subspaces not containing V, repeats and a new order in the candidate
+    list leave every count unchanged."""
+    rng = random.Random(41)
+    for _ in range(80):
+        a = _random_tuple(M, rng)
+        n = len(a)
+        inv, weights, cands = qf_invariant(a), weights_oracle_via_witness(a), kernel_candidates(a)
+        for V in cands + [zero_space(Q, n), full_space(Q, n)]:
+            extras = [U for U in _random_subspaces(Q, n, rng, 4) if not _contains(U, V)]
+            noisy = cands + extras + rng.choices(cands, k=2) if cands else extras
+            rng.shuffle(noisy)
+            expected = g_of(inv, V)
+            assert multiplicity_via_inclusion_exclusion(weights, V, noisy) == expected
+            for r in range(expected + 2):
+                assert g_via_inclusion_exclusion(weights, V, r, noisy) == (expected >= r)
+
+
+def test_g_ie_asks_only_about_candidates_above_v(M):
+    """One count asks the oracle about the whole space, V and at most
+    2^k - 1 subspaces enlarging V, for k distinct candidates strictly above
+    V, however many other candidates the list holds."""
+    rng = random.Random(43)
+    skipped = 0
+    for _ in range(80):
+        a = _random_tuple(M, rng)
+        n = len(a)
+        weights, cands = weights_oracle_via_witness(a), kernel_candidates(a)
+        for V in cands + [zero_space(Q, n)]:
+            listed = cands + _random_subspaces(Q, n, rng, 3)
+            above = {W for W in listed if W != V and _contains(W, V)}
+            asked = []
+            multiplicity_via_inclusion_exclusion(lambda U: asked.append(U) or weights(U), V, listed)
+            assert asked[:2] == [full_space(Q, n), V]
+            enlarged = asked[2:]
+            assert len(enlarged) <= 2 ** len(above) - 1
+            assert all(U != V and _contains(U, V) for U in enlarged)
+            skipped += len({W for W in listed if not _contains(W, V)})
+    assert skipped > 100  # candidates not containing V were offered
 
 
 def test_weight_oracle_memo_answers_like_a_fresh_oracle(M, monkeypatch):
