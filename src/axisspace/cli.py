@@ -99,14 +99,19 @@ def _constant_env(model):
     return {"$" + name: el for name, el in model.constants.items()}
 
 
-def _tuple_of(model, names_csv: str):
+def _tuple_of(model, names):
     out = []
-    for name in names_csv.split(","):
-        name = name.strip()
+    for name in names:
         if name not in model.constants:
             raise UnboundSymbol(f"no constant named {name!r} in the context")
         out.append(model.constants[name])
     return tuple(out)
+
+
+def _sides(model, args):
+    """The tuples of ``--left`` and ``--right``, each a comma-separated
+    list of constant names."""
+    return [_tuple_of(model, [name.strip() for name in side.split(",")]) for side in (args.left, args.right)]
 
 
 def _cmd_eval(args, out):
@@ -132,22 +137,19 @@ def _cmd_decide(args, out):
 
 def _cmd_qftp(args, out):
     model = _load_model(args)
-    names = args.names or sorted(model.constants)
-    tuple_ = _tuple_of(model, ",".join(names)) if names else ()
+    tuple_ = _tuple_of(model, args.names or sorted(model.constants))
     print(qf_invariant(tuple_, model.field).to_text(), file=out)
 
 
 def _cmd_qfequiv(args, out):
     model = _load_model(args)
-    left = _tuple_of(model, args.left)
-    right = _tuple_of(model, args.right)
+    left, right = _sides(model, args)
     print("true" if qf_equiv(left, right, model.field) else "false", file=out)
 
 
 def _cmd_iso(args, out):
     model = _load_model(args)
-    left = _tuple_of(model, args.left)
-    right = _tuple_of(model, args.right)
+    left, right = _sides(model, args)
     h = extend_to_hat(left, right, model.field)
     for dom, img in zip(h.domain_generators, h.image_generators):
         print(f"{dom} -> {img}", file=out)

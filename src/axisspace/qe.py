@@ -18,15 +18,17 @@ census of :func:`_two_direction_condition` is exact for any number of
 terms: a witness can agree on an axis only with terms whose difference
 that axis kills, so truth depends on the number of axes of each kind,
 which is linear in finitely many weight levels, asserted through sumset
-atoms on explicit scalar combinations.  That covers every disjunct with at
-most two other symbols, so every sentence with at most three variables is
-decided exactly.  Three or more directions go to a sound anchored-template
-approximation that can miss witnesses, so a verdict on a sentence with
-four or more variables can be wrong; inside a block of like quantifiers
-it runs only when no variable of a box has an exact engine.  The census
-does not carry over: an axis can then kill a whole plane of differences,
-every two-direction sub-span needs its own scalar-menu disjunction to pin
-its level, and the output multiplies.
+atoms on explicit scalar combinations.  With one direction every axis is
+generic and the feasible levels are one interval in closed form.  That
+covers every disjunct with at most two other symbols, so every sentence
+with at most three variables is decided exactly.  Three or more
+directions go to a sound anchored-template approximation that can miss
+witnesses, so a verdict on a sentence with four or more variables can be
+wrong; inside a block of like quantifiers it runs only when no variable
+of a box has an exact engine.  The census does not carry over: an axis
+can then kill a whole plane of differences, every two-direction sub-span
+needs its own scalar-menu disjunction to pin its level, and the output
+multiplies.
 
 Every atom bounds one integer, the weight of its term: the number of axes
 the term meets, infinite outside the axis span.  ``t = 0`` is ``X0(t)``
@@ -75,7 +77,6 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping
 
 from .errors import (
@@ -575,14 +576,12 @@ def _eliminate_disjunct(table: _Table, box, var: str, exact: bool = False):
 
     order = [anchor] + [i for i in range(len(terms)) if i != anchor]
     terms, spans = [terms[i] for i in order], [spans[i] for i in order]
-    # a level past which every level is feasible or none is
-    cap = sum(hi for _, hi in spans if hi != _UNBOUNDED) + max([0] + [lo - 1 for lo, _ in spans]) + 2
     rank = _difference_rank(table.field, terms)
     if rank <= 2:
-        return _all([params, _two_direction_condition(table, terms, spans, cap, rank)])
+        return _all([params, _two_direction_condition(table, terms, spans, rank)])
     if exact:
         return None
-    return _all([params, _fallback_condition(table, [_minus(t, terms[0]) for t in terms[1:]], spans, cap)])
+    return _all([params, _fallback_condition(table, [_minus(t, terms[0]) for t in terms[1:]], spans)])
 
 
 def _minus(a, b) -> list:
@@ -599,7 +598,7 @@ def _difference_rank(field: FieldCtx, terms) -> int:
 # -- the axis census: differences in at most two directions ------------------
 
 
-def _two_direction_condition(table: _Table, terms, spans, cap, rank) -> list:
+def _two_direction_condition(table: _Table, terms, spans, rank) -> list:
     """Exact condition for parameter terms t_0, the anchor, bounded above,
     and t_1..t_n whose differences span ``rank`` <= 2 directions, with
     w(x - t_j) in spans[j]; the terms are integer rows in one scale (see
@@ -619,10 +618,11 @@ def _two_direction_condition(table: _Table, terms, spans, cap, rank) -> list:
 
     A term j bounded only from below saturates once w(t_j - t_0) >= lo_j
     + a0, a0 the anchor bound: then every witness keeps it.  With one
-    direction, levels run to ``cap`` and the next stands for all above.
-    With two, each basis term bounded only from below is either saturated
-    and dropped, or below the threshold, which keeps every level finite;
-    basis terms bounded above are chosen first.
+    direction the feasible levels are one interval in closed form
+    (:func:`_one_direction_levels`).  With two, each basis term bounded
+    only from below is either saturated and dropped, or below the
+    threshold, which keeps every level finite; basis terms bounded above
+    are chosen first.
     """
     a0 = spans[0][1]
     directions = {}
@@ -638,10 +638,7 @@ def _two_direction_condition(table: _Table, terms, spans, cap, rank) -> list:
             return [()]
         lows, highs = zip(*(spans[i] for i in rows))
         if rank == 1:
-            # two terms bounded above bound D, else D = cap + 1 stands for all above
-            top = min(sum(sorted(highs)[:2]), cap + 1)
-            e = direction(0, rows[1])
-            return _any(_bound(e, D, _UNBOUNDED if D > cap else D) for (D,) in _census((), lows, highs, (), top))
+            return _bound(direction(0, rows[1]), *_one_direction_levels(lows, highs))
         ordered = sorted(rows[1:], key=lambda i: spans[i][1] == _UNBOUNDED)
         a = ordered[0]
         b = next(i for i in ordered if direction(0, i) != direction(0, a))
@@ -672,7 +669,7 @@ def _two_direction_condition(table: _Table, terms, spans, cap, rank) -> list:
                 cls[q] = min(cls[q], cls[p])
             classes.append(tuple(cls))
             budgets.append(min(limit.get((rows[p], rows[q]), highs[p] + highs[q]) for p, q in along[w]))
-        profiles = _census(tuple(classes), lows, highs, tuple(budgets), _UNBOUNDED)
+        profiles = _census(classes, lows, highs, budgets)
         # the anchor differences along the first two directions
         u, v = (_minus(terms[next(i for i in rows[1:] if direction(0, i) == w)], terms[0]) for w in dirs[:2])
         size = max((min(p[0], p[1]) + 1 for p in profiles), default=0)
@@ -685,10 +682,28 @@ def _two_direction_condition(table: _Table, terms, spans, cap, rank) -> list:
     return condition(list(range(len(terms))), rank)
 
 
-@lru_cache(maxsize=4096)
-def _census(classes, lows, highs, budgets, top):
+def _one_direction_levels(lows, highs):
+    """The feasible levels D of one direction, an interval (lo, hi), empty
+    when lo > hi, for weights w(x - t_j) in [lows[j], highs[j]] and some
+    upper bound finite.
+
+    Every axis the differences meet is generic: a witness agrees there
+    with at most one term.  So w(x - t_j) = D + r - a_j, for r fresh axes
+    and a_j of the D axes agreeing with t_j, the a_j summing to at most D.
+    More fresh axes only raise weights, so r is the fewest that reach L,
+    the largest lower bound, and D is feasible when g(max(D, L)) <= D,
+    g(s) the sum of max(0, s - hi_j).  g(s) - s is convex and 0 at 0, so
+    these levels run from g(L) to the last D with g(D) <= D: the least
+    floor(S_j / (j - 1)) over j >= 2, S_j the sum of the j least finite
+    upper bounds, and without end when only one upper bound is finite."""
+    L, bounded = max(lows), sorted(hi for hi in highs if hi != _UNBOUNDED)
+    sums = list(itertools.accumulate(bounded))
+    return sum(max(0, L - hi) for hi in bounded), min((s // j for j, s in enumerate(sums[1:], 1)), default=_UNBOUNDED)
+
+
+def _census(classes, lows, highs, budgets):
     """The feasible level profiles (L_1, ..., L_p, D) of an axis census,
-    sorted, with L_w <= budgets[w] and D <= top.
+    sorted, with L_w <= budgets[w].
 
     ``classes[w]`` names each term's class along direction w; D - L_w axes
     are of kind w, the others generic, where each term is its own class.
@@ -698,7 +713,8 @@ def _census(classes, lows, highs, budgets, top):
     weight in [lows, highs].  A weight bounded only below never suffers
     from growing, so a class with no term bounded above is never worth
     agreeing with.  The direction kinds are walked axis by axis; generic
-    and fresh axes are counted in closed form.
+    axes are counted in closed form, and fresh ones are the fewest that
+    meet every lower bound.
     """
     m = len(lows)
     options = [
@@ -707,21 +723,19 @@ def _census(classes, lows, highs, budgets, top):
     ]
     # a weight past a lower-only bound is as good as at it
     clip = tuple(hi + 1 if hi != _UNBOUNDED else lo for lo, hi in zip(lows, highs))
-    fresh = range(min(hi for hi in highs if hi != _UNBOUNDED) + 1)
     counts = [0] * (len(classes) + 1)  # axes per kind, generic last
     found = []
 
     def fits(state, generic) -> bool:
-        # r fresh axes; the witness agrees with term j on max(0, w_j - hi_j) generic axes
-        return any(
-            all(s + generic + r >= lo for s, lo in zip(state, lows))
-            and sum(max(0, s + generic + r - hi) for s, hi in zip(state, highs)) <= generic
-            for r in fresh
-        )
+        # the fewest fresh axes r that meet every lower bound, as more only
+        # raise weights; the witness agrees with term j on max(0, w_j - hi_j)
+        # generic axes
+        r = max(0, *(lo - s - generic for s, lo in zip(state, lows)))
+        return sum(max(0, s + generic + r - hi) for s, hi in zip(state, highs)) <= generic
 
     def walk(kind, states, total):
         # every count of this kind that keeps the levels in budget
-        while total <= top and all(total - n <= cap for n, cap in zip(counts, budgets)):
+        while all(total - n <= cap for n, cap in zip(counts, budgets)):
             if kind == len(classes):
                 if any(fits(s, counts[kind]) for s in states):
                     found.append(tuple(total - n for n in counts[:-1]) + (total,))
@@ -757,7 +771,7 @@ def _menu_bound(combos, lo, hi) -> list:
 # -- sound fallback for three or more directions -----------------------------
 
 
-def _fallback_condition(table: _Table, diffs, spans, cap) -> list:
+def _fallback_condition(table: _Table, diffs, spans) -> list:
     """Anchored-template approximation for differences spanning three or
     more directions, with spans[0] the anchor's: witnesses of the shapes
     t_anchor + nu*u_j + (fresh axes), plus the fresh-coordinate
@@ -765,6 +779,8 @@ def _fallback_condition(table: _Table, diffs, spans, cap) -> list:
     rows in one scale (see :func:`_split`).  Sound by construction;
     completeness is not claimed."""
     gamma = [[0] * len(diffs[0])] + diffs
+    # the levels r of fresh axes and the menu of multiples run to cap
+    cap = sum(hi for _, hi in spans if hi != _UNBOUNDED) + max([0] + [lo - 1 for lo, _ in spans]) + 2
     out = []
     for base in gamma:
         for nu in (0, 1, -1, 2, -2):

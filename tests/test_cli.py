@@ -14,6 +14,7 @@ from axisspace.cli import main
 from axisspace.context import dump_context
 from axisspace.fields import FieldCtx
 from axisspace.formula import eval_qf, parse_formula, print_formula
+from axisspace.invariant import qf_invariant
 from axisspace.model import rich_model
 
 Q = FieldCtx.rationals()
@@ -228,6 +229,19 @@ def test_qftp_prints_invariant(context_file):
     assert out.startswith("arity=2 v_f=")
     # deterministic across runs
     assert run(["qftp", "--model", context_file, "c", "d"])[1] == out
+
+
+def test_qftp_takes_constant_names_as_given(tmp_path):
+    """Names with a comma or a space reach qftp whole, by default or named
+    one by one; only --left and --right split on commas."""
+    model = rich_model(Q)
+    model.constants["a,b"] = model.e(0, 0)
+    model.constants[" c"] = model.e(0, 0) + model.e(1, 0)
+    path = tmp_path / "ctx.json"
+    path.write_text(dump_context(model))
+    want = qf_invariant((model.constants[" c"], model.constants["a,b"]), Q).to_text() + "\n"
+    assert run(["qftp", "--model", str(path)]) == (0, want, "")
+    assert run(["qftp", "--model", str(path), " c", "a,b"]) == (0, want, "")
 
 
 def test_qfequiv_true_and_false(context_file):

@@ -1124,6 +1124,130 @@ def test_five_term_rank_two_conjunction_within_budget():
     assert (hashlib.sha1(text.encode()).hexdigest(), len(text)) == ("57b4f91024c37d1be69a09480590d869acf86f67", 1743793)
 
 
+def _reference_census(classes, lows, highs, budgets, top):
+    """qe._census as a walk of every level up to ``top``, trying every
+    number of fresh axes up to the least finite upper bound."""
+    m = len(lows)
+    options = [
+        {tuple(int(c != k) for c in cls) for k, hi in zip(cls, highs) if hi != INF} | {(1,) * m}
+        for cls in classes
+    ]
+    clip = tuple(hi + 1 if hi != INF else lo for lo, hi in zip(lows, highs))
+    fresh = range(min(hi for hi in highs if hi != INF) + 1)
+    counts = [0] * (len(classes) + 1)
+    found = []
+
+    def fits(state, generic) -> bool:
+        return any(
+            all(s + generic + r >= lo for s, lo in zip(state, lows))
+            and sum(max(0, s + generic + r - hi) for s, hi in zip(state, highs)) <= generic
+            for r in fresh
+        )
+
+    def walk(kind, states, total):
+        while total <= top and all(total - n <= cap for n, cap in zip(counts, budgets)):
+            if kind == len(classes):
+                if any(fits(s, counts[kind]) for s in states):
+                    found.append(tuple(total - n for n in counts[:-1]) + (total,))
+            else:
+                walk(kind + 1, states, total)
+                states = {
+                    t
+                    for s in states
+                    for o in options[kind]
+                    for t in [tuple(min(c, x + y) for c, x, y in zip(clip, s, o))]
+                    if all(x <= hi for x, hi in zip(t, highs))
+                }
+                if not states:
+                    break
+            total += 1
+            counts[kind] += 1
+        counts[kind] = 0
+
+    walk(0, {(0,) * m}, 0)
+    return tuple(sorted(found))
+
+
+def _random_spans(rng, m, top):
+    """Weight intervals of m terms with ends up to ``top`` or an infinite
+    upper end; the first, the anchor's, is bounded above."""
+    spans = []
+    for j in range(m):
+        hi = rng.randint(0, top) if j == 0 or rng.random() < 0.6 else INF
+        spans.append((rng.randint(0, min(hi, top)) if rng.random() < 0.7 else 0, hi))
+    return tuple(zip(*spans))
+
+
+def test_one_direction_levels_are_the_walked_levels():
+    """At rank 1 the interval of qe._one_direction_levels holds exactly the
+    levels the walk finds up to the old top, min(h1 + h2, cap + 1), where a
+    level above cap stands for all above it."""
+    rng = random.Random(30)
+    for _ in range(3000):
+        lows, highs = _random_spans(rng, rng.randint(2, 5), 6)
+        cap = sum(hi for hi in highs if hi != INF) + max([0] + [lo - 1 for lo in lows]) + 2
+        top = min(sum(sorted(highs)[:2]), cap + 1)
+        levels = [D for (D,) in _reference_census((), lows, highs, (), top)]
+        lo, hi = qe._one_direction_levels(lows, highs)
+        if not levels:
+            assert max(lo, 0) > hi, (lows, highs)
+            continue
+        assert levels == list(range(levels[0], levels[-1] + 1)), (lows, highs)
+        assert (max(lo, 0), hi) == (levels[0], INF if levels[-1] > cap else levels[-1]), (lows, highs)
+
+
+def _random_class_structure(rng):
+    """The census input of 3-5 distinct terms in the plane: for each
+    direction of a difference along which a term bounded above pairs up,
+    the terms' classes (the lines along it) and a finite budget; at least
+    two directions, at most four."""
+    while True:
+        points = rng.sample([(a, b) for a in range(-2, 3) for b in range(-2, 3)], rng.randint(3, 5))
+        lows, highs = _random_spans(rng, len(points), 4)
+        along = {}
+        for (p, (a, b)), (q, (c, d)) in itertools.combinations(enumerate(points), 2):
+            g = math.gcd(c - a, d - b)
+            w = ((c - a) // g, (d - b) // g)
+            along.setdefault(w if w > (0, 0) else (-w[0], -w[1]), []).append((p, q))
+        dirs = [w for w, pairs in along.items() if any(min(highs[p], highs[q]) != INF for p, q in pairs)]
+        if len(dirs) >= 2:
+            break
+    classes, budgets = [], []
+    for w in rng.sample(dirs, min(len(dirs), 4)):
+        cls = list(range(len(points)))
+        for p, q in along[w]:
+            cls[q] = min(cls[q], cls[p])
+        classes.append(tuple(cls))
+        budget = min(highs[p] + highs[q] for p, q in along[w])
+        budgets.append(budget if budget != INF else rng.randint(0, 4))
+    return tuple(classes), lows, highs, tuple(budgets)
+
+
+def test_census_is_the_walk_over_every_number_of_fresh_axes():
+    """At rank 2, qe._census, which takes the fewest fresh axes, finds the
+    profiles of the walk that tries every number of them."""
+    rng = random.Random(31)
+    for _ in range(600):
+        classes, lows, highs, budgets = _random_class_structure(rng)
+        want = _reference_census(classes, lows, highs, budgets, INF)
+        assert qe._census(classes, lows, highs, budgets) == want, (classes, lows, highs, budgets)
+
+
+@pytest.mark.parametrize(
+    "text, printed",
+    [
+        ("E x. (X1000000(x + -1*$c) & !X1(x))", "0 = 0"),
+        ("E x. (X1000000(x + -1*$c) & X1000000(x + -1*$d))", "X2000000($c + -1*$d)"),
+    ],
+    ids=["one-bound", "two-bounds"],
+)
+def test_one_direction_levels_take_no_time_at_a_large_index(text, printed):
+    """One direction's levels are an interval in closed form, so a large
+    index costs no more than a small one; a walk of every level ran for
+    seconds on the first formula and past 20 s on the second."""
+    assert print_formula(within(2, eliminate_all, parse_formula(text, Q))) == printed
+
+
 def test_a_term_over_another_field_is_refused():
     """Every term of a decision is over the formula's field.  An equation
     across fields, an atom over another field in either order, an
@@ -1345,7 +1469,23 @@ def _shuffled(matrix, variables, rng):
     return _sentence(variables, text), False
 
 
-@pytest.mark.parametrize("relation", [_dual, _scaled, _shuffled], ids=["duality", "scaling", "reordering"])
+def _translated(matrix, variables, rng):
+    """matrix under x -> x + y, which turns c*x + d*y into c*x + (c + d)*y
+    in every form, an invertible change of variables."""
+
+    def form(atom):
+        coeffs = Counter()
+        for c, v in re.findall(r"(-?\d+)\*([a-z])", atom[2]):
+            coeffs[v] += int(c)
+        coeffs["y"] += coeffs["x"]
+        return f"X{atom[1]}(" + " + ".join(f"{coeffs[v]}*{v}" for v in variables if coeffs[v]) + ")"
+
+    return _sentence(variables, re.sub(r"X(\d+)\(([^)]*)\)", form, matrix)), False
+
+
+@pytest.mark.parametrize(
+    "relation", [_dual, _scaled, _shuffled, _translated], ids=["duality", "scaling", "reordering", "translation"]
+)
 @pytest.mark.parametrize("family", SENTENCE_FAMILIES, ids=["xyz", "xyzw"])
 def test_exists_sentences_decide_alike_under_metamorphic_relations(family, relation):
     """Each sentence ``E x ... . matrix`` of a family against its image
