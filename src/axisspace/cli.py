@@ -76,12 +76,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(path: str) -> str:
+    """The text of a UTF-8 file; a file that is not UTF-8 is an OSError,
+    reported as ``ERROR:IO:`` like a missing one."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def _load_model(args):
     field = field_from_token(args.field) if getattr(args, "field", None) else None
     model_path = getattr(args, "model", None)
     if model_path:
-        with open(model_path, "r", encoding="utf-8") as fh:
-            model = load_context(fh.read())
+        model = load_context(_read(model_path))
         if field is not None and field != model.field:
             raise FieldMismatch(f"--field {args.field} conflicts with the context field {model.field}")
         return model
@@ -89,10 +98,7 @@ def _load_model(args):
 
 
 def _formula_text(spec: str) -> str:
-    if spec.startswith("@"):
-        with open(spec[1:], "r", encoding="utf-8") as fh:
-            return fh.read()
-    return spec
+    return _read(spec[1:]) if spec.startswith("@") else spec
 
 
 def _constant_env(model):
@@ -172,10 +178,7 @@ def _cmd_ff(args, out):
 
 
 def _cmd_model_iso(args, out):
-    models = []
-    for path in (args.context1, args.context2):
-        with open(path, "r", encoding="utf-8") as fh:
-            models.append(load_context(fh.read()))
+    models = [load_context(_read(path)) for path in (args.context1, args.context2)]
     print("true" if descriptor_iso(models[0].descriptor, models[1].descriptor) else "false", file=out)
 
 

@@ -19,16 +19,19 @@ terms: a witness can agree on an axis only with terms whose difference
 that axis kills, so truth depends on the number of axes of each kind,
 which is linear in finitely many weight levels, asserted through sumset
 atoms on explicit scalar combinations.  With one direction every axis is
-generic and the feasible levels are one interval in closed form.  That
-covers every disjunct with at most two other symbols, so every sentence
-with at most three variables is decided exactly.  Three or more
-directions go to a sound anchored-template approximation that can miss
-witnesses, so a verdict on a sentence with four or more variables can be
-wrong; inside a block of like quantifiers it runs only when no variable
-of a box has an exact engine.  The census does not carry over: an axis
-can then kill a whole plane of differences, every two-direction sub-span
-needs its own scalar-menu disjunction to pin its level, and the output
-multiplies.
+generic and the feasible levels are one interval in closed form.  With
+two, u and v, the number D of axes the plane meets is pinned by the
+shortest menu u + k*v that must hold a generic entry: L_u + L_v - D + 1
+entries, for the L_u + L_v - D axes that meet both, where each can cancel
+one entry.  That covers every disjunct with at most two other symbols, so
+every sentence with at most three variables is decided exactly.  Three
+or more directions go to a sound anchored-template approximation that can
+miss witnesses, so a verdict on a sentence with four or more variables
+can be wrong; inside a block of like quantifiers it runs only when no
+variable of a box has an exact engine.  The census does not carry over:
+an axis can then kill a whole plane of differences, every two-direction
+sub-span needs its own scalar-menu disjunction to pin its level, and the
+output multiplies.
 
 Every atom bounds one integer, the weight of its term: the number of axes
 the term meets, infinite outside the axis span.  ``t = 0`` is ``X0(t)``
@@ -613,8 +616,16 @@ def _two_direction_condition(table: _Table, terms, spans, rank) -> list:
     axes are of kind w, for D the axes the differences meet: the census
     (:func:`_census`) is linear in the levels w(w) and D.  With one
     direction every axis is generic and D is its level; with two, D is
-    pinned by sumset atoms on u + k*v (:func:`_menu_bound`).  A direction
-    along which only terms bounded below pair up counts as generic.
+    pinned by sumset atoms on u + k*v (:func:`_menu_bound`), u and v the
+    anchor differences along the first two directions.  A profile (L_1,
+    ..., L_p, D) puts D - L_u axes in the kind of u and D - L_v in that of
+    v, so L_u + L_v - D axes meet both, and only those can cancel u + k*v,
+    each for one k at most: the menu k = 1..L_u + L_v - D + 1 holds a
+    generic entry, of weight D exactly when the plane meets D axes.  When
+    a direction's level is already D the plane meets at least D axes, and
+    the menu's upper row alone pins D, with no lower disjunction.  A
+    direction along which only terms bounded below pair up counts as
+    generic.
 
     A term j bounded only from below saturates once w(t_j - t_0) >= lo_j
     + a0, a0 the anchor bound: then every witness keeps it.  With one
@@ -672,10 +683,14 @@ def _two_direction_condition(table: _Table, terms, spans, rank) -> list:
         profiles = _census(classes, lows, highs, budgets)
         # the anchor differences along the first two directions
         u, v = (_minus(terms[next(i for i in rows[1:] if direction(0, i) == w)], terms[0]) for w in dirs[:2])
-        size = max((min(p[0], p[1]) + 1 for p in profiles), default=0)
+        size = max((p[0] + p[1] - p[-1] + 1 for p in profiles), default=0)
         combos = [table.id([x + k * y for x, y in zip(u, v)]) for k in range(1, size + 1)]
+        # a direction at level D already meets D axes: the menu's row suffices
         return _any(
-            _all([_bound(w, L, L) for w, L in zip(dirs, levels)] + [_menu_bound(combos[: min(levels[0], levels[1]) + 1], D, D)])
+            _all(
+                [_bound(w, L, L) for w, L in zip(dirs, levels)]
+                + [_menu_bound(combos[: levels[0] + levels[1] - D + 1], D if max(levels) < D else 0, D)]
+            )
             for *levels, D in profiles
         )
 
@@ -762,9 +777,11 @@ def _menu_bound(combos, lo, hi) -> list:
     """lo <= w(s + lambda * sigma) <= hi for a generic scalar lambda,
     through ``combos``, the table ids of s + k * sigma for k = 1..size:
     every combination is at most hi (one row) and some combination at
-    least lo (one column).  A generic combination realizes the union of
-    the axes, and a menu longer than the number of axes where a
-    combination can cancel contains a generic entry."""
+    least lo (one column; true when lo is 0).  A generic combination
+    realizes the union of the axes, and a menu longer than the number of
+    axes where a combination can cancel contains a generic entry: the
+    census sizes its menu by the axes that meet both s and sigma, the
+    fallback by a cap on all axes."""
     return _all([_bound(c, 0, hi) for c in combos] + [_any([_bound(c, lo, _UNBOUNDED) for c in combos])])
 
 

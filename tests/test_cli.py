@@ -324,6 +324,22 @@ def test_missing_model_file():
     assert code == 1 and err.startswith("ERROR:IO:")
 
 
+@pytest.mark.parametrize("site", ["model", "formula", "model-iso"])
+def test_a_file_that_is_not_utf8_is_an_io_error(tmp_path, context_file, site):
+    """Each of the three file reads reports a file that is not UTF-8 as
+    ``ERROR:IO:`` naming the file, where a raw UnicodeDecodeError escaped."""
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0 = 0 \xff\xfe\n")
+    argv = {
+        "model": ["qe", "--model", str(bad), "--formula", "0 = 0"],
+        "formula": ["qe", "--field", "q", "--formula", f"@{bad}"],
+        "model-iso": ["model-iso", context_file, str(bad)],
+    }[site]
+    code, out, err = run(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("ERROR:IO:") and str(bad) in err and err.count("\n") == 1
+
+
 def test_eval_quantifier_free_over_prime_field(tmp_path):
     """Evaluation (unlike elimination) works over finite fields."""
     model = rich_model(FieldCtx.prime_field(3))

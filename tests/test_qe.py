@@ -288,7 +288,7 @@ def test_nested_elimination_prints_the_same_under_any_hash_seed():
 # the four-literal formula that qe-wide names as reaching the fallback
 NAMED_FALLBACK = "E x. (X2(x + -1*$c2) & !X0(x + -1*$c1) & X1(x + -1*$c3) & X1(x + -1*$c0))"
 FOUR_LITERAL_DIGEST = ("b8a5da34425e0de0d64e6783f84f9f66065651bb", 152060)
-FRACTIONAL_DIGEST = ("b78e2dfe91ee7fc0c8371f991c872224ec3cfe5a", 309202)
+FRACTIONAL_DIGEST = ("c3e28e6c1ad37fd3feec03eeca9df0bb9daddd83", 154294)
 
 
 def _four_literal_texts():
@@ -609,7 +609,7 @@ def _disjuncts(psi):
 def test_negation_of_a_nested_condition_stays_small():
     """The 21 boxes of ``E x.`` multiply out to some 18,000 boxes unless the
     running product of the negation is reduced after every factor; either
-    way the condition is the same 24 disjuncts.  They are pinned in sorted
+    way the condition is the same 17 disjuncts.  They are pinned in sorted
     order, as the order of the boxes depends on when they are reduced, and
     the printed text in its order, which moves with the order of
     :func:`qe._negate`'s boxes."""
@@ -621,10 +621,10 @@ def test_negation_of_a_nested_condition_stays_small():
     out = within(0.5, eliminate_all, phi)
     texts = sorted(print_formula(psi) for psi in _disjuncts(out))
     joined = "\n".join(texts)
-    assert len(texts) == 24
-    assert hashlib.sha1(joined.encode()).hexdigest() == "7e1430e3f54a0c252edb055e6f5288c3b58bb2c3"
+    assert len(texts) == 17
+    assert hashlib.sha1(joined.encode()).hexdigest() == "bc9fdb69608146b0cd819b3e8b6d37f53579d993"
     text = print_formula(out)
-    assert (hashlib.sha1(text.encode()).hexdigest(), len(text)) == ("df2f3706b865ceb0ab9bf21676eb62b0f13eb9e7", 1708)
+    assert (hashlib.sha1(text.encode()).hexdigest(), len(text)) == ("7da12eb37459b3b1e3f39a13245c763463e563d7", 1168)
 
 
 def _reference_join_intervals(rows, nterms):
@@ -725,7 +725,7 @@ BIG_FORMULA = (
     "E x. !(!(X4(-1*x + -2*$c0) & !(X1(x + -1*$c1) | X1(x + -1*$c0)))"
     " | -2*$c1 = 2*$c0 + -1*$c1)"
 )
-BIG_FORMULA_DISJUNCTS = 197  # 752 before the interval joins, 297 before generic directions
+BIG_FORMULA_DISJUNCTS = 137  # 197 before the shortest census menu, 752 before the interval joins
 
 
 def _literal_nodes(phi):
@@ -742,7 +742,7 @@ def test_simplify_shares_one_node_per_literal():
     out = eliminate_exists(phi.body, "x")
     text = print_formula(out)
     assert text.count(" | ") + 1 == BIG_FORMULA_DISJUNCTS
-    assert (hashlib.sha1(text.encode()).hexdigest(), len(text)) == ("6021df75ad1e5cdcb68715531632f07ce7a43f95", 36361)
+    assert (hashlib.sha1(text.encode()).hexdigest(), len(text)) == ("495ff692ba6ebf3b53d9d2693daf72f27844c292", 19468)
     occurrences = _literal_nodes(out)
     distinct_literals = {(pol, atom) for pol, atom in occurrences}
     assert len(occurrences) > 3 * len(distinct_literals)
@@ -763,7 +763,7 @@ def test_every_three_literal_class_prints_as_pinned():
         texts.append("E x. (" + " & ".join(literals) + ")")
     joined = "\n".join(print_formula(eliminate_all(parse_formula(text, Q))) for text in texts)
     assert len(texts) == 56
-    assert (hashlib.sha1(joined.encode()).hexdigest(), len(joined)) == ("46569de5fe28653a2343479d63e0cb5e12a53a06", 263208)
+    assert (hashlib.sha1(joined.encode()).hexdigest(), len(joined)) == ("3e9e26b5b64769a520ae4d475f3dba9ef80c1537", 125983)
 
 
 def test_criterion_4_formula_agrees_with_witness_search(M):
@@ -928,13 +928,13 @@ def test_eliminate_all_reduces_a_top_quantifier_once(monkeypatch):
 
 
 def test_three_x3_balls_agree_with_witness_search(M):
-    """Three radius-3 balls: a 392-disjunct condition (954 before the
-    interval joins)."""
+    """Three radius-3 balls: a 214-disjunct condition (392 before the
+    shortest census menu, 954 before the interval joins)."""
     phi = parse_formula("E x. (X3(x + -1*$c0) & X3(x + -1*$c1) & X3(x + -1*$c2))", Q)
     out = eliminate_exists(phi.body, "x")
     text = print_formula(out)
-    assert text.count(" | ") + 1 == 392
-    assert (hashlib.sha1(text.encode()).hexdigest(), len(text)) == ("cd467cdd3fbc8b64a03383098ea2be17946c1d7e", 121056)
+    assert text.count(" | ") + 1 == 214
+    assert (hashlib.sha1(text.encode()).hexdigest(), len(text)) == ("441ade518d8e02793abf4d4ef93d803d785a9c45", 54232)
     rng = random.Random(954)
     seen = set()
     for _ in range(24):
@@ -1107,6 +1107,57 @@ def test_rank_two_conjunctions_agree_with_witness_search(M):
     assert seen == {True, False}
 
 
+def _tight_menu_envs(M):
+    """Environments for the conjunctions of
+    :func:`test_the_census_menu_is_exact_where_it_is_tight`, whose anchor
+    term is x - $c, so that the census takes u = $d and v = -$c.  In each,
+    the menu u + k*v, k = 1..L_u + L_v - D + 1, holds exactly one generic
+    entry, its last: axis j = 1..m has pi_j(u) = j and pi_j(v) = -1, so
+    u + j*v vanishes there, and a and b further axes meet only u and only
+    v.  Then L_u = m + a, L_v = m + b and D = m + a + b.  Each is also
+    given with u and v swapped, for a census that took them the other way
+    round."""
+    out = []
+    for m, a, b in itertools.product(range(4), range(3), range(3)):
+        u = M.element({**{(j, 0): j for j in range(1, m + 1)}, **{(10 + j, 0): 1 for j in range(a)}})
+        v = M.element({**{(j, 0): -1 for j in range(1, m + 1)}, **{(20 + j, 0): 1 for j in range(b)}})
+        out += [{"$c": -1 * v, "$d": u}, {"$c": -1 * u, "$d": v}]
+    return out
+
+
+def _plane_envs(M, rng, count):
+    """$c and $d as combinations, with coefficients in -2..2, of the same two
+    or three random elements, so that their axis components are often
+    proportional and combinations of them cancel."""
+    out = []
+    for _ in range(count):
+        base = [random_f_element(M, rng, max_axes=3, max_coord=1) for _ in range(rng.choice((2, 3)))]
+        c, d = (sum((rng.randint(-2, 2) * b for b in base), M.zero()) for _ in range(2))
+        out.append({"$c": c, "$d": d})
+    return out
+
+
+def test_the_census_menu_is_exact_where_it_is_tight(M):
+    """Every conjunction X_a(x - $c) & [!]X_b(x - $c - $d) & [!]X_k(x),
+    a in 1..3, reaches the rank-2 census with x - $c as its anchor, the
+    first term bounded above in the order of the text of t.  Each agrees
+    with witness_search on every tight menu environment and on seeded
+    plane environments.  A menu one entry shorter than L_u + L_v - D + 1
+    loses the generic entry on the tight ones."""
+    signed = [f"X{k}" for k in range(1, 4)] + [f"!X{k}" for k in range(4)]
+    rng = random.Random(31)
+    tight = _tight_menu_envs(M)
+    seen = Counter()
+    for a, p, q in itertools.product(range(1, 4), signed, signed):
+        phi = parse_formula(f"X{a}(x + -1*$c) & {p}(x + -1*$c + -1*$d) & {q}(x)", Q)
+        out = eliminate_exists(phi, "x")
+        for env in tight + _plane_envs(M, rng, 8):
+            truth = eval_qf(out, env, Q)
+            assert truth == (witness_search(phi, "x", env, M) is not None), (print_formula(phi), env)
+            seen[truth] += 1
+    assert min(seen.values()) > 1000, seen
+
+
 FIVE_TERM_FORMULA = (
     "E x. (!X2(x + -2*$c0 + 2*$c1) & X3(x + -2*$c0 + 1*$c1) & !X2(x + 1*$c0 + 1*$c1) & X3(x) & !X1(x + 2*$c0))"
 )
@@ -1120,8 +1171,8 @@ def test_five_term_rank_two_conjunction_within_budget():
     assert free_symbols(out) == {"$c0", "$c1"}
     # the largest census output: pinned, as no other test prints it
     text = print_formula(out)
-    assert len(_disjuncts(out)) == 5114
-    assert (hashlib.sha1(text.encode()).hexdigest(), len(text)) == ("57b4f91024c37d1be69a09480590d869acf86f67", 1743793)
+    assert len(_disjuncts(out)) == 1480
+    assert (hashlib.sha1(text.encode()).hexdigest(), len(text)) == ("0f73fedfade21ef4511742321e76621f03fb83ca", 419677)
 
 
 def _reference_census(classes, lows, highs, budgets, top):
@@ -1514,6 +1565,41 @@ def test_a_condition_is_reduced_before_it_is_eliminated_again(text):
     makes true.  Eliminated again unreduced, they give an equivalent
     condition of 81 KB that no longer prints as true."""
     assert print_formula(eliminate_all(parse_formula(text, Q))) == "0 = 0"
+
+
+def _axiom_instances():
+    """(sentence, truth) for the axioms of the theory at every index up to
+    3: X^n inside X^(n+1) and not the converse; X^n + X^m = X^(n+m), with
+    a sum outside X^(n+m-1), for two and three summands; closure under
+    nonzero scalars; X^0 = {0}; and k members of X^1 \\ X^0 on pairwise
+    distinct axes, for k <= 3."""
+    out = []
+    for n in range(3):
+        out += [(f"A x. (X{n}(x) -> X{n + 1}(x))", True), (f"A x. (X{n + 1}(x) -> X{n}(x))", False)]
+    for n, m in ((n, m) for n in range(4) for m in range(4 - n)):
+        out += [
+            (f"A x. A y. ((X{n}(x) & X{m}(y)) -> X{n + m}(x + y))", True),
+            (f"A z. (X{n + m}(z) -> E x. (X{n}(x) & X{m}(z + -1*x)))", True),
+        ]
+        if n + m:
+            out.append((f"E x. E y. (X{n}(x) & X{m}(y) & !X{n + m - 1}(x + y))", True))
+    for n, m, k in ((n, m, k) for n in range(4) for m in range(n, 4) for k in range(m, 4) if n + m + k <= 3):
+        out.append((f"A x. A y. A z. ((X{n}(x) & X{m}(y) & X{k}(z)) -> X{n + m + k}(x + y + z))", True))
+        if n + m + k:
+            out.append((f"E x. E y. E z. (X{n}(x) & X{m}(y) & X{k}(z) & !X{n + m + k - 1}(x + y + z))", True))
+    for n, c in itertools.product(range(4), ("2", "-1", "1/3", "-5/2")):
+        out.append((f"A x. (X{n}(x) -> X{n}({c}*x))", True))
+    out += [("A x. (X0(x) -> x = 0)", True), ("A x. (x = 0 -> X0(x))", True)]
+    for k in range(1, 4):
+        xs = ["x", "y", "z"][:k]
+        literals = [f"X1({v}) & !X0({v})" for v in xs] + [f"!X1({a} + {b})" for a, b in itertools.combinations(xs, 2)]
+        out.append(("".join(f"E {v}. " for v in xs) + "(" + " & ".join(literals) + ")", True))
+    return out
+
+
+@pytest.mark.parametrize("text, truth", _axiom_instances())
+def test_axiom_instances_up_to_index_3_decide_right(text, truth):
+    assert within(5, decide_sentence, parse_formula(text, Q)) is truth
 
 
 def test_forall_inclusion_sentence(M):
