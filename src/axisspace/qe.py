@@ -750,7 +750,7 @@ def _census(classes, lows, highs, budgets):
 
     def walk(kind, states, total):
         # every count of this kind that keeps the levels in budget
-        while all(total - n <= cap for n, cap in zip(counts, budgets)):
+        while all(total - n <= budget for n, budget in zip(counts, budgets)):
             if kind == len(classes):
                 if any(fits(s, counts[kind]) for s in states):
                     found.append(tuple(total - n for n in counts[:-1]) + (total,))
@@ -777,11 +777,17 @@ def _menu_bound(combos, lo, hi) -> list:
     """lo <= w(s + lambda * sigma) <= hi for a generic scalar lambda,
     through ``combos``, the table ids of s + k * sigma for k = 1..size:
     every combination is at most hi (one row) and some combination at
-    least lo (one column; true when lo is 0).  A generic combination
-    realizes the union of the axes, and a menu longer than the number of
-    axes where a combination can cancel contains a generic entry: the
-    census sizes its menu by the axes that meet both s and sigma, the
-    fallback by a cap on all axes."""
+    least lo (one column; true when lo is 0).  A generic combination has
+    weight D, the axes that s or sigma meets, and on each of the B <= D
+    axes that both meet s + k * sigma vanishes for one k at most, so entry
+    k has weight D - c_k with the c_k summing to at most B.  A menu longer
+    than B thus holds a generic entry: the census sizes its menu by B.
+    The fallback, which does not know B, takes hi + 2 entries, or lo + 1
+    when hi is infinite.  If D > hi, all hi + 2 entries at most hi need
+    (hi + 2)(D - hi) > D cancellations; if D <= hi, at most hi entries
+    cancel at all.  If D >= lo with every one of lo + 1 entries below lo,
+    (lo + 1)(D - lo + 1) <= D, which no D meets.  One entry fewer is not
+    enough: with hi = 0 and s = -sigma, the single entry vanishes."""
     return _all([_bound(c, 0, hi) for c in combos] + [_any([_bound(c, lo, _UNBOUNDED) for c in combos])])
 
 
@@ -793,21 +799,24 @@ def _fallback_condition(table: _Table, diffs, spans) -> list:
     more directions, with spans[0] the anchor's: witnesses of the shapes
     t_anchor + nu*u_j + (fresh axes), plus the fresh-coordinate
     perturbation of a single difference.  The differences u_j are integer
-    rows in one scale (see :func:`_split`).  Sound by construction;
-    completeness is not claimed."""
+    rows in one scale (see :func:`_split`).  The levels r of fresh axes run
+    to the smallest upper bound, past which every box is empty, and each
+    term's menu of multiples is sized by its own bounds
+    (:func:`_menu_bound`).  Sound by construction; completeness is not
+    claimed."""
     gamma = [[0] * len(diffs[0])] + diffs
-    # the levels r of fresh axes and the menu of multiples run to cap
-    cap = sum(hi for _, hi in spans if hi != _UNBOUNDED) + max([0] + [lo - 1 for lo, _ in spans]) + 2
+    top = min(hi for _, hi in spans)
+    sizes = [hi + 2 if hi != _UNBOUNDED else lo + 1 for lo, hi in spans]
     out = []
     for base in gamma:
         for nu in (0, 1, -1, 2, -2):
             # the bounded terms, the same at every level r
             terms = [table.id([nu * b - c for b, c in zip(base, g)]) for g in gamma]
-            for r in range(cap + 1):
+            for r in range(top + 1):
                 out.append(_all([_bound(t, lo - r, hi - r) for t, (lo, hi) in zip(terms, spans)]))
         # fresh coordinates on base's axes
-        multiples = [[k * b for b in base] for k in range(1, cap + 2)]
-        out.append(_all([_menu_bound([table.id(_minus(m, g)) for m in multiples], lo, hi) for g, (lo, hi) in zip(gamma, spans)]))
+        menus = [[table.id([k * b - c for b, c in zip(base, g)]) for k in range(1, n + 1)] for g, n in zip(gamma, sizes)]
+        out.append(_all([_menu_bound(menu, lo, hi) for menu, (lo, hi) in zip(menus, spans)]))
     return _any(out)
 
 
